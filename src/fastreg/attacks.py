@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .channel import ChannelTap
+from .channel import ChannelTap, IdentityResponse, RegistrationRequestInitial
 from .equipment import MobileEquipment, PowerState, SecurityContext
+from .network import OneTapToken
 from .profiles import DEFAULT_PIN, Countermeasures, get_profile
 from .sim import SimEnv
 from .usim import (
@@ -60,7 +61,7 @@ class UnknownScenario(Exception):
 class AttackerKit:
     """What the attacker owns: a handset, a sniffer tap, public knowledge."""
 
-    env: SimEnv
+    env: ScenarioEnv
     own_me: MobileEquipment
     tap: ChannelTap
     known: dict[str, str]
@@ -68,7 +69,7 @@ class AttackerKit:
     def learn_victim_supi(self) -> str | None:
         """Pull a cleartext permanent identity off the recorded air traffic."""
         for entry in self.tap.entries:
-            if entry.mtype in ("registration-request-initial", "identity-response"):
+            if entry.mtype in (RegistrationRequestInitial.mtype, IdentityResponse.mtype):
                 identity = entry.fields["identity"]
                 if not identity.startswith("suci-"):
                     return identity
@@ -84,7 +85,11 @@ class AttackReport:
     succeeded: bool = False
     evidence: dict[str, str] = field(default_factory=dict)
     window: tuple[int, int] = (0, 0)
-    env: SimEnv | None = field(default=None, repr=False, compare=False)
+    env: ScenarioEnv | None = field(default=None, repr=False, compare=False)
+    # What a successful impersonation left behind for the downstream
+    # scenarios: the one-tap token and the network's paging location.
+    token: OneTapToken | None = field(default=None, repr=False, compare=False)
+    location: str | None = field(default=None, repr=False, compare=False)
 
     def note(self, key: str, value) -> None:
         if isinstance(value, bool):
@@ -104,17 +109,21 @@ class AttackReport:
         return lines
 
 
-def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: Countermeasures | None = None) -> SimEnv:
+class ScenarioEnv(SimEnv):
+    """A SimEnv holding the scenario's toggles, victim card and attacker kit."""
+
+    cm: Countermeasures
+    victim_card: CardImage
+    kit: AttackerKit
+
+
+def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: Countermeasures | None = None) -> ScenarioEnv:
     """Victim subscriber and handset at BS-A, attacker kit at BS-B."""
     cm = cm or Countermeasures()
     profile = cm.apply(get_profile(profile_name))
-    env = SimEnv(profile, seed)
-    env.meta["cm"] = cm
-    env.meta["victim_supi"] = VICTIM_SUPI
-    env.meta["victim_bs"] = VICTIM_BS
-    env.meta["attacker_bs"] = ATTACKER_BS
-    _, card = env.provision_subscriber(VICTIM_SUPI)
-    env.meta["victim_card"] = card
+    env = ScenarioEnv(profile, seed)
+    env.cm = cm
+    _, env.victim_card = env.provision_subscriber(VICTIM_SUPI)
     env.add_me(
         "victim-me",
         bs=VICTIM_BS,
@@ -128,7 +137,7 @@ def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: Countermeas
     )
     tap = ChannelTap("attacker-tap")
     env.channel.taps.append(tap)
-    env.meta["kit"] = AttackerKit(
+    env.kit = AttackerKit(
         env=env, own_me=attacker_me, tap=tap, known={"default_pin": DEFAULT_PIN}
     )
     return env
@@ -144,7 +153,7 @@ def card_reader_extract(
     pin_candidates: list[str] | None = None,
 ) -> dict[int, bytes]:
     """Read card files over a reader session; AccessDenied on any refusal."""
-    session = card.open_session("attacker-reader")
+    session = card.open_session()
     if card.pin.enabled:
         candidates = list(pin_candidates) if pin_candidates else [kit.known["default_pin"]]
         granted = False
@@ -176,7 +185,7 @@ def _rewrite_fake_context(fake: CardImage, guti: str, ul_count: int, nsc_blob: b
     """Update a fake card's context files through plain reader commands."""
     ctx = SecurityContext.from_bytes(nsc_blob)
     ctx.ul_count = ul_count
-    session = fake.open_session("attacker-writer")
+    session = fake.open_session()
     for fid, body in ((EF_EPSLOCI, guti.encode("ascii")), (EF_EPSNSC, ctx.to_bytes())):
         resp = apdu_execute(fake, session, Apdu(ApduCommand.UPDATE, fid, body))
         if resp.status is not ApduStatus.OK:
@@ -209,7 +218,7 @@ def _summarize(outcome) -> str:
     return "%s path=%s aka=%s" % (verdict, outcome.path, "yes" if outcome.aka_ran else "no")
 
 
-def _evaluate_impersonation(report: AttackReport, env: SimEnv, outcome) -> None:
+def _evaluate_impersonation(report: AttackReport, env: ScenarioEnv, outcome) -> None:
     """Fill the report from one attacker registration attempt."""
     window = (outcome.start_step, outcome.end_step or env.channel.step)
     report.window = window
@@ -238,19 +247,18 @@ def _evaluate_impersonation(report: AttackReport, env: SimEnv, outcome) -> None:
 
     token_ok = location_ok = False
     if clean_fast:
-        supi = env.meta["victim_supi"]
-        session = env.amf.sessions.get(supi)
+        session = env.amf.sessions.get(VICTIM_SUPI)
         if session is not None and session.state == "Registered":
-            token = env.amf.one_tap_token(session)
-            token_ok = token.supi == supi
-            report.note("token_supi", token.supi)
-            reading = env.amf.locate(supi)
-            location_ok = reading == env.meta["attacker_bs"] and reading != env.meta["victim_bs"]
-            report.note("network_location", reading)
+            report.token = env.amf.one_tap_token(session)
+            token_ok = report.token.supi == VICTIM_SUPI
+            report.note("token_supi", report.token.supi)
+            report.location = env.amf.locate(VICTIM_SUPI)
+            location_ok = report.location == ATTACKER_BS and report.location != VICTIM_BS
+            report.note("network_location", report.location)
     report.succeeded = clean_fast and witness and quiet and token_ok and location_ok
 
 
-def _observe_reconnect(report: AttackReport, env: SimEnv, victim_me, attacker_me, generation: str) -> None:
+def _observe_reconnect(report: AttackReport, env: ScenarioEnv, victim_me, attacker_me, generation: str) -> None:
     """Let the victim come back online and record what both sides see."""
     if victim_me.power is PowerState.AIRPLANE:
         victim_me.set_airplane(False)
@@ -275,10 +283,10 @@ def scenario_usim_impersonation(
     if variant not in S1_VARIANTS:
         raise UnknownScenario("unknown S1 variant %r (have: %s)" % (variant, ", ".join(S1_VARIANTS)))
     env = build_environment(profile_name, seed, cm)
-    kit: AttackerKit = env.meta["kit"]
+    kit = env.kit
     report = AttackReport("S1", profile_name, seed, variant, env=env)
     victim = env.mes["victim-me"]
-    card: CardImage = env.meta["victim_card"]
+    card = env.victim_card
 
     victim.insert_card(card)
     victim.power_on()
@@ -335,10 +343,9 @@ def scenario_baseband_impersonation(
     if variant not in S2_VARIANTS:
         raise UnknownScenario("unknown S2 variant %r (have: %s)" % (variant, ", ".join(S2_VARIANTS)))
     env = build_environment(profile_name, seed, cm)
-    kit: AttackerKit = env.meta["kit"]
-    cm = env.meta["cm"]
+    kit, cm = env.kit, env.cm
     report = AttackReport("S2", profile_name, seed, variant, env=env)
-    card: CardImage = env.meta["victim_card"]
+    card = env.victim_card
 
     shared = env.add_me(
         "shared-me",
@@ -360,20 +367,17 @@ def scenario_baseband_impersonation(
         return report
     report.note("identity", supi)
 
-    if variant == "swap-powered-on":
-        # Phone stays fully on during the swap; rule (1) fires.
-        env.set_custody("shared-me", "attacker")
-        shared.bs = ATTACKER_BS
-        real = shared.remove_card()
-        fake = program_fake_card(kit, supi, {EF_IMSI: supi.encode("ascii")})
-        shared.insert_card(fake)
-    else:
+    # The swap happens in airplane mode, except that swap-powered-on keeps
+    # the phone fully on, so deletion rule (1) fires.
+    airplane = variant != "swap-powered-on"
+    if airplane:
         shared.set_airplane(True)
-        env.set_custody("shared-me", "attacker")
-        shared.bs = ATTACKER_BS
-        real = shared.remove_card()
-        fake = program_fake_card(kit, supi, {EF_IMSI: supi.encode("ascii")})
-        shared.insert_card(fake)
+    env.set_custody("shared-me", "attacker")
+    shared.bs = ATTACKER_BS
+    real = shared.remove_card()
+    fake = program_fake_card(kit, supi, {EF_IMSI: supi.encode("ascii")})
+    shared.insert_card(fake)
+    if airplane:
         shared.set_airplane(False)
     report.note("baseband_entry_after_swap", shared.baseband.entry is not None)
 
@@ -390,41 +394,38 @@ def scenario_baseband_impersonation(
 # --- downstream scenarios ----------------------------------------------
 
 
-def scenario_one_tap_bypass(base: AttackReport) -> AttackReport:
-    """One-tap login: the number-bound token lands in attacker hands."""
+def _downstream_report(scenario: str, base: AttackReport) -> AttackReport:
+    """An empty report for an effect of `base`, which must have succeeded."""
     if not base.succeeded:
         raise PrerequisiteFailed("base attack %s did not succeed" % base.scenario)
+    return AttackReport(scenario, base.profile, base.seed, base.variant, window=base.window, env=base.env)
+
+
+def scenario_one_tap_bypass(base: AttackReport) -> AttackReport:
+    """One-tap login: the number-bound token lands in attacker hands."""
+    report = _downstream_report("one-tap-bypass", base)
     env = base.env
-    supi = env.meta["victim_supi"]
-    report = AttackReport("one-tap-bypass", base.profile, base.seed, base.variant, env=env)
-    report.window = base.window
-    session = env.amf.sessions.get(supi)
+    session = env.amf.sessions.get(VICTIM_SUPI)
     if session is None or session.state != "Registered":
         report.note("session", "absent")
         return report
-    token = env.amf.one_tap_token(session)
+    token = base.token
     holder = session.flow.split("#")[0]
     attacker_holds = holder in env.custody_of("attacker")
     report.note("token_supi", token.supi)
     report.note("token_nonce", token.nonce)
     report.note("session_holder", holder)
     report.note("holder_custody", "attacker" if attacker_holds else "victim")
-    report.succeeded = token.supi == supi and attacker_holds
+    report.succeeded = token.supi == VICTIM_SUPI and attacker_holds
     return report
 
 
 def scenario_location_spoof(base: AttackReport) -> AttackReport:
     """The network now pages the victim at the attacker's base station."""
-    if not base.succeeded:
-        raise PrerequisiteFailed("base attack %s did not succeed" % base.scenario)
-    env = base.env
-    supi = env.meta["victim_supi"]
-    report = AttackReport("location-spoofing", base.profile, base.seed, base.variant, env=env)
-    report.window = base.window
-    reading = env.amf.locate(supi)
-    report.note("network_view", reading)
-    report.note("victim_actual_bs", env.meta["victim_bs"])
-    report.succeeded = reading == env.meta["attacker_bs"] and reading != env.meta["victim_bs"]
+    report = _downstream_report("location-spoofing", base)
+    report.note("network_view", base.location)
+    report.note("victim_actual_bs", VICTIM_BS)
+    report.succeeded = base.location == ATTACKER_BS and base.location != VICTIM_BS
     return report
 
 
@@ -435,7 +436,13 @@ BASE_SCENARIOS = {
     "S2": scenario_baseband_impersonation,
 }
 
-SCENARIO_NAMES = ("S1", "S2", "one-tap-bypass", "location-spoofing")
+# Built on a default S2 run; they take no variant.
+DOWNSTREAM_SCENARIOS = {
+    "one-tap-bypass": scenario_one_tap_bypass,
+    "location-spoofing": scenario_location_spoof,
+}
+
+SCENARIO_NAMES = (*BASE_SCENARIOS, *DOWNSTREAM_SCENARIOS)
 
 
 def run_scenario(
@@ -447,12 +454,11 @@ def run_scenario(
 ) -> AttackReport:
     if attack in BASE_SCENARIOS:
         return BASE_SCENARIOS[attack](profile_name, seed, cm, variant)
-    if attack == "one-tap-bypass":
+    if attack in DOWNSTREAM_SCENARIOS:
+        if variant != "default":
+            raise UnknownScenario("%s takes no variant, got %r" % (attack, variant))
         base = scenario_baseband_impersonation(profile_name, seed, cm, "default")
-        return scenario_one_tap_bypass(base)
-    if attack == "location-spoofing":
-        base = scenario_baseband_impersonation(profile_name, seed, cm, "default")
-        return scenario_location_spoof(base)
+        return DOWNSTREAM_SCENARIOS[attack](base)
     raise UnknownScenario("unknown attack %r (have: %s)" % (attack, ", ".join(SCENARIO_NAMES)))
 
 

@@ -10,8 +10,8 @@ MACs only as opaque bytes on the captured envelope.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 
 class UnknownEndpoint(Exception):
@@ -22,124 +22,116 @@ class NotObserved(Exception):
     """Raised when a tap query finds no matching capture."""
 
 
-# --- NAS message union -------------------------------------------------
+# --- NAS messages -----------------------------------------------------
+
+
+class NasMessage:
+    """One NAS message: its wire name and what a passive sniffer reads.
+
+    Ciphered containers and MAC tags never appear in `visible()`; replay
+    works from the captured envelope, not from this projection.
+    """
+
+    mtype: ClassVar[str] = ""
+
+    def visible(self) -> dict[str, str]:
+        return {}
 
 
 @dataclass(frozen=True)
-class RegistrationRequestFast:
+class RegistrationRequestFast(NasMessage):
+    mtype = "registration-request-fast"
     guti: str
     ngksi: int
     ul_count: int
     container: bytes
     mac: bytes
 
+    def visible(self) -> dict[str, str]:
+        return {"guti": self.guti, "ngksi": str(self.ngksi), "count": str(self.ul_count)}
+
 
 @dataclass(frozen=True)
-class RegistrationRequestInitial:
+class _IdentityMessage(NasMessage):
     identity: str
     sec_caps: tuple[str, ...]
 
-
-@dataclass(frozen=True)
-class IdentityRequest:
-    pass
+    def visible(self) -> dict[str, str]:
+        return {"identity": self.identity, "caps": "+".join(self.sec_caps)}
 
 
 @dataclass(frozen=True)
-class IdentityResponse:
-    identity: str
-    sec_caps: tuple[str, ...]
+class RegistrationRequestInitial(_IdentityMessage):
+    mtype = "registration-request-initial"
 
 
 @dataclass(frozen=True)
-class AuthRequest:
+class IdentityRequest(NasMessage):
+    mtype = "identity-request"
+
+
+@dataclass(frozen=True)
+class IdentityResponse(_IdentityMessage):
+    mtype = "identity-response"
+
+
+@dataclass(frozen=True)
+class AuthRequest(NasMessage):
+    mtype = "authentication-request"
     rand: bytes
     autn: bytes
 
+    def visible(self) -> dict[str, str]:
+        return {"rand": self.rand.hex(), "autn": self.autn.hex()}
+
 
 @dataclass(frozen=True)
-class AuthResponse:
+class AuthResponse(NasMessage):
+    mtype = "authentication-response"
     res: bytes
 
+    def visible(self) -> dict[str, str]:
+        return {"res": self.res.hex()}
+
 
 @dataclass(frozen=True)
-class SecurityModeCommand:
+class SecurityModeCommand(NasMessage):
+    mtype = "security-mode-command"
     selected_algs: tuple[str, ...]
     ngksi: int
 
+    def visible(self) -> dict[str, str]:
+        return {"algs": "+".join(self.selected_algs), "ngksi": str(self.ngksi)}
+
 
 @dataclass(frozen=True)
-class SecurityModeComplete:
+class SecurityModeComplete(NasMessage):
+    mtype = "security-mode-complete"
     mac: bytes
 
 
 @dataclass(frozen=True)
-class RegistrationAccept:
+class RegistrationAccept(NasMessage):
+    mtype = "registration-accept"
     ciphered: bytes
 
 
 @dataclass(frozen=True)
-class RegistrationReject:
+class RegistrationReject(NasMessage):
+    mtype = "registration-reject"
     cause: str
+
+    def visible(self) -> dict[str, str]:
+        return {"cause": self.cause}
 
 
 @dataclass(frozen=True)
-class Deregistration:
+class Deregistration(NasMessage):
+    mtype = "deregistration"
     guti: str
 
-
-NasMessage = Union[
-    RegistrationRequestFast,
-    RegistrationRequestInitial,
-    IdentityRequest,
-    IdentityResponse,
-    AuthRequest,
-    AuthResponse,
-    SecurityModeCommand,
-    SecurityModeComplete,
-    RegistrationAccept,
-    RegistrationReject,
-    Deregistration,
-]
-
-MSG_TYPE = {
-    RegistrationRequestFast: "registration-request-fast",
-    RegistrationRequestInitial: "registration-request-initial",
-    IdentityRequest: "identity-request",
-    IdentityResponse: "identity-response",
-    AuthRequest: "authentication-request",
-    AuthResponse: "authentication-response",
-    SecurityModeCommand: "security-mode-command",
-    SecurityModeComplete: "security-mode-complete",
-    RegistrationAccept: "registration-accept",
-    RegistrationReject: "registration-reject",
-    Deregistration: "deregistration",
-}
-
-
-def observable_fields(msg: NasMessage) -> dict[str, str]:
-    """Cleartext projection of a message, as a passive sniffer sees it.
-
-    Ciphered containers and MAC tags are deliberately absent; replay works
-    from the captured envelope, not from this projection.
-    """
-    if isinstance(msg, RegistrationRequestFast):
-        return {"guti": msg.guti, "ngksi": str(msg.ngksi), "count": str(msg.ul_count)}
-    if isinstance(msg, RegistrationRequestInitial):
-        return {"identity": msg.identity, "caps": "+".join(msg.sec_caps)}
-    if isinstance(msg, IdentityResponse):
-        return {"identity": msg.identity, "caps": "+".join(msg.sec_caps)}
-    if isinstance(msg, AuthRequest):
-        return {"rand": msg.rand.hex(), "autn": msg.autn.hex()}
-    if isinstance(msg, AuthResponse):
-        return {"res": msg.res.hex()}
-    if isinstance(msg, SecurityModeCommand):
-        return {"algs": "+".join(msg.selected_algs), "ngksi": str(msg.ngksi)}
-    if isinstance(msg, RegistrationReject):
-        return {"cause": msg.cause}
-    if isinstance(msg, Deregistration):
-        return {"guti": msg.guti}
-    return {}
+    def visible(self) -> dict[str, str]:
+        return {"guti": self.guti}
 
 
 # --- cleartext IE / payload codecs -------------------------------------
@@ -215,24 +207,14 @@ class ChannelTap:
         self.entries: list[TapEntry] = []
 
     def record(self, envelope: Envelope) -> None:
-        self.entries.append(
-            TapEntry(
-                step=envelope.step,
-                src=envelope.src,
-                dst=envelope.dst,
-                bs=envelope.bs,
-                flow=envelope.flow,
-                mtype=MSG_TYPE[type(envelope.msg)],
-                fields=observable_fields(envelope.msg),
-                envelope=envelope,
-            )
-        )
+        e, msg = envelope, envelope.msg
+        self.entries.append(TapEntry(e.step, e.src, e.dst, e.bs, e.flow, msg.mtype, msg.visible(), e))
 
     def export_lines(self) -> list[str]:
         return [e.line() for e in self.entries]
 
     def fast_requests(self, src: str | None = None) -> list[TapEntry]:
-        out = [e for e in self.entries if e.mtype == "registration-request-fast"]
+        out = [e for e in self.entries if e.mtype == RegistrationRequestFast.mtype]
         if src is not None:
             out = [e for e in out if e.src == src]
         return out
@@ -299,7 +281,7 @@ class Channel:
         for tap in self.taps:
             tap.record(envelope)
         if self.drop_filter is not None and self.drop_filter(envelope):
-            self.events.emit("channel", "dropped", dst=dst, mtype=MSG_TYPE[type(msg)])
+            self.events.emit("channel", "dropped", dst=dst, mtype=msg.mtype)
             return envelope
         self._queue.append(envelope)
         return envelope

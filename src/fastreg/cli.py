@@ -29,7 +29,6 @@ from .attacks import (
 from .config import ConfigError, ScenarioConfig, parse_config
 from .profiles import (
     BUILTIN_PROFILES,
-    Countermeasures,
     UnknownCountermeasure,
     countermeasures_from_pairs,
     get_profile,
@@ -40,6 +39,16 @@ from .usim import CardFormatError, card_from_text, card_to_text
 
 def _write_lines(path: str, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def _read_ascii(path: str, error: type[Exception]) -> str:
+    """The file's text; `error` names the line of a non-ASCII byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise error("line %d: non-ASCII byte 0x%02x" % (line, data[err.start])) from None
 
 
 def _parse_cm_flags(pairs: list[str]) -> dict[str, str]:
@@ -55,7 +64,7 @@ def _parse_cm_flags(pairs: list[str]) -> dict[str, str]:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = ScenarioConfig()
     if args.config is not None:
-        cfg = parse_config(Path(args.config).read_text(encoding="ascii"))
+        cfg = parse_config(_read_ascii(args.config, ConfigError))
     if args.attack is not None:
         cfg.attack = args.attack
     if args.profile is not None:
@@ -106,7 +115,7 @@ def _cmd_card_save(args: argparse.Namespace) -> int:
 
 
 def _cmd_card_load(args: argparse.Namespace) -> int:
-    card = card_from_text(Path(args.path).read_text(encoding="ascii"))
+    card = card_from_text(_read_ascii(args.path, CardFormatError))
     print("iccid %s" % card.iccid)
     print("supi %s" % card.supi)
     print("seq %d" % card.seq)
@@ -201,10 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CardFormatError, UnknownCountermeasure, UnknownScenario) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (ConfigError, CardFormatError, UnknownCountermeasure, UnknownScenario, FileNotFoundError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

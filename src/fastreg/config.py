@@ -20,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .attacks import SCENARIO_NAMES
-from .profiles import BUILTIN_PROFILES, CM_NAMES
+from .profiles import (
+    UnknownCountermeasure,
+    UnknownProfile,
+    countermeasures_from_pairs,
+    get_profile,
+)
 
 
 class ConfigError(ValueError):
@@ -79,21 +84,16 @@ def parse_config(text: str) -> ScenarioConfig:
                     )
                 cfg.attack = value
             elif key == "profile":
-                if value not in BUILTIN_PROFILES:
-                    raise ConfigError(
-                        "line %d: unknown profile %r (have: %s)"
-                        % (n, value, ", ".join(BUILTIN_PROFILES))
-                    )
-                cfg.profile = value
+                try:
+                    cfg.profile = get_profile(value).name
+                except UnknownProfile as err:
+                    raise ConfigError("line %d: %s" % (n, err)) from None
             else:
                 cfg.variant = value
         else:
-            if key not in CM_NAMES:
-                raise ConfigError(
-                    "line %d: unknown countermeasure %r (have: %s)"
-                    % (n, key, ", ".join(sorted(CM_NAMES)))
-                )
-            if value not in ("on", "off"):
-                raise ConfigError("line %d: countermeasure %s wants on|off, got %r" % (n, key, value))
+            try:
+                countermeasures_from_pairs({key: value})
+            except UnknownCountermeasure as err:
+                raise ConfigError("line %d: %s" % (n, err)) from None
             cfg.countermeasures[key] = value
     return cfg

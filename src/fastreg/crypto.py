@@ -175,6 +175,15 @@ def mac_verify(ies: bytes, container: bytes, key: Key, tag: bytes) -> bool:
     return hmac.compare_digest(mac_compute(ies, container, key), tag)
 
 
+def _aka_outputs(k: Key, rand: bytes) -> AkaResult:
+    """RES, CK and IK for one challenge; both sides of AKA derive them here."""
+    return AkaResult(
+        res=prf(k.octets, b"RES" + rand)[:RES_LEN],
+        ck=Key(prf(k.octets, b"CK" + rand), KeyKind.CK),
+        ik=Key(prf(k.octets, b"IK" + rand), KeyKind.IK),
+    )
+
+
 def gen_auth_vector(k: Key, seq: int) -> AuthVector:
     """Build the network-side vector for sequence number seq.
 
@@ -185,10 +194,8 @@ def gen_auth_vector(k: Key, seq: int) -> AuthVector:
     seq8 = seq.to_bytes(SEQ_LEN, "big")
     rand = prf(k.octets, b"RAND" + seq8)
     autn = seq8 + prf(k.octets, b"AUTN" + rand + seq8)[:MAC_LEN]
-    xres = prf(k.octets, b"RES" + rand)[:RES_LEN]
-    ck = Key(prf(k.octets, b"CK" + rand), KeyKind.CK)
-    ik = Key(prf(k.octets, b"IK" + rand), KeyKind.IK)
-    return AuthVector(rand=rand, autn=autn, xres=xres, ck=ck, ik=ik)
+    out = _aka_outputs(k, rand)
+    return AuthVector(rand=rand, autn=autn, xres=out.res, ck=out.ck, ik=out.ik)
 
 
 def check_autn(k: Key, rand: bytes, autn: bytes) -> AkaResult:
@@ -201,10 +208,7 @@ def check_autn(k: Key, rand: bytes, autn: bytes) -> AkaResult:
     expect = prf(k.octets, b"AUTN" + rand + seq8)[:MAC_LEN]
     if not hmac.compare_digest(expect, tag):
         raise MacFailure("AUTN does not verify under this K")
-    res = prf(k.octets, b"RES" + rand)[:RES_LEN]
-    ck = Key(prf(k.octets, b"CK" + rand), KeyKind.CK)
-    ik = Key(prf(k.octets, b"IK" + rand), KeyKind.IK)
-    return AkaResult(res=res, ck=ck, ik=ik)
+    return _aka_outputs(k, rand)
 
 
 def autn_seq(autn: bytes) -> int:

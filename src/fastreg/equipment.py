@@ -18,11 +18,11 @@ offline-swap detection is switched on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from enum import Enum
 
 from . import crypto
 from .channel import (
-    MSG_TYPE,
     AuthRequest,
     AuthResponse,
     Deregistration,
@@ -39,8 +39,6 @@ from .channel import (
 )
 from .crypto import Key, KeyKind
 from .usim import CardImage, load_context_files, store_context_files, verify_pin
-
-from enum import Enum
 
 
 class SlotEmpty(Exception):
@@ -161,10 +159,8 @@ class RegistrationOutcome:
 class _InFlight:
     flow: str
     outcome: RegistrationOutcome
-    generation: str
     dst: str
     ctx: SecurityContext | None = None
-    guti: str | None = None
     source: str = "none"
     keys: tuple[Key, Key] | None = None
     aka: crypto.AkaResult | None = None
@@ -203,7 +199,6 @@ class MobileEquipment:
 
         self._card_session = None
         self._ctx: SecurityContext | None = None
-        self._ctx_source = "none"
         self._keys: tuple[Key, Key] | None = None
         self._active: _InFlight | None = None
         self._flow_n = 0
@@ -216,6 +211,10 @@ class MobileEquipment:
 
     def _send(self, dst: str, flow: str, msg) -> None:
         self.env.channel.send(self.name, dst, self.bs, flow, msg)
+
+    def _next_flow(self) -> str:
+        self._flow_n += 1
+        return "%s#%d" % (self.name, self._flow_n - 1)
 
     def _drop_entry(self, reason: str) -> None:
         if self.baseband.entry is not None:
@@ -298,7 +297,7 @@ class MobileEquipment:
                 self._drop_entry("offline-slot-event")
         self.slot_event_pending = False
         if self.slot is not None:
-            self._card_session = self.slot.open_baseband_session(label=self.name)
+            self._card_session = self.slot.open_baseband_session()
             if self.slot.pin.enabled and self.user_pin is not None:
                 verify_pin(self.slot, self._card_session, self.user_pin)
 
@@ -359,8 +358,7 @@ class MobileEquipment:
             self._card_session is not None and self._card_session.pin_verified
         ):
             raise PinRequired("card PIN not verified")
-        flow = "%s#%d" % (self.name, self._flow_n)
-        self._flow_n += 1
+        flow = self._next_flow()
         ctx, guti, source = self._select_context(card, generation)
         outcome = RegistrationOutcome(
             path="fast" if ctx is not None else "initial",
@@ -369,10 +367,10 @@ class MobileEquipment:
             start_step=self.env.channel.step + 1,
             context_source=source,
         )
-        state = _InFlight(flow=flow, outcome=outcome, generation=generation, dst=dst)
+        state = _InFlight(flow=flow, outcome=outcome, dst=dst)
         self._active = state
         if ctx is not None:
-            state.ctx, state.guti, state.source = ctx, guti, source
+            state.ctx, state.source = ctx, source
             ctx.ul_count += 1
             k_enc, k_int = crypto.nas_keys(ctx.k_amf)
             state.keys = (k_enc, k_int)
@@ -397,9 +395,7 @@ class MobileEquipment:
     def deregister(self, dst: str = "amf") -> None:
         if not self.registered:
             raise NotRegistered("not registered")
-        flow = "%s#%d" % (self.name, self._flow_n)
-        self._flow_n += 1
-        self._send(dst, flow, Deregistration(self.current_guti))
+        self._send(dst, self._next_flow(), Deregistration(self.current_guti))
         self._persist_context()
         self.registered = False
         self._emit("ue_deregistered", guti=self.current_guti)
@@ -407,33 +403,25 @@ class MobileEquipment:
 
     # --- NAS downlink handlers ----------------------------------------
 
-    def handle(self, envelope) -> None:
-        msg = envelope.msg
-        state = self._active
-        if state is None or envelope.flow != state.flow:
-            self._emit("stray_message", mtype=MSG_TYPE[type(msg)])
-            return
-        if isinstance(msg, AuthRequest):
-            self._on_auth_request(state, msg)
-        elif isinstance(msg, IdentityRequest):
-            self._send(
-                state.dst,
-                state.flow,
-                IdentityResponse(self._identity(self.slot), self.sec_caps),
-            )
-        elif isinstance(msg, SecurityModeCommand):
-            self._on_security_mode(state, msg)
-        elif isinstance(msg, RegistrationAccept):
-            self._on_accept(state, msg, envelope.step)
-        elif isinstance(msg, RegistrationReject):
-            state.outcome.reject_cause = msg.cause
-            state.outcome.end_step = envelope.step
-            self._emit("ue_rejected", cause=msg.cause)
-            self._active = None
-        else:
-            self._emit("stray_message", mtype=MSG_TYPE[type(msg)])
+    # Message class -> handler method name, looked up on the instance.
+    _HANDLERS = {
+        AuthRequest: "_on_auth_request",
+        IdentityRequest: "_on_identity_request",
+        SecurityModeCommand: "_on_security_mode",
+        RegistrationAccept: "_on_accept",
+        RegistrationReject: "_on_reject",
+    }
 
-    def _on_auth_request(self, state: _InFlight, msg: AuthRequest) -> None:
+    def handle(self, envelope) -> None:
+        state = self._active
+        handler = self._HANDLERS.get(type(envelope.msg))
+        if state is None or envelope.flow != state.flow or handler is None:
+            self._emit("stray_message", mtype=envelope.msg.mtype)
+            return
+        getattr(self, handler)(state, envelope)
+
+    def _on_auth_request(self, state: _InFlight, envelope) -> None:
+        msg: AuthRequest = envelope.msg
         state.outcome.aka_ran = True
         card = self.slot
         try:
@@ -444,9 +432,15 @@ class MobileEquipment:
             res = b""
         self._send(state.dst, state.flow, AuthResponse(res))
 
-    def _on_security_mode(self, state: _InFlight, msg: SecurityModeCommand) -> None:
+    def _on_identity_request(self, state: _InFlight, envelope) -> None:
+        self._send(
+            state.dst, state.flow, IdentityResponse(self._identity(self.slot), self.sec_caps)
+        )
+
+    def _on_security_mode(self, state: _InFlight, envelope) -> None:
+        msg: SecurityModeCommand = envelope.msg
         if state.aka is None:
-            self._emit("stray_message", mtype="security-mode-command")
+            self._emit("stray_message", mtype=msg.mtype)
             return
         _, _, k_amf = crypto.derive_k_amf(state.aka.ck, state.aka.ik)
         ctx = SecurityContext(
@@ -456,14 +450,15 @@ class MobileEquipment:
             ul_count=0,
             dl_count=0,
         )
-        state.ctx, state.guti, state.source = ctx, None, "ram"
+        state.ctx, state.source = ctx, "ram"
         state.keys = crypto.nas_keys(k_amf)
         mac = crypto.mac_compute(b"security-mode-complete", b"", state.keys[1])
         self._send(state.dst, state.flow, SecurityModeComplete(mac))
 
-    def _on_accept(self, state: _InFlight, msg: RegistrationAccept, step: int) -> None:
+    def _on_accept(self, state: _InFlight, envelope) -> None:
+        msg: RegistrationAccept = envelope.msg
         if state.keys is None or state.ctx is None:
-            self._emit("stray_message", mtype="registration-accept")
+            self._emit("stray_message", mtype=msg.mtype)
             return
         try:
             plain = crypto.sdec(msg.ciphered, state.keys[0])
@@ -477,28 +472,23 @@ class MobileEquipment:
             return
         state.ctx.dl_count = dl_count
         self.current_guti = new_guti
-        self.generation = state.generation
+        self.generation = state.outcome.generation
         self.registered = True
         self._ctx = state.ctx
-        self._ctx_source = state.source
         self._keys = state.keys
         outcome = state.outcome
         outcome.accepted = True
         outcome.guti = new_guti
-        outcome.end_step = step
+        outcome.end_step = envelope.step
         self._emit("ue_registered", guti=new_guti, path=outcome.path)
         if state.source in ("card", "baseband"):
             # Fast-path accept refreshes the stored context in place.
             self._persist_context()
         self._active = None
 
-    # --- direct-drive helper (network-side AKA without the channel) ----
-
-    def answer_challenge(self, rand: bytes, autn: bytes) -> bytes:
-        """Card-backed AKA answer; empty bytes when the card refuses."""
-        if self.slot is None:
-            raise NoCard("no card in slot")
-        try:
-            return self.slot.run_aka(rand, autn).res
-        except crypto.MacFailure:
-            return b""
+    def _on_reject(self, state: _InFlight, envelope) -> None:
+        msg: RegistrationReject = envelope.msg
+        state.outcome.reject_cause = msg.cause
+        state.outcome.end_step = envelope.step
+        self._emit("ue_rejected", cause=msg.cause)
+        self._active = None

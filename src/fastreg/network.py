@@ -33,16 +33,12 @@ from .channel import (
     encode_accept_payload,
     encode_ies,
 )
-from .crypto import Key, KeyKind
-from .equipment import SecurityContext
+from .crypto import Key
+from .equipment import NotRegistered, SecurityContext
 from .profiles import OperatorProfile
 
 
 class UnknownSubscriber(Exception):
-    pass
-
-
-class NotRegistered(Exception):
     pass
 
 
@@ -79,17 +75,8 @@ class OneTapToken:
     nonce: str
 
 
-@dataclass(frozen=True)
-class Established:
-    context: SecurityContext
-    guti: str
-
-
 @dataclass
 class _PendingAka:
-    flow: str
-    peer: str
-    bs: str
     supi: str
     vector: crypto.AuthVector
     caps: tuple[str, ...]
@@ -122,8 +109,9 @@ class Amf:
         if self.env is not None:
             self.env.events.emit(self.name, event, **fields)
 
-    def _send(self, peer: str, bs: str, flow: str, msg) -> None:
-        self.env.channel.send(self.name, peer, bs, flow, msg)
+    def _reply(self, envelope, msg) -> None:
+        """Answer the sender on its own flow, through the same base station."""
+        self.env.channel.send(self.name, envelope.src, envelope.bs, envelope.flow, msg)
 
     def _step(self) -> int:
         return self.env.channel.step if self.env is not None else 0
@@ -203,18 +191,8 @@ class Amf:
             # Alias: the new GUTI joins the old ones on the same context.
             self.table[(new_guti, msg.ngksi)] = entry
             ctx.dl_count += 1
-            self.sessions[entry.supi] = Session(
-                supi=entry.supi,
-                serving_bs=envelope.bs,
-                guti=new_guti,
-                state="Registered",
-                via="fast",
-                flow=envelope.flow,
-            )
-            self._emit("registration_accept", supi=entry.supi, guti=new_guti, via="fast")
             k_enc, _ = crypto.nas_keys(ctx.k_amf)
-            payload = crypto.senc(encode_accept_payload(new_guti, ctx.dl_count), k_enc)
-            self._send(envelope.src, envelope.bs, envelope.flow, RegistrationAccept(payload))
+            self._accept(envelope, entry.supi, new_guti, "fast", ctx, k_enc)
             return
         self._emit("fast_fallback", reason=reason, guti=msg.guti)
         if entry is not None:
@@ -222,7 +200,7 @@ class Amf:
                 entry.supi, envelope, caps=entry.context.ue_sec_caps
             )
         else:
-            self._send(envelope.src, envelope.bs, envelope.flow, IdentityRequest())
+            self._reply(envelope, IdentityRequest())
 
     # --- AKA ----------------------------------------------------------
 
@@ -230,91 +208,70 @@ class Amf:
         sub = self.subscribers[supi]
         sub.seq += 1
         vector = crypto.gen_auth_vector(sub.k_permanent, sub.seq)
-        self.pending[envelope.flow] = _PendingAka(
-            flow=envelope.flow,
-            peer=envelope.src,
-            bs=envelope.bs,
-            supi=supi,
-            vector=vector,
-            caps=caps,
-            stage="res",
-        )
+        self.pending[envelope.flow] = _PendingAka(supi=supi, vector=vector, caps=caps, stage="res")
         self._emit("aka_started", supi=supi)
-        self._send(envelope.src, envelope.bs, envelope.flow, AuthRequest(vector.rand, vector.autn))
+        self._reply(envelope, AuthRequest(vector.rand, vector.autn))
 
-    def _on_identity(self, envelope, identity: str, caps: tuple[str, ...]) -> None:
+    def _on_identity(self, envelope) -> None:
+        msg: RegistrationRequestInitial | IdentityResponse = envelope.msg
         try:
-            supi = self.resolve_identity(identity)
+            supi = self.resolve_identity(msg.identity)
         except UnknownSubscriber:
-            self._emit("unknown_identity", identity=identity)
-            self._send(
-                envelope.src, envelope.bs, envelope.flow, RegistrationReject("unknown-subscriber")
-            )
+            self._emit("unknown_identity", identity=msg.identity)
+            self._reply(envelope, RegistrationReject("unknown-subscriber"))
             return
-        self._begin_aka(supi, envelope, caps=caps)
+        self._begin_aka(supi, envelope, caps=msg.sec_caps)
 
     def _on_auth_response(self, envelope) -> None:
         state = self.pending.get(envelope.flow)
         if state is None or state.stage != "res":
-            self._emit("stray_message", mtype="authentication-response")
+            self._emit("stray_message", mtype=envelope.msg.mtype)
             return
         msg: AuthResponse = envelope.msg
         if not msg.res or msg.res != state.vector.xres:
             self._emit("aka_reject", supi=state.supi)
             del self.pending[envelope.flow]
-            self._send(
-                envelope.src, envelope.bs, envelope.flow, RegistrationReject("authentication-failure")
-            )
+            self._reply(envelope, RegistrationReject("authentication-failure"))
             return
         _, _, k_amf = crypto.derive_k_amf(state.vector.ck, state.vector.ik)
         state.k_amf = k_amf
         state.ngksi = self._alloc_ngksi(state.supi)
         state.stage = "smc"
-        self._send(
-            envelope.src,
-            envelope.bs,
-            envelope.flow,
-            SecurityModeCommand(tuple(state.caps), state.ngksi),
-        )
+        self._reply(envelope, SecurityModeCommand(tuple(state.caps), state.ngksi))
 
     def _purge_subscriber_rows(self, supi: str) -> None:
         for key in [k for k, e in self.table.items() if e.supi == supi]:
             del self.table[key]
 
-    def _install_context(self, supi: str, k_amf: Key, ngksi: int, caps: tuple[str, ...], bs: str, flow: str) -> tuple[SecurityContext, str]:
-        self._purge_subscriber_rows(supi)
-        ctx = SecurityContext(
-            k_amf=k_amf, ngksi=ngksi, ue_sec_caps=tuple(caps), ul_count=0, dl_count=1
-        )
-        guti = self._alloc_guti()
-        self.table[(guti, ngksi)] = TableEntry(supi=supi, context=ctx)
-        self.last_aka_step[supi] = self._step()
-        self.sessions[supi] = Session(
-            supi=supi, serving_bs=bs, guti=guti, state="Registered", via="aka", flow=flow
-        )
-        self._emit("aka_established", supi=supi, guti=guti)
-        return ctx, guti
-
     def _on_smc_complete(self, envelope) -> None:
         state = self.pending.get(envelope.flow)
         if state is None or state.stage != "smc":
-            self._emit("stray_message", mtype="security-mode-complete")
+            self._emit("stray_message", mtype=envelope.msg.mtype)
             return
+        del self.pending[envelope.flow]
         k_enc, k_int = crypto.nas_keys(state.k_amf)
         if not crypto.mac_verify(b"security-mode-complete", b"", k_int, envelope.msg.mac):
             self._emit("smc_failure", supi=state.supi)
-            del self.pending[envelope.flow]
-            self._send(
-                envelope.src, envelope.bs, envelope.flow, RegistrationReject("security-mode-failure")
-            )
+            self._reply(envelope, RegistrationReject("security-mode-failure"))
             return
-        ctx, guti = self._install_context(
-            state.supi, state.k_amf, state.ngksi, state.caps, envelope.bs, envelope.flow
+        # A new AKA replaces every alias of the subscriber's old context.
+        supi = state.supi
+        self._purge_subscriber_rows(supi)
+        ctx = SecurityContext(
+            k_amf=state.k_amf, ngksi=state.ngksi, ue_sec_caps=tuple(state.caps), ul_count=0, dl_count=1
         )
-        del self.pending[envelope.flow]
-        self._emit("registration_accept", supi=state.supi, guti=guti, via="aka")
+        guti = self._alloc_guti()
+        self.table[(guti, state.ngksi)] = TableEntry(supi=supi, context=ctx)
+        self.last_aka_step[supi] = self._step()
+        self._emit("aka_established", supi=supi, guti=guti)
+        self._accept(envelope, supi, guti, "aka", ctx, k_enc)
+
+    def _accept(self, envelope, supi: str, guti: str, via: str, ctx: SecurityContext, k_enc: Key) -> None:
+        """Open the subscriber's session and send it the ciphered accept."""
+        self.sessions[supi] = Session(supi, envelope.bs, guti, "Registered", via, envelope.flow)
+        self._emit("registration_accept", supi=supi, guti=guti, via=via)
         payload = crypto.senc(encode_accept_payload(guti, ctx.dl_count), k_enc)
-        self._send(envelope.src, envelope.bs, envelope.flow, RegistrationAccept(payload))
+        self._reply(envelope, RegistrationAccept(payload))
 
     def _on_dereg(self, envelope) -> None:
         msg: Deregistration = envelope.msg
@@ -325,46 +282,26 @@ class Amf:
                     session.state = "Deregistered"
                 self._emit("deregistered", supi=entry.supi)
                 return
-        self._emit("stray_message", mtype="deregistration")
+        self._emit("stray_message", mtype=msg.mtype)
 
     # --- channel entry point ------------------------------------------
 
+    # Message class -> handler method name, looked up on the instance.
+    _HANDLERS = {
+        RegistrationRequestFast: "_on_fast",
+        RegistrationRequestInitial: "_on_identity",
+        IdentityResponse: "_on_identity",
+        AuthResponse: "_on_auth_response",
+        SecurityModeComplete: "_on_smc_complete",
+        Deregistration: "_on_dereg",
+    }
+
     def handle(self, envelope) -> None:
-        msg = envelope.msg
-        if isinstance(msg, RegistrationRequestFast):
-            self._on_fast(envelope)
-        elif isinstance(msg, RegistrationRequestInitial):
-            self._on_identity(envelope, msg.identity, msg.sec_caps)
-        elif isinstance(msg, IdentityResponse):
-            self._on_identity(envelope, msg.identity, msg.sec_caps)
-        elif isinstance(msg, AuthResponse):
-            self._on_auth_response(envelope)
-        elif isinstance(msg, SecurityModeComplete):
-            self._on_smc_complete(envelope)
-        elif isinstance(msg, Deregistration):
-            self._on_dereg(envelope)
-        else:
-            self._emit("stray_message", mtype=type(msg).__name__)
-
-    # --- direct-drive AKA (no channel), used to seed test states -------
-
-    def run_aka_network(self, identity: str, ue) -> Established | None:
-        """Synchronous AKA against a UE object; None when the UE fails it."""
-        supi = self.resolve_identity(identity)
-        sub = self.subscribers[supi]
-        sub.seq += 1
-        vector = crypto.gen_auth_vector(sub.k_permanent, sub.seq)
-        res = ue.answer_challenge(vector.rand, vector.autn)
-        if not res or res != vector.xres:
-            self._emit("aka_reject", supi=supi)
-            return None
-        _, _, k_amf = crypto.derive_k_amf(vector.ck, vector.ik)
-        ngksi = self._alloc_ngksi(supi)
-        caps = tuple(getattr(ue, "sec_caps", ()))
-        ctx, guti = self._install_context(
-            supi, k_amf, ngksi, caps, getattr(ue, "bs", "BS-A"), flow="direct"
-        )
-        return Established(context=ctx, guti=guti)
+        handler = self._HANDLERS.get(type(envelope.msg))
+        if handler is None:
+            self._emit("stray_message", mtype=envelope.msg.mtype)
+            return
+        getattr(self, handler)(envelope)
 
     # --- downstream service surface -----------------------------------
 

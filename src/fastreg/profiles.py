@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 DEFAULT_PIN = "1234"
 NONDEFAULT_PIN = "864209"
@@ -63,7 +63,6 @@ class Countermeasures:
     iccid_binding: bool = False
     fast_registration: bool | None = None
     periodic_aka: bool = False
-    periodic_aka_interval: int = DEFAULT_PERIODIC_AKA_INTERVAL
     supi_concealment: bool | None = None
     usim_5g_context: bool | None = None
     offline_swap_detection: bool = False
@@ -79,36 +78,24 @@ class Countermeasures:
         if self.usim_5g_context is not None:
             out = replace(out, usim_supports_5g_context=self.usim_5g_context)
         if self.periodic_aka:
-            out = replace(out, periodic_aka_interval=self.periodic_aka_interval)
+            out = replace(out, periodic_aka_interval=DEFAULT_PERIODIC_AKA_INTERVAL)
         if self.nondefault_pin:
             out = replace(out, default_pin=NONDEFAULT_PIN, pin_enabled_by_default=True)
         return out
 
 
-# name used on the CLI / in config files -> Countermeasures field
-CM_NAMES = {
-    "usim_hardening": "usim_hardening",
-    "nondefault_pin": "nondefault_pin",
-    "iccid_binding": "iccid_binding",
-    "fast_registration": "fast_registration",
-    "periodic_aka": "periodic_aka",
-    "supi_concealment": "supi_concealment",
-    "usim_5g_context": "usim_5g_context",
-    "offline_swap_detection": "offline_swap_detection",
-}
-
-
 def countermeasures_from_pairs(pairs: dict[str, str]) -> Countermeasures:
     """Build a toggle set from name=on|off pairs (CLI or config syntax)."""
+    names = sorted(f.name for f in fields(Countermeasures))
     kwargs: dict[str, bool] = {}
     for name, value in pairs.items():
-        if name not in CM_NAMES:
+        if name not in names:
             raise UnknownCountermeasure(
-                "unknown countermeasure %r (have: %s)" % (name, ", ".join(sorted(CM_NAMES)))
+                "unknown countermeasure %r (have: %s)" % (name, ", ".join(names))
             )
         if value not in ("on", "off"):
             raise UnknownCountermeasure("countermeasure %s wants on|off, got %r" % (name, value))
-        kwargs[CM_NAMES[name]] = value == "on"
+        kwargs[name] = value == "on"
     return Countermeasures(**kwargs)
 
 

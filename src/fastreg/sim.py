@@ -32,7 +32,6 @@ class SimEnv:
         self.channel.taps.append(self.monitor)
         self.mes: dict[str, MobileEquipment] = {}
         self.custody: dict[str, str | None] = {}
-        self.meta: dict[str, object] = {}
 
     @property
     def events(self) -> EventLog:

@@ -73,15 +73,8 @@ class PinState:
             raise ValueError("locked iff retries_left == 0")
 
 
-class SessionOrigin(Enum):
-    READER = "reader"
-    BASEBAND = "baseband"
-
-
 @dataclass
 class CardSession:
-    origin: SessionOrigin
-    label: str = "reader"
     pin_verified: bool = False
     adm_secret: bytes | None = None
     selected: int | None = None
@@ -116,13 +109,13 @@ class CardImage:
             # and never compared against attacker-supplied input anywhere.
             self._adm_secret = crypto.prf(b"card-adm", self.iccid.encode("ascii"))
 
-    def open_session(self, label: str = "card-reader") -> CardSession:
-        return CardSession(origin=SessionOrigin.READER, label=label)
+    def open_session(self) -> CardSession:
+        """Reader session: never holds the ADM credential."""
+        return CardSession()
 
-    def open_baseband_session(self, label: str = "baseband") -> CardSession:
-        return CardSession(
-            origin=SessionOrigin.BASEBAND, label=label, adm_secret=self._adm_secret
-        )
+    def open_baseband_session(self) -> CardSession:
+        """Baseband session: holds the card's ADM credential implicitly."""
+        return CardSession(adm_secret=self._adm_secret)
 
     def run_aka(self, rand: bytes, autn: bytes) -> crypto.AkaResult:
         """Card-side AKA; updates the stored sequence number on success."""
@@ -350,7 +343,7 @@ def _parse_kv(token: str, want: str) -> str:
 
 def card_from_text(text: str) -> CardImage:
     """Parse the text format; strict, errors carry the line number."""
-    header: dict[str, list[str]] = {}
+    header: dict[str, tuple[int, list[str]]] = {}
     files: dict[int, tuple[AccessRule, bytes]] = {}
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -379,38 +372,49 @@ def card_from_text(text: str) -> CardImage:
         else:
             if first in header:
                 raise CardFormatError("line %d: duplicate header key %r" % (n, first))
-            header[first] = tokens[1:]
+            header[first] = (n, tokens[1:])
     for want in ("iccid", "supi", "k", "seq", "pin", "flags"):
         if want not in header:
             raise CardFormatError("missing header line %r" % want)
+
+    def parsed(name: str, parse, count: int = 1):
+        """Header line `name`'s values through `parse`; errors carry its line number."""
+        n, values = header[name]
+        if len(values) != count:
+            raise CardFormatError("line %d: %s line wants %d value(s)" % (n, name, count))
+        try:
+            return parse(*values)
+        except ValueError as err:
+            raise CardFormatError("line %d: bad %s line: %s" % (n, name, err)) from None
+
+    def pin_state(value, enabled, retries, limit, locked) -> PinState:
+        return PinState(
+            value=value,
+            enabled=_parse_kv(enabled, "enabled") == "1",
+            retries_left=int(_parse_kv(retries, "retries")),
+            retry_limit=int(_parse_kv(limit, "limit")),
+            locked=_parse_kv(locked, "locked") == "1",
+        )
+
+    def flags(supports_5g, programmable) -> tuple[bool, bool]:
+        return _parse_kv(supports_5g, "supports_5g") == "1", _parse_kv(programmable, "programmable") == "1"
+
+    iccid = parsed("iccid", str)
+    supi = parsed("supi", str)
+    key = parsed("k", lambda k: Key(bytes.fromhex(k), KeyKind.K_PERMANENT))
+    seq = parsed("seq", int)
+    pin = parsed("pin", pin_state, 5)
+    supports_5g, programmable = parsed("flags", flags, 2)
     try:
-        key = Key(bytes.fromhex(header["k"][0]), KeyKind.K_PERMANENT)
-    except (ValueError, IndexError):
-        raise CardFormatError("bad k line") from None
-    try:
-        seq = int(header["seq"][0])
-    except (ValueError, IndexError):
-        raise CardFormatError("bad seq line") from None
-    p = header["pin"]
-    if len(p) != 5:
-        raise CardFormatError("pin line wants value enabled= retries= limit= locked=")
-    pin = PinState(
-        value=p[0],
-        enabled=_parse_kv(p[1], "enabled") == "1",
-        retries_left=int(_parse_kv(p[2], "retries")),
-        retry_limit=int(_parse_kv(p[3], "limit")),
-        locked=_parse_kv(p[4], "locked") == "1",
-    )
-    f = header["flags"]
-    if len(f) != 2:
-        raise CardFormatError("flags line wants supports_5g= programmable=")
-    return CardImage(
-        iccid=header["iccid"][0],
-        supi=header["supi"][0],
-        k_permanent=key,
-        files=files,
-        pin=pin,
-        seq=seq,
-        supports_5g_context=_parse_kv(f[0], "supports_5g") == "1",
-        programmable=_parse_kv(f[1], "programmable") == "1",
-    )
+        return CardImage(
+            iccid=iccid,
+            supi=supi,
+            k_permanent=key,
+            files=files,
+            pin=pin,
+            seq=seq,
+            supports_5g_context=supports_5g,
+            programmable=programmable,
+        )
+    except ValueError as err:
+        raise CardFormatError("line %d: %s" % (header["flags"][0], err)) from None

@@ -144,7 +144,7 @@ def test_criterion_3_agreement_witness():
     # check is not vacuous: the fast path still runs and still pairs up.
     env = build_environment("OP-I", seed=12, cm=ALL_PROTECTIVE)
     me = env.mes["victim-me"]
-    me.insert_card(env.meta["victim_card"])
+    me.insert_card(env.victim_card)
     me.power_on()
     assert me.register("4G").accepted
     for _ in range(3):
@@ -335,7 +335,7 @@ def test_criterion_6_card_access_rules():
         verify_pin(card, session, "0000")
     assert card.pin.locked
     assert verify_pin(card, session, "1234").status is ApduStatus.PIN_BLOCKED
-    later = card.open_session("second-reader")
+    later = card.open_session()
     assert verify_pin(card, later, "1234").status is ApduStatus.PIN_BLOCKED
     reloaded = card_from_text(card_to_text(card))
     assert reloaded.pin.locked and reloaded.pin.retries_left == 0
@@ -365,7 +365,7 @@ def test_criterion_7_countermeasure_coverage():
         assert not report.succeeded, (cm, report.evidence)
 
     # Periodic reauthentication bounds the stolen context's lifetime.
-    cm = Countermeasures(periodic_aka=True, periodic_aka_interval=25)
+    cm = Countermeasures(periodic_aka=True)
     report = scenario_baseband_impersonation("OP-I", seed=22, cm=cm)
     assert report.succeeded  # theft inside the window still lands
     env = report.env

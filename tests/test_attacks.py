@@ -101,7 +101,7 @@ def test_victim_is_silent_inside_the_attack_window():
 def test_honest_traffic_pairs_every_verify_with_the_victim():
     env = build_environment("OP-I", seed=12, cm=ALL_PROTECTIVE)
     me = env.mes["victim-me"]
-    me.insert_card(env.meta["victim_card"])
+    me.insert_card(env.victim_card)
     me.power_on()
     assert me.register("4G").accepted
     for _ in range(3):
@@ -132,7 +132,7 @@ def test_nondefault_pin_alone_stops_s1():
     )
     assert not report.succeeded
     assert report.evidence["extraction"].startswith("denied: PIN gate")
-    card = report.env.meta["victim_card"]
+    card = report.env.victim_card
     assert card.pin.retries_left == 2  # one burned guess, card still usable
     assert not card.pin.locked
 
@@ -186,7 +186,7 @@ def test_identity_concealment_starves_the_fake_card_builder():
 
 
 def test_periodic_aka_bounds_the_stolen_context_lifetime():
-    cm = Countermeasures(periodic_aka=True, periodic_aka_interval=25)
+    cm = Countermeasures(periodic_aka=True)
     report = scenario_baseband_impersonation("OP-I", seed=10, cm=cm)
     assert report.succeeded  # inside the window the theft still works
     env = report.env
@@ -253,6 +253,9 @@ def test_unknown_scenarios_and_variants_are_rejected():
         scenario_usim_impersonation("OP-I", variant="nope")
     with pytest.raises(UnknownScenario):
         scenario_baseband_impersonation("OP-I", variant="stale")
+    for downstream in ("one-tap-bypass", "location-spoofing"):
+        with pytest.raises(UnknownScenario):
+            run_scenario(downstream, variant="reconnect")
 
 
 # --- downstream consequences -----------------------------------------------
@@ -321,13 +324,13 @@ def test_no_victim_key_material_reaches_the_air():
     report = scenario_baseband_impersonation("OP-I", seed=21)
     assert report.succeeded
     env = report.env
-    card = env.meta["victim_card"]
+    card = env.victim_card
     secrets = {card.k_permanent.octets.hex()}
     for entry in env.amf.table.values():
         if entry.supi == VICTIM_SUPI:
             secrets.add(entry.context.k_amf.octets.hex())
     blob = "\n".join(env.trace_lines())
-    kit = env.meta["kit"]
+    kit = env.kit
     blob += "\n" + "\n".join(t.line() for t in kit.tap.entries)
     for secret in secrets:
         assert secret not in blob

@@ -7,10 +7,10 @@ import random
 import pytest
 
 from fastreg.channel import (
-    MSG_TYPE,
     AuthRequest,
     Channel,
     ChannelTap,
+    NasMessage,
     NotObserved,
     RegistrationRequestFast,
     UnknownEndpoint,
@@ -18,7 +18,6 @@ from fastreg.channel import (
     decode_ies,
     encode_accept_payload,
     encode_ies,
-    observable_fields,
 )
 
 
@@ -101,7 +100,7 @@ def test_inject_replays_identical_frame_at_new_step():
 
 def test_observable_fields_hide_container_and_mac():
     msg = fast_msg()
-    fields = observable_fields(msg)
+    fields = msg.visible()
     assert fields == {"guti": "guti-1", "ngksi": "2", "count": "1"}
     # Serialized tap line never shows the ciphered bytes either.
     ch, _ = make_channel()
@@ -115,11 +114,18 @@ def test_observable_fields_hide_container_and_mac():
 
 
 def test_msg_type_map_is_total():
-    # Every message class in the union has a trace name.
+    # Every concrete message class declares its own distinct trace name.
     import fastreg.channel as ch_mod
 
-    for cls in ch_mod.NasMessage.__args__:
-        assert cls in MSG_TYPE
+    classes = [
+        obj
+        for name, obj in vars(ch_mod).items()
+        if isinstance(obj, type) and issubclass(obj, NasMessage) and not name.startswith("_")
+    ]
+    classes.remove(NasMessage)
+    assert len(classes) == 11
+    names = [cls.mtype for cls in classes]
+    assert all(names) and len(set(names)) == len(names)
 
 
 def test_ies_codec_round_trip():

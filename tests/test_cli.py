@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from fastreg.cli import main
 
 
@@ -136,3 +138,33 @@ def test_error_exits_two(tmp_path, capsys):
 def test_unknown_variant_exits_two(capsys):
     code, _, err = run_cli(capsys, "run", "--attack", "S2", "--variant", "stale")
     assert code == 2 and "variant" in err
+
+
+def test_downstream_attacks_take_no_variant(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "run", "--attack", "one-tap-bypass", "--variant", "bogus")
+    assert code == 2 and not out and "takes no variant" in err
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("[scenario]\nattack = location-spoofing\nvariant = reconnect\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "run", str(cfg))
+    assert code == 2 and not out and "takes no variant" in err
+
+
+@pytest.mark.parametrize(
+    "command, edit, fragment",
+    [
+        ("card", lambda t: t.replace("pin 1234 ", "pin 12 "), "line 5: bad pin line: PIN must be 4..8 digits"),
+        ("card", lambda t: t.replace("retries=3", "retries=x"), "line 5: bad pin line"),
+        ("card", lambda t: t.replace("supi ", "supi \u00e9"), "line 2: non-ASCII byte 0xc3"),
+        ("run", lambda t: "[scenario]\n# caf\u00e9\n", "line 2: non-ASCII byte 0xc3"),
+    ],
+    ids=("short-pin", "retries-not-an-integer", "card-non-ascii", "config-non-ascii"),
+)
+def test_bad_input_files_exit_two_with_a_line_number(tmp_path, capsys, command, edit, fragment):
+    image = tmp_path / "card.txt"
+    assert run_cli(capsys, "card", "save", str(image))[0] == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_text(edit(image.read_text(encoding="ascii")), encoding="utf-8")
+    argv = ("card", "load", str(bad)) if command == "card" else ("run", str(bad))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and fragment in err

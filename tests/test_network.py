@@ -21,7 +21,6 @@ from fastreg.channel import (
     encode_ies,
 )
 from fastreg.crypto import KEY_LEN, Key, KeyKind
-from fastreg.equipment import MobileEquipment
 from fastreg.network import NotRegistered, UnknownSubscriber
 from fastreg.profiles import get_profile
 from fastreg.sim import SimEnv
@@ -126,8 +125,11 @@ def test_new_aka_purges_every_alias():
     me.register("5G")
     old_rows = [k for k, e in env.amf.table.items() if e.supi == SUPI]
     assert len(old_rows) == 3
-    est = env.amf.run_aka_network(SUPI, me)
-    assert est is not None
+    # Removal while powered on drops the chip-held context, so the next
+    # registration is an initial one with a full AKA.
+    me.insert_card(me.remove_card())
+    out = me.register("5G")
+    assert out.accepted and out.path == "initial" and out.aka_ran
     rows = [k for k, e in env.amf.table.items() if e.supi == SUPI]
     assert len(rows) == 1
     assert not (set(old_rows) & set(rows))
@@ -142,8 +144,14 @@ def test_guti_allocations_never_repeat():
 
 
 def test_ngksi_allocation_cycles_through_seven_values():
-    env, me, card, _ = fast_ready()
-    seen = [env.amf.run_aka_network(SUPI, me).context.ngksi for _ in range(8)]
+    # With the fast path off, every registration runs a new AKA.
+    env, me, card, _ = fast_ready(profile_override={"fast_registration_enabled": False})
+    seen = []
+    for _ in range(8):
+        out = me.register("5G")
+        assert out.accepted and out.aka_ran
+        ((_, ngksi),) = [k for k, e in env.amf.table.items() if e.supi == SUPI]
+        seen.append(ngksi)
     assert seen == [1, 2, 3, 4, 5, 6, 0, 1]  # slot 0 went to the initial AKA
 
 
@@ -327,15 +335,21 @@ def test_bad_security_mode_mac_gets_rejected():
 def test_run_aka_network_refuses_a_wrong_key_card():
     env = SimEnv(get_profile("OP-I"), 9)
     record, card = env.provision_subscriber(SUPI)
-    imposter = MobileEquipment("imp")
+    imposter = env.add_me("imp")
     imposter.insert_card(
         standard_card(env.rng, SUPI, Key(b"\x0c" * KEY_LEN, KeyKind.K_PERMANENT))
     )
-    assert env.amf.run_aka_network(SUPI, imposter) is None
-    holder = MobileEquipment("holder")
+    imposter.power_on()
+    out = imposter.register("5G")
+    assert out.aka_ran and not out.accepted
+    assert out.reject_cause == "authentication-failure"
+    assert [e.fields["supi"] for e in env.events.named("aka_reject")] == [SUPI]
+    assert not env.amf.table
+    holder = env.add_me("holder")
     holder.insert_card(card)
-    est = env.amf.run_aka_network(SUPI, holder)
-    assert est is not None and est.guti in {k[0] for k in env.amf.table}
+    holder.power_on()
+    out = holder.register("5G")
+    assert out.accepted and out.guti in {k[0] for k in env.amf.table}
 
 
 # --- session services ------------------------------------------------------
@@ -369,6 +383,12 @@ def test_deregistration_with_unknown_guti_is_a_stray():
     before = len(env.events.named("stray_message"))
     probe.send(Deregistration("guti-nothing"))
     assert len(env.events.named("stray_message")) == before + 1
+
+
+def test_unhandled_uplink_is_a_stray_named_by_its_wire_name():
+    env, me, card, _ = fast_ready()
+    Probe(env).send(AuthRequest(b"\x01" * 16, b"\x02" * 16))
+    assert env.events.named("stray_message")[-1].fields == {"mtype": "authentication-request"}
 
 
 def test_accept_frames_expose_no_fields_on_the_air():
