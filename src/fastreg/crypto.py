@@ -129,12 +129,12 @@ def nas_keys(k_amf: Key) -> tuple[Key, Key]:
 
 
 def _keystream(key: bytes, siv: bytes, length: int) -> bytes:
-    out = b""
-    counter = 0
-    while len(out) < length:
-        out += prf(key, b"KS" + siv + counter.to_bytes(4, "big"))
-        counter += 1
-    return out[:length]
+    blocks = range(-(-length // KEY_LEN))
+    return b"".join(prf(key, b"KS" + siv + n.to_bytes(4, "big")) for n in blocks)[:length]
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def senc(plaintext: bytes, key: Key) -> bytes:
@@ -146,7 +146,7 @@ def senc(plaintext: bytes, key: Key) -> bytes:
     if key.kind is not KeyKind.K_NASENC:
         raise WrongKeyKind("senc wants K_NASenc, got %s" % key.kind.value)
     siv = prf(key.octets, b"SIV" + plaintext)
-    body = bytes(a ^ b for a, b in zip(plaintext, _keystream(key.octets, siv, len(plaintext))))
+    body = _xor(plaintext, _keystream(key.octets, siv, len(plaintext)))
     return siv + body
 
 
@@ -157,7 +157,7 @@ def sdec(ciphertext: bytes, key: Key) -> bytes:
     if len(ciphertext) < KEY_LEN:
         raise DecryptFailure("ciphertext shorter than its tag")
     siv, body = ciphertext[:KEY_LEN], ciphertext[KEY_LEN:]
-    plaintext = bytes(a ^ b for a, b in zip(body, _keystream(key.octets, siv, len(body))))
+    plaintext = _xor(body, _keystream(key.octets, siv, len(body)))
     if not hmac.compare_digest(prf(key.octets, b"SIV" + plaintext), siv):
         raise DecryptFailure("tag mismatch: wrong key or tampered ciphertext")
     return plaintext

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import crypto
 from .channel import (
@@ -93,6 +94,10 @@ class SecurityContext:
         if not (0 <= self.ul_count < COUNT_LIMIT and 0 <= self.dl_count < COUNT_LIMIT):
             raise ValueError("NAS count out of 32-bit range")
 
+    @cached_property  # k_amf is never reassigned, so the pair cannot go stale
+    def nas_keys(self) -> tuple[Key, Key]:
+        return crypto.nas_keys(self.k_amf)
+
     def to_bytes(self) -> bytes:
         caps = ",".join(self.ue_sec_caps).encode("ascii")
         return (
@@ -162,7 +167,6 @@ class _InFlight:
     dst: str
     ctx: SecurityContext | None = None
     source: str = "none"
-    keys: tuple[Key, Key] | None = None
     aka: crypto.AkaResult | None = None
 
 
@@ -199,7 +203,6 @@ class MobileEquipment:
 
         self._card_session = None
         self._ctx: SecurityContext | None = None
-        self._keys: tuple[Key, Key] | None = None
         self._active: _InFlight | None = None
         self._flow_n = 0
 
@@ -246,7 +249,7 @@ class MobileEquipment:
             if self.registered:
                 self.registered = False
                 self._emit("service_lost", reason="card-removed")
-            self._ctx, self._keys, self._active = None, None, None
+            self._ctx, self._active = None, None
         else:
             self.slot_event_pending = True
         return card
@@ -265,7 +268,7 @@ class MobileEquipment:
             self.deregister()
         self.power = PowerState.POWERED_OFF
         self._card_session = None
-        self._ctx, self._keys, self._active = None, None, None
+        self._ctx, self._active = None, None
         self._emit("power_off")
 
     def set_airplane(self, enabled: bool) -> None:
@@ -360,6 +363,10 @@ class MobileEquipment:
             raise PinRequired("card PIN not verified")
         flow = self._next_flow()
         ctx, guti, source = self._select_context(card, generation)
+        if ctx is not None and ctx.ul_count + 1 >= COUNT_LIMIT:
+            # The uplink COUNT would wrap: re-key with a fresh AKA instead.
+            self._emit("count_exhausted", guti=guti)
+            ctx, source = None, "none"
         outcome = RegistrationOutcome(
             path="fast" if ctx is not None else "initial",
             generation=generation,
@@ -372,8 +379,7 @@ class MobileEquipment:
         if ctx is not None:
             state.ctx, state.source = ctx, source
             ctx.ul_count += 1
-            k_enc, k_int = crypto.nas_keys(ctx.k_amf)
-            state.keys = (k_enc, k_int)
+            k_enc, k_int = ctx.nas_keys
             ies = encode_ies(guti, ctx.ngksi, ctx.ul_count)
             container = crypto.senc(ies, k_enc)
             mac = crypto.mac_compute(ies, container, k_int)
@@ -451,17 +457,16 @@ class MobileEquipment:
             dl_count=0,
         )
         state.ctx, state.source = ctx, "ram"
-        state.keys = crypto.nas_keys(k_amf)
-        mac = crypto.mac_compute(b"security-mode-complete", b"", state.keys[1])
+        mac = crypto.mac_compute(b"security-mode-complete", b"", ctx.nas_keys[1])
         self._send(state.dst, state.flow, SecurityModeComplete(mac))
 
     def _on_accept(self, state: _InFlight, envelope) -> None:
         msg: RegistrationAccept = envelope.msg
-        if state.keys is None or state.ctx is None:
+        if state.ctx is None:
             self._emit("stray_message", mtype=msg.mtype)
             return
         try:
-            plain = crypto.sdec(msg.ciphered, state.keys[0])
+            plain = crypto.sdec(msg.ciphered, state.ctx.nas_keys[0])
         except crypto.DecryptFailure:
             self._emit("accept_undecryptable")
             return
@@ -475,7 +480,6 @@ class MobileEquipment:
         self.generation = state.outcome.generation
         self.registered = True
         self._ctx = state.ctx
-        self._keys = state.keys
         outcome = state.outcome
         outcome.accepted = True
         outcome.guti = new_guti

@@ -9,7 +9,8 @@ The context table behaves like an append-only map: a fast-path accept
 adds the freshly allocated GUTI as another alias of the same context
 object and the old alias stays valid, so byte-identical replays die on
 the count check rather than the lookup.  Only a new AKA purges a
-subscriber's old rows and installs a fresh context.
+subscriber's old rows and installs a fresh context.  Deregistration is a
+constant-time lookup that relies on GUTI uniqueness (one row per GUTI).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .channel import (
     encode_ies,
 )
 from .crypto import Key
-from .equipment import NotRegistered, SecurityContext
+from .equipment import COUNT_LIMIT, NGKSI_MAX, NotRegistered, SecurityContext
 from .profiles import OperatorProfile
 
 
@@ -160,8 +161,10 @@ class Amf:
             last = self.last_aka_step.get(entry.supi, -(10**9))
             if self._step() - last >= interval:
                 return "periodic", entry
+        if not 0 <= msg.ul_count < COUNT_LIMIT:
+            return "count", entry
         ctx = entry.context
-        k_enc, k_int = crypto.nas_keys(ctx.k_amf)
+        k_enc, k_int = ctx.nas_keys
         ies = encode_ies(msg.guti, msg.ngksi, msg.ul_count)
         if not crypto.mac_verify(ies, msg.container, k_int, msg.mac):
             return "mac", entry
@@ -191,8 +194,7 @@ class Amf:
             # Alias: the new GUTI joins the old ones on the same context.
             self.table[(new_guti, msg.ngksi)] = entry
             ctx.dl_count += 1
-            k_enc, _ = crypto.nas_keys(ctx.k_amf)
-            self._accept(envelope, entry.supi, new_guti, "fast", ctx, k_enc)
+            self._accept(envelope, entry.supi, new_guti, "fast", ctx)
             return
         self._emit("fast_fallback", reason=reason, guti=msg.guti)
         if entry is not None:
@@ -249,34 +251,34 @@ class Amf:
             self._emit("stray_message", mtype=envelope.msg.mtype)
             return
         del self.pending[envelope.flow]
-        k_enc, k_int = crypto.nas_keys(state.k_amf)
-        if not crypto.mac_verify(b"security-mode-complete", b"", k_int, envelope.msg.mac):
+        ctx = SecurityContext(
+            k_amf=state.k_amf, ngksi=state.ngksi, ue_sec_caps=tuple(state.caps), ul_count=0, dl_count=1
+        )
+        if not crypto.mac_verify(b"security-mode-complete", b"", ctx.nas_keys[1], envelope.msg.mac):
             self._emit("smc_failure", supi=state.supi)
             self._reply(envelope, RegistrationReject("security-mode-failure"))
             return
         # A new AKA replaces every alias of the subscriber's old context.
         supi = state.supi
         self._purge_subscriber_rows(supi)
-        ctx = SecurityContext(
-            k_amf=state.k_amf, ngksi=state.ngksi, ue_sec_caps=tuple(state.caps), ul_count=0, dl_count=1
-        )
         guti = self._alloc_guti()
         self.table[(guti, state.ngksi)] = TableEntry(supi=supi, context=ctx)
         self.last_aka_step[supi] = self._step()
         self._emit("aka_established", supi=supi, guti=guti)
-        self._accept(envelope, supi, guti, "aka", ctx, k_enc)
+        self._accept(envelope, supi, guti, "aka", ctx)
 
-    def _accept(self, envelope, supi: str, guti: str, via: str, ctx: SecurityContext, k_enc: Key) -> None:
+    def _accept(self, envelope, supi: str, guti: str, via: str, ctx: SecurityContext) -> None:
         """Open the subscriber's session and send it the ciphered accept."""
         self.sessions[supi] = Session(supi, envelope.bs, guti, "Registered", via, envelope.flow)
         self._emit("registration_accept", supi=supi, guti=guti, via=via)
-        payload = crypto.senc(encode_accept_payload(guti, ctx.dl_count), k_enc)
+        payload = crypto.senc(encode_accept_payload(guti, ctx.dl_count), ctx.nas_keys[0])
         self._reply(envelope, RegistrationAccept(payload))
 
     def _on_dereg(self, envelope) -> None:
         msg: Deregistration = envelope.msg
-        for (guti, _), entry in list(self.table.items()):
-            if guti == msg.guti:
+        # Each GUTI is allocated and inserted once, so at most one probe hits.
+        for ngksi in range(NGKSI_MAX + 1):
+            if (entry := self.table.get((msg.guti, ngksi))) is not None:
                 session = self.sessions.get(entry.supi)
                 if session is not None:
                     session.state = "Deregistered"

@@ -164,6 +164,16 @@ def test_senc_frozen_vector_and_shape():
     assert senc(b"registration", k) == ct
 
 
+def test_senc_matches_a_per_byte_keystream_reference():
+    rng = random.Random(4)
+    k = Key(rng.randbytes(16), KeyKind.K_NASENC)
+    for n in range(80):  # zero to five keystream blocks
+        m = rng.randbytes(n)
+        siv = scratch_prf(k.octets, b"SIV" + m)
+        stream = b"".join(scratch_prf(k.octets, b"KS" + siv + i.to_bytes(4, "big")) for i in range(5))
+        assert senc(m, k) == siv + bytes(a ^ b for a, b in zip(m, stream))
+
+
 def test_senc_round_trip_and_wrong_key():
     rng = random.Random(2)
     k1 = Key(rng.randbytes(16), KeyKind.K_NASENC)

@@ -10,6 +10,7 @@ import pytest
 from fastreg.channel import RegistrationAccept
 from fastreg.crypto import KEY_LEN, Key, KeyKind
 from fastreg.equipment import (
+    COUNT_LIMIT,
     BasebandEntry,
     MobileEquipment,
     NoCard,
@@ -320,6 +321,28 @@ def test_stale_accept_replay_is_discarded():
     env.channel.inject(held[0])
     env.pump()
     assert out.accepted
+
+
+@pytest.mark.parametrize("generation", ["4G", "5G"])
+def test_exhausted_uplink_count_forces_a_fresh_aka(generation):
+    env, me, card, _ = provisioned()
+    bring_up(me, card, generation)
+    # Push the stored context to the last count a 32-bit IE can carry.
+    if generation == "4G":
+        rule, blob = card.files[EF_EPSNSC]
+        ctx = SecurityContext.from_bytes(blob)
+        ctx.ul_count = COUNT_LIMIT - 1
+        card.files[EF_EPSNSC] = (rule, ctx.to_bytes())
+    else:
+        me.baseband.entry.context.ul_count = COUNT_LIMIT - 1
+    out = me.register(generation)
+    assert out.accepted and out.path == "initial" and out.aka_ran
+    assert len(env.events.named("count_exhausted")) == 1
+    # The fresh context starts its counts again and serves the fast path.
+    me.set_airplane(True)
+    me.set_airplane(False)
+    again = me.register(generation)
+    assert again.accepted and again.path == "fast" and not again.aka_ran
 
 
 # --- randomized slot/power walk against a shadow model ---------------------

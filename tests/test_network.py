@@ -21,6 +21,7 @@ from fastreg.channel import (
     encode_ies,
 )
 from fastreg.crypto import KEY_LEN, Key, KeyKind
+from fastreg.equipment import COUNT_LIMIT
 from fastreg.network import NotRegistered, UnknownSubscriber
 from fastreg.profiles import get_profile
 from fastreg.sim import SimEnv
@@ -222,6 +223,16 @@ def test_stale_count_is_rejected():
     assert probe.last_types() == ["AuthRequest", "AuthRequest"]
 
 
+def test_uplink_count_beyond_32_bits_fails_the_count_check():
+    env, me, card, _ = fast_ready()
+    (guti, ngksi) = table_key(env)
+    probe = Probe(env)
+    for count in (COUNT_LIMIT, -1):
+        probe.send(RegistrationRequestFast(guti, ngksi, count, b"\x00" * 16, b"\x00" * 8))
+        assert fallback_reasons(env)[-1] == "count"
+    assert probe.last_types() == ["AuthRequest", "AuthRequest"]
+
+
 def test_policy_switch_disables_the_fast_path_entirely():
     env, me, card, _ = fast_ready(profile_override={"fast_registration_enabled": False})
     out = me.register("5G")
@@ -402,3 +413,85 @@ def test_accept_frames_expose_no_fields_on_the_air():
     assert accept_lines
     for line in accept_lines:
         assert "=" not in line.split("registration-accept", 1)[1]
+
+
+# --- fast-path cost: counted, not timed ------------------------------------
+
+
+def fast_round(me, generation="5G"):
+    me.set_airplane(True)
+    me.set_airplane(False)
+    out = me.register(generation)
+    assert out.accepted and out.path == "fast" and not out.aka_ran
+
+
+# OP-I cards hold no 5G context, so it stays in baseband memory; a 4G
+# context is re-read from the card files, a new object every round.
+@pytest.mark.parametrize(("generation", "per_round"), [("5G", 0), ("4G", 1)])
+def test_nas_keys_are_derived_once_per_context(monkeypatch, generation, per_round):
+    env = SimEnv(get_profile("OP-I"), 77)
+    _, card = env.provision_subscriber(SUPI)
+    me = env.add_me("ue")
+    me.insert_card(card)
+    me.power_on()
+    assert me.register(generation).accepted
+    calls = []
+    derive = crypto.nas_keys
+    monkeypatch.setattr(crypto, "nas_keys", lambda k: calls.append(k) or derive(k))
+    for _ in range(200):
+        before = len(calls)
+        fast_round(me, generation)
+        assert len(calls) - before == per_round
+
+
+class NoScanTable(dict):
+    """A context table that fails any walk over its rows."""
+
+    def _scan(self, *args):
+        raise AssertionError("context table scanned")
+
+    items = keys = values = __iter__ = _scan
+
+
+def test_deregistration_never_scans_the_context_table():
+    env, me, card, _ = fast_ready()
+    env.amf.table = NoScanTable(env.amf.table)
+    before = len(env.events.named("deregistered"))
+    for _ in range(200):
+        fast_round(me)
+    me.deregister()
+    # fast_ready leaves the handset idle, so the first round has nothing to end.
+    assert len(env.events.named("deregistered")) == before + 200
+    assert env.amf.sessions[SUPI].state == "Deregistered"
+    assert len(env.amf.table) == 201
+
+
+def test_older_alias_guti_deregisters_the_right_subscriber():
+    env = SimEnv(get_profile("OP-I"), 77)
+    other = "460110987654321"
+    _, card = env.provision_subscriber(SUPI)
+    _, other_card = env.provision_subscriber(other)
+    bystander = env.add_me("bystander")
+    bystander.insert_card(other_card)
+    bystander.power_on()
+    assert bystander.register("5G").accepted
+    me = env.add_me("ue")
+    me.insert_card(card)
+    me.power_on()
+    purged = me.register("5G").guti
+    # A second AKA puts this subscriber's rows under ngKSI 1, so the
+    # lookup has to probe past ngKSI 0.
+    me.insert_card(me.remove_card())
+    gutis = [me.register("5G").guti]
+    for _ in range(3):
+        fast_round(me)
+        gutis.append(me.current_guti)
+    assert {k[1] for k, e in env.amf.table.items() if e.supi == SUPI} == {1}
+    probe = Probe(env)
+    probe.send(Deregistration(gutis[1]))
+    assert env.events.named("deregistered")[-1].fields == {"supi": SUPI}
+    assert env.amf.sessions[SUPI].state == "Deregistered"
+    assert env.amf.sessions[other].state == "Registered"
+    strays = len(env.events.named("stray_message"))
+    probe.send(Deregistration(purged))
+    assert len(env.events.named("stray_message")) == strays + 1
