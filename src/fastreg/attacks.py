@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .channel import ChannelTap, IdentityResponse, RegistrationRequestInitial
-from .equipment import MobileEquipment, PowerState, SecurityContext
+from .channel import IdentityResponse, RegistrationRequestInitial
+from .equipment import PowerState, SecurityContext
 from .network import OneTapToken
 from .profiles import DEFAULT_PIN, Countermeasures, get_profile
 from .sim import SimEnv
@@ -58,25 +58,6 @@ class UnknownScenario(Exception):
 
 
 @dataclass
-class AttackerKit:
-    """What the attacker owns: a handset, a sniffer tap, public knowledge."""
-
-    env: ScenarioEnv
-    own_me: MobileEquipment
-    tap: ChannelTap
-    known: dict[str, str]
-
-    def learn_victim_supi(self) -> str | None:
-        """Pull a cleartext permanent identity off the recorded air traffic."""
-        for entry in self.tap.entries:
-            if entry.mtype in (RegistrationRequestInitial.mtype, IdentityResponse.mtype):
-                identity = entry.fields["identity"]
-                if not identity.startswith("suci-"):
-                    return identity
-        return None
-
-
-@dataclass
 class AttackReport:
     scenario: str
     profile: str
@@ -110,15 +91,18 @@ class AttackReport:
 
 
 class ScenarioEnv(SimEnv):
-    """A SimEnv holding the scenario's toggles, victim card and attacker kit."""
+    """A SimEnv holding the scenario's toggles and the victim's card.
+
+    The attacker holds the "attacker-me" handset, a card reader, public
+    defaults (DEFAULT_PIN) and the monitor tap's passive view of the air.
+    """
 
     cm: Countermeasures
     victim_card: CardImage
-    kit: AttackerKit
 
 
 def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: Countermeasures | None = None) -> ScenarioEnv:
-    """Victim subscriber and handset at BS-A, attacker kit at BS-B."""
+    """Victim subscriber and handset at BS-A, attacker handset at BS-B."""
     cm = cm or Countermeasures()
     profile = cm.apply(get_profile(profile_name))
     env = ScenarioEnv(profile, seed)
@@ -132,53 +116,40 @@ def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: Countermeas
         iccid_binding=cm.iccid_binding,
         detect_offline_swap=cm.offline_swap_detection,
     )
-    attacker_me = env.add_me(
-        "attacker-me", bs=ATTACKER_BS, custody="attacker", iccid_binding=cm.iccid_binding
-    )
-    tap = ChannelTap("attacker-tap")
-    env.channel.taps.append(tap)
-    env.kit = AttackerKit(
-        env=env, own_me=attacker_me, tap=tap, known={"default_pin": DEFAULT_PIN}
-    )
+    env.add_me("attacker-me", bs=ATTACKER_BS, custody="attacker", iccid_binding=cm.iccid_binding)
     return env
 
 
 # --- attacker toolbox --------------------------------------------------
 
 
-def card_reader_extract(
-    kit: AttackerKit,
-    card: CardImage,
-    fids: tuple[int, ...] = (EF_IMSI, EF_EPSLOCI, EF_EPSNSC),
-    pin_candidates: list[str] | None = None,
-) -> dict[int, bytes]:
-    """Read card files over a reader session; AccessDenied on any refusal."""
+def learn_victim_supi(env: ScenarioEnv) -> str | None:
+    """Pull a cleartext permanent identity off the recorded air traffic."""
+    for e in env.monitor.entries:
+        if e.msg.mtype in (RegistrationRequestInitial.mtype, IdentityResponse.mtype):
+            identity = e.msg.visible()["identity"]
+            if not identity.startswith("suci-"):
+                return identity
+    return None
+
+
+def card_reader_extract(card: CardImage) -> dict[int, bytes]:
+    """Read the context files in a reader; AccessDenied on any refusal.
+
+    The attacker knows only the public default PIN and spends one try.
+    """
     session = card.open_session()
     if card.pin.enabled:
-        candidates = list(pin_candidates) if pin_candidates else [kit.known["default_pin"]]
-        granted = False
-        last = None
-        for candidate in candidates:
-            resp = verify_pin(card, session, candidate)
-            last = resp.status
-            if resp.status is ApduStatus.OK:
-                granted = True
-                break
-            if resp.status is ApduStatus.PIN_BLOCKED:
-                break
-        if not granted:
-            raise AccessDenied("PIN gate: %s" % last.name)
+        status = verify_pin(card, session, DEFAULT_PIN).status
+        if status is not ApduStatus.OK:
+            raise AccessDenied("PIN gate: %s" % status.name)
     out: dict[int, bytes] = {}
-    for fid in fids:
+    for fid in (EF_IMSI, EF_EPSLOCI, EF_EPSNSC):
         resp = apdu_execute(card, session, Apdu(ApduCommand.READ, fid))
         if resp.status is not ApduStatus.OK:
             raise AccessDenied("read %04X: %s" % (fid, resp.status.name))
         out[fid] = resp.payload
     return out
-
-
-def program_fake_card(kit: AttackerKit, supi: str, files: dict[int, bytes]) -> CardImage:
-    return programmable_card(kit.env.rng, supi, dict(files))
 
 
 def _rewrite_fake_context(fake: CardImage, guti: str, ul_count: int, nsc_blob: bytes) -> None:
@@ -283,9 +254,8 @@ def scenario_usim_impersonation(
     if variant not in S1_VARIANTS:
         raise UnknownScenario("unknown S1 variant %r (have: %s)" % (variant, ", ".join(S1_VARIANTS)))
     env = build_environment(profile_name, seed, cm)
-    kit = env.kit
     report = AttackReport("S1", profile_name, seed, variant, env=env)
-    victim = env.mes["victim-me"]
+    victim, attacker = env.mes["victim-me"], env.mes["attacker-me"]
     card = env.victim_card
 
     victim.insert_card(card)
@@ -296,14 +266,14 @@ def scenario_usim_impersonation(
     real = victim.remove_card()
 
     try:
-        files = card_reader_extract(kit, real)
+        files = card_reader_extract(real)
     except AccessDenied as err:
         report.note("extraction", "denied: %s" % err)
         victim.insert_card(real)
         report.window = (env.channel.step, env.channel.step)
         return report
     report.note("extraction", "ok: %04X %04X %04X" % (EF_IMSI, EF_EPSLOCI, EF_EPSNSC))
-    fake = program_fake_card(kit, files[EF_IMSI].decode("ascii"), files)
+    fake = programmable_card(env.rng, files[EF_IMSI].decode("ascii"), files)
     victim.insert_card(real)
 
     if variant in ("stale", "stale-recover"):
@@ -313,23 +283,23 @@ def scenario_usim_impersonation(
         victim.register("4G")
         victim.set_airplane(True)
 
-    kit.own_me.insert_card(fake)
-    kit.own_me.power_on()
-    outcome = kit.own_me.register("4G")
+    attacker.insert_card(fake)
+    attacker.power_on()
+    outcome = attacker.register("4G")
 
     if variant == "stale-recover" and not outcome.accepted:
         # Recovery: sniff the victim's latest cleartext GUTI and count off
         # the air, rewrite the fake card, try again one count ahead.
-        guti, count = kit.tap.sniff_latest_guti("victim-me")
+        guti, count = env.monitor.sniff_latest_guti("victim-me")
         report.note("sniffed_air", "%s count=%d" % (guti, count))
-        kit.own_me.remove_card()
+        attacker.remove_card()
         _rewrite_fake_context(fake, guti, count, files[EF_EPSNSC])
-        kit.own_me.insert_card(fake)
-        outcome = kit.own_me.register("4G")
+        attacker.insert_card(fake)
+        outcome = attacker.register("4G")
 
     _evaluate_impersonation(report, env, outcome)
     if variant == "reconnect" and report.succeeded:
-        _observe_reconnect(report, env, victim, kit.own_me, "4G")
+        _observe_reconnect(report, env, victim, attacker, "4G")
     return report
 
 
@@ -343,7 +313,7 @@ def scenario_baseband_impersonation(
     if variant not in S2_VARIANTS:
         raise UnknownScenario("unknown S2 variant %r (have: %s)" % (variant, ", ".join(S2_VARIANTS)))
     env = build_environment(profile_name, seed, cm)
-    kit, cm = env.kit, env.cm
+    cm = env.cm
     report = AttackReport("S2", profile_name, seed, variant, env=env)
     card = env.victim_card
 
@@ -360,7 +330,7 @@ def scenario_baseband_impersonation(
     first = shared.register("5G")
     report.note("victim_initial", _summarize(first))
 
-    supi = kit.learn_victim_supi()
+    supi = learn_victim_supi(env)
     if supi is None:
         report.note("identity", "never seen in clear; cannot build the fake card")
         report.window = (env.channel.step, env.channel.step)
@@ -375,7 +345,7 @@ def scenario_baseband_impersonation(
     env.set_custody("shared-me", "attacker")
     shared.bs = ATTACKER_BS
     real = shared.remove_card()
-    fake = program_fake_card(kit, supi, {EF_IMSI: supi.encode("ascii")})
+    fake = programmable_card(env.rng, supi, {EF_IMSI: supi.encode("ascii")})
     shared.insert_card(fake)
     if airplane:
         shared.set_airplane(False)

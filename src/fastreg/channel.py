@@ -2,9 +2,11 @@
 
 Messages are immutable; the channel stamps a monotonically increasing step
 on every send and delivers FIFO, so a run is a pure function of the
-scenario and seed.  Taps see the same projection an over-the-air sniffer
-would: cleartext fields in the visible projection, ciphered containers and
-MACs only as opaque bytes on the captured envelope.
+scenario and seed.  A tap keeps the envelopes themselves, one record of
+the air: replay re-sends them whole, and a trace line renders only the
+visible projection an over-the-air sniffer reads (cleartext fields;
+ciphered containers and MACs never).  The environment's monitor tap is
+both the exported trace and everything the attacker reads.
 """
 
 from __future__ import annotations
@@ -168,6 +170,8 @@ def decode_accept_payload(blob: bytes) -> tuple[str, int]:
 
 @dataclass(frozen=True)
 class Envelope:
+    """One frame on the air, as sent, delivered and captured."""
+
     step: int
     src: str
     dst: str
@@ -175,54 +179,36 @@ class Envelope:
     flow: str
     msg: NasMessage
 
-
-@dataclass(frozen=True)
-class TapEntry:
-    step: int
-    src: str
-    dst: str
-    bs: str
-    flow: str
-    mtype: str
-    fields: dict[str, str]
-    envelope: Envelope
-
     def line(self) -> str:
-        shown = " ".join("%s=%s" % kv for kv in self.fields.items())
+        shown = " ".join("%s=%s" % kv for kv in self.msg.visible().items())
         return ("%4d | %s->%s | %s | %s | %s" % (
             self.step,
             self.src,
             self.dst,
             self.bs,
-            self.mtype,
+            self.msg.mtype,
             shown,
         )).rstrip()
 
 
 class ChannelTap:
-    """Passive capture of everything crossing the channel."""
+    """Passive capture of every envelope crossing the channel."""
 
-    def __init__(self, name: str = "tap") -> None:
-        self.name = name
-        self.entries: list[TapEntry] = []
+    def __init__(self) -> None:
+        self.entries: list[Envelope] = []
 
     def record(self, envelope: Envelope) -> None:
-        e, msg = envelope, envelope.msg
-        self.entries.append(TapEntry(e.step, e.src, e.dst, e.bs, e.flow, msg.mtype, msg.visible(), e))
+        self.entries.append(envelope)
 
     def export_lines(self) -> list[str]:
         return [e.line() for e in self.entries]
 
-    def fast_requests(self, src: str | None = None) -> list[TapEntry]:
-        out = [e for e in self.entries if e.mtype == RegistrationRequestFast.mtype]
-        if src is not None:
-            out = [e for e in out if e.src == src]
-        return out
-
     def sniff_latest_guti(self, src: str) -> tuple[str, int]:
         """Latest (guti, ul_count) a given sender put on the air in clear."""
-        for entry in reversed(self.fast_requests(src)):
-            return entry.fields["guti"], int(entry.fields["count"])
+        for e in reversed(self.entries):
+            if e.src == src and e.msg.mtype == RegistrationRequestFast.mtype:
+                shown = e.msg.visible()
+                return shown["guti"], int(shown["count"])
         raise NotObserved("no fast registration seen from %s" % src)
 
 

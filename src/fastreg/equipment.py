@@ -74,6 +74,7 @@ class PowerState(Enum):
 
 NGKSI_MAX = 6
 COUNT_LIMIT = 2**32
+SEC_CAPS = ("EA2", "IA2")  # the handset's security capabilities
 
 
 @dataclass
@@ -164,7 +165,6 @@ class RegistrationOutcome:
 class _InFlight:
     flow: str
     outcome: RegistrationOutcome
-    dst: str
     ctx: SecurityContext | None = None
     source: str = "none"
     aka: crypto.AkaResult | None = None
@@ -182,7 +182,6 @@ class MobileEquipment:
         user_pin: str | None = None,
         iccid_binding: bool = False,
         detect_offline_swap: bool = False,
-        sec_caps: tuple[str, ...] = ("EA2", "IA2"),
     ) -> None:
         self.name = name
         self.env = env
@@ -190,7 +189,6 @@ class MobileEquipment:
         self.user_pin = user_pin
         self.iccid_binding = iccid_binding
         self.detect_offline_swap = detect_offline_swap
-        self.sec_caps = sec_caps
         self.suci_builder = None
 
         self.power = PowerState.POWERED_OFF
@@ -212,8 +210,8 @@ class MobileEquipment:
         if self.env is not None:
             self.env.events.emit(self.name, event, **fields)
 
-    def _send(self, dst: str, flow: str, msg) -> None:
-        self.env.channel.send(self.name, dst, self.bs, flow, msg)
+    def _send(self, flow: str, msg) -> None:
+        self.env.channel.send(self.name, self.env.amf.name, self.bs, flow, msg)
 
     def _next_flow(self) -> str:
         self._flow_n += 1
@@ -351,7 +349,7 @@ class MobileEquipment:
             return self.suci_builder(card.supi)
         return card.supi
 
-    def register(self, generation: str = "5G", dst: str = "amf") -> RegistrationOutcome:
+    def register(self, generation: str = "5G") -> RegistrationOutcome:
         if self.power is not PowerState.POWERED_ON:
             raise PowerStateError("cannot register while %s" % self.power.value)
         card = self.slot
@@ -374,7 +372,7 @@ class MobileEquipment:
             start_step=self.env.channel.step + 1,
             context_source=source,
         )
-        state = _InFlight(flow=flow, outcome=outcome, dst=dst)
+        state = _InFlight(flow=flow, outcome=outcome)
         self._active = state
         if ctx is not None:
             state.ctx, state.source = ctx, source
@@ -386,22 +384,16 @@ class MobileEquipment:
             self._emit(
                 "ue_init", ies=ies.hex(), container=container.hex(), mac=mac.hex()
             )
-            self._send(
-                dst,
-                flow,
-                RegistrationRequestFast(guti, ctx.ngksi, ctx.ul_count, container, mac),
-            )
+            self._send(flow, RegistrationRequestFast(guti, ctx.ngksi, ctx.ul_count, container, mac))
         else:
-            self._send(
-                dst, flow, RegistrationRequestInitial(self._identity(card), self.sec_caps)
-            )
+            self._send(flow, RegistrationRequestInitial(self._identity(card), SEC_CAPS))
         self.env.channel.pump()
         return outcome
 
-    def deregister(self, dst: str = "amf") -> None:
+    def deregister(self) -> None:
         if not self.registered:
             raise NotRegistered("not registered")
-        self._send(dst, self._next_flow(), Deregistration(self.current_guti))
+        self._send(self._next_flow(), Deregistration(self.current_guti))
         self._persist_context()
         self.registered = False
         self._emit("ue_deregistered", guti=self.current_guti)
@@ -436,12 +428,10 @@ class MobileEquipment:
         except crypto.MacFailure:
             self._emit("card_rejected_autn")
             res = b""
-        self._send(state.dst, state.flow, AuthResponse(res))
+        self._send(state.flow, AuthResponse(res))
 
     def _on_identity_request(self, state: _InFlight, envelope) -> None:
-        self._send(
-            state.dst, state.flow, IdentityResponse(self._identity(self.slot), self.sec_caps)
-        )
+        self._send(state.flow, IdentityResponse(self._identity(self.slot), SEC_CAPS))
 
     def _on_security_mode(self, state: _InFlight, envelope) -> None:
         msg: SecurityModeCommand = envelope.msg
@@ -452,13 +442,13 @@ class MobileEquipment:
         ctx = SecurityContext(
             k_amf=k_amf,
             ngksi=msg.ngksi,
-            ue_sec_caps=self.sec_caps,
+            ue_sec_caps=SEC_CAPS,
             ul_count=0,
             dl_count=0,
         )
         state.ctx, state.source = ctx, "ram"
         mac = crypto.mac_compute(b"security-mode-complete", b"", ctx.nas_keys[1])
-        self._send(state.dst, state.flow, SecurityModeComplete(mac))
+        self._send(state.flow, SecurityModeComplete(mac))
 
     def _on_accept(self, state: _InFlight, envelope) -> None:
         msg: RegistrationAccept = envelope.msg

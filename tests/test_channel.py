@@ -89,7 +89,7 @@ def test_inject_replays_identical_frame_at_new_step():
     ch.taps.append(tap)
     ch.send("a", "b", "BS-A", "a#0", fast_msg())
     ch.pump()
-    captured = tap.entries[0].envelope
+    captured = tap.entries[0]
     replay = ch.inject(captured)
     ch.pump()
     assert replay.step == 2

@@ -294,9 +294,9 @@ def test_stale_accept_replay_is_discarded():
     first = me.register("5G")
     assert first.accepted and first.path == "fast"
     accepts = [
-        t.envelope
+        t
         for t in env.monitor.entries
-        if isinstance(t.envelope.msg, RegistrationAccept)
+        if isinstance(t.msg, RegistrationAccept)
     ]
     stale = accepts[-1]  # the accept that closed the first fast cycle
     # Hold back the next accept so its flow stays open, then slip the
@@ -311,11 +311,11 @@ def test_stale_accept_replay_is_discarded():
     assert len(env.events.named("dl_replay_discarded")) == 1
     # The genuine accept still lands afterwards.
     held = [
-        t.envelope
+        t
         for t in env.monitor.entries
-        if isinstance(t.envelope.msg, RegistrationAccept)
-        and t.envelope.flow == out.flow
-        and t.envelope.msg is not stale.msg
+        if isinstance(t.msg, RegistrationAccept)
+        and t.flow == out.flow
+        and t.msg is not stale.msg
     ]
     assert len(held) == 1
     env.channel.inject(held[0])

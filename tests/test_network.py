@@ -233,6 +233,16 @@ def test_uplink_count_beyond_32_bits_fails_the_count_check():
     assert probe.last_types() == ["AuthRequest", "AuthRequest"]
 
 
+def test_exhausted_downlink_count_forces_a_fresh_aka():
+    env, me, card, _ = fast_ready()
+    for entry in env.amf.table.values():
+        entry.context.dl_count = COUNT_LIMIT - 1
+    # The next accept would need a downlink count of 2^32: re-key instead.
+    out = me.register("5G")
+    assert out.accepted and out.aka_ran
+    assert fallback_reasons(env)[-1] == "count"
+
+
 def test_policy_switch_disables_the_fast_path_entirely():
     env, me, card, _ = fast_ready(profile_override={"fast_registration_enabled": False})
     out = me.register("5G")
@@ -257,9 +267,9 @@ def test_replayed_capture_dies_on_the_count_check():
     out = me.register("5G")
     assert out.accepted
     captured = [
-        t.envelope
+        t
         for t in env.monitor.entries
-        if isinstance(t.envelope.msg, RegistrationRequestFast)
+        if isinstance(t.msg, RegistrationRequestFast)
     ][-1]
     sessions_before = dict(env.amf.sessions)
     env.channel.inject(captured)
@@ -281,10 +291,10 @@ def test_concealed_identities_resolve_and_hide_the_supi():
     initial = [
         t
         for t in env.monitor.entries
-        if isinstance(t.envelope.msg, RegistrationRequestInitial)
+        if isinstance(t.msg, RegistrationRequestInitial)
     ]
     assert initial and all(
-        t.envelope.msg.identity.startswith("suci-") for t in initial
+        t.msg.identity.startswith("suci-") for t in initial
     )
     assert all(SUPI not in line for line in env.trace_lines())
 
@@ -341,6 +351,32 @@ def test_bad_security_mode_mac_gets_rejected():
     assert isinstance(probe.inbox[-1].msg, RegistrationReject)
     assert probe.inbox[-1].msg.cause == "security-mode-failure"
     assert env.events.named("smc_failure")
+
+
+def test_pending_aka_is_bound_to_its_sender():
+    env = SimEnv(get_profile("OP-I"), 77)
+    _, card = env.provision_subscriber(SUPI)
+    me = env.add_me("ue")
+    me.insert_card(card)
+    me.power_on()
+    # Hold the victim's answer back so its AKA stays pending.
+    env.channel.drop_filter = lambda e: isinstance(e.msg, AuthResponse)
+    out = me.register("5G")
+    assert out.aka_ran and not out.accepted
+    env.channel.drop_filter = None
+    intruder = Probe(env, name="intruder")
+    env.channel.send(intruder.name, "amf", intruder.bs, out.flow, AuthResponse(b""))
+    env.pump()
+    # Another sender on the victim's flow is a stray: it cannot abort the AKA.
+    assert env.events.named("stray_message")[-1].fields == {"mtype": "authentication-response"}
+    assert not env.events.named("aka_reject")
+    assert intruder.inbox == []
+    # Replaying the victim's own answer, sender and all, still completes it.
+    (held,) = [t for t in env.monitor.entries if isinstance(t.msg, AuthResponse) and t.src == "ue"]
+    env.channel.inject(held)
+    env.pump()
+    assert out.accepted
+    assert env.amf.sessions[SUPI].state == "Registered"
 
 
 def test_run_aka_network_refuses_a_wrong_key_card():
@@ -408,7 +444,7 @@ def test_accept_frames_expose_no_fields_on_the_air():
     accept_lines = [
         t.line()
         for t in env.monitor.entries
-        if isinstance(t.envelope.msg, RegistrationAccept)
+        if isinstance(t.msg, RegistrationAccept)
     ]
     assert accept_lines
     for line in accept_lines:
