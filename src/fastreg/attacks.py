@@ -34,6 +34,7 @@ from .usim import (
     CardImage,
     apdu_execute,
     programmable_card,
+    store_context_files,
     verify_pin,
 )
 
@@ -156,11 +157,9 @@ def _rewrite_fake_context(fake: CardImage, guti: str, ul_count: int, nsc_blob: b
     """Update a fake card's context files through plain reader commands."""
     ctx = SecurityContext.from_bytes(nsc_blob)
     ctx.ul_count = ul_count
-    session = fake.open_session()
-    for fid, body in ((EF_EPSLOCI, guti.encode("ascii")), (EF_EPSNSC, ctx.to_bytes())):
-        resp = apdu_execute(fake, session, Apdu(ApduCommand.UPDATE, fid, body))
-        if resp.status is not ApduStatus.OK:
-            raise AccessDenied("update %04X: %s" % (fid, resp.status.name))
+    status = store_context_files(fake, fake.open_session(), guti.encode("ascii"), ctx.to_bytes(), "4G")
+    if status is not ApduStatus.OK:
+        raise AccessDenied("update: %s" % status.name)
 
 
 # --- evaluation helpers ------------------------------------------------

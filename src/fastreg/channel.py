@@ -272,19 +272,13 @@ class Channel:
         self._queue.append(envelope)
         return envelope
 
-    def inject(self, captured: Envelope, bs: str | None = None) -> Envelope:
+    def inject(self, captured: Envelope) -> Envelope:
         """Replay a captured envelope byte-for-byte, at a fresh step.
 
         The attacker model allows recording and re-sending whole frames;
         src stays spoofed as the original sender.
         """
-        return self.send(
-            captured.src,
-            captured.dst,
-            bs if bs is not None else captured.bs,
-            captured.flow,
-            captured.msg,
-        )
+        return self.send(captured.src, captured.dst, captured.bs, captured.flow, captured.msg)
 
     def tick(self, steps: int = 1) -> None:
         """Advance the clock without traffic (idle air time)."""

@@ -4,7 +4,10 @@ The security context produced by a registration lives in exactly one of
 three places, and the register() path searches them in order:
 
   1. the inserted card's context files for the requested generation
-     (always present for 4G, only on 5G-capable cards for 5G),
+     (always present for 4G, only on 5G-capable cards for 5G), read and
+     written with READ/UPDATE on the handset's baseband session, so the
+     card's access conditions apply to the handset as to any reader; a
+     refused read, or a context that does not parse, counts as absent,
   2. the baseband chip's own entry (how 5G contexts are kept on ordinary
      cards), guarded by an identity comparison against the inserted card,
   3. nowhere, which forces the initial registration with full AKA.
@@ -39,7 +42,7 @@ from .channel import (
     encode_ies,
 )
 from .crypto import Key, KeyKind
-from .usim import CardImage, load_context_files, store_context_files, verify_pin
+from .usim import ApduStatus, CardImage, load_context_files, store_context_files, verify_pin
 
 
 class SlotEmpty(Exception):
@@ -314,8 +317,11 @@ class MobileEquipment:
         loci = self.current_guti.encode("ascii")
         blob = self._ctx.to_bytes()
         if self.generation == "4G" or card.supports_5g_context:
-            store_context_files(card, loci, blob, self.generation)
-            self._emit("context_stored", where="card", generation=self.generation)
+            status = store_context_files(card, self._card_session, loci, blob, self.generation)
+            if status is ApduStatus.OK:
+                self._emit("context_stored", where="card", generation=self.generation)
+            else:
+                self._emit("context_store_refused", status=status.name)
         else:
             self.baseband.entry = BasebandEntry(
                 supi=card.supi,
@@ -331,9 +337,12 @@ class MobileEquipment:
     def _select_context(self, card: CardImage, generation: str):
         """Context source order: card files, then baseband entry, then none."""
         if generation == "4G" or card.supports_5g_context:
-            loci, nsc = load_context_files(card, generation)
+            loci, nsc = load_context_files(card, self._card_session, generation)
             if loci and nsc:
-                return SecurityContext.from_bytes(nsc), loci.decode("ascii"), "card"
+                try:
+                    return SecurityContext.from_bytes(nsc), loci.decode("ascii"), "card"
+                except ValueError as err:  # UnicodeDecodeError included
+                    self._emit("context_unparsable", where="card", reason=str(err).replace(" ", "-"))
         entry = self.baseband.entry
         if (
             entry is not None

@@ -10,8 +10,10 @@ touches:
     4F03  5GS3GPPNSC      5G NAS security context (only on 5G-capable cards)
 
 Each file carries one read and one update condition (ALW / PIN / ADM /
-NEV).  Card access happens through sessions: a baseband session holds the
-card's ADM credential implicitly, a reader session never does.
+NEV).  Every file access, the handset's context reads and writes
+included, is a READ or UPDATE through apdu_execute on a session, so the
+table alone decides who may read a context.  A baseband session carries
+ADM for the one card it was opened on; a reader session never does.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ DEFAULT_RETRY_LIMIT = 3
 
 LOCI_FILES = {"4G": EF_EPSLOCI, "5G": EF_5GLOCI}
 NSC_FILES = {"4G": EF_EPSNSC, "5G": EF_5GNSC}
-
-
-class UnsupportedGeneration(Exception):
-    """Raised when 5G context files are requested from a card without them."""
 
 
 class CardFormatError(ValueError):
@@ -76,8 +74,7 @@ class PinState:
 @dataclass
 class CardSession:
     pin_verified: bool = False
-    adm_secret: bytes | None = None
-    selected: int | None = None
+    adm_card: CardImage | None = field(default=None, repr=False)  # ADM holds on this card only
 
 
 @dataclass
@@ -96,7 +93,6 @@ class CardImage:
     seq: int = 0
     supports_5g_context: bool = False
     programmable: bool = False
-    _adm_secret: bytes = field(default=b"", repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k_permanent.kind is not KeyKind.K_PERMANENT:
@@ -104,18 +100,14 @@ class CardImage:
         if self.supports_5g_context:
             if EF_5GLOCI not in self.files or EF_5GNSC not in self.files:
                 raise ValueError("5G-capable card must carry 4F01 and 4F03")
-        if not self._adm_secret:
-            # Stand-in for the per-card ADM secret; never exposed over APDU
-            # and never compared against attacker-supplied input anywhere.
-            self._adm_secret = crypto.prf(b"card-adm", self.iccid.encode("ascii"))
 
     def open_session(self) -> CardSession:
         """Reader session: never holds the ADM credential."""
         return CardSession()
 
     def open_baseband_session(self) -> CardSession:
-        """Baseband session: holds the card's ADM credential implicitly."""
-        return CardSession(adm_secret=self._adm_secret)
+        """Baseband session: holds ADM for this card and no other."""
+        return CardSession(adm_card=self)
 
     def run_aka(self, rand: bytes, autn: bytes) -> crypto.AkaResult:
         """Card-side AKA; updates the stored sequence number on success."""
@@ -179,17 +171,14 @@ def programmable_card(rng: Random, supi: str, files: dict[int, bytes]) -> CardIm
 
 
 class ApduCommand(Enum):
-    SELECT = "SELECT"
-    VERIFY_PIN = "VERIFY_PIN"
     READ = "READ"
     UPDATE = "UPDATE"
-    AUTHENTICATE = "AUTHENTICATE"
 
 
 @dataclass
 class Apdu:
     cmd: ApduCommand
-    file_id: int | None = None
+    file_id: int
     payload: bytes = b""
 
 
@@ -198,7 +187,6 @@ class ApduStatus(Enum):
     SECURITY_NOT_SATISFIED = "SECURITY_NOT_SATISFIED"
     FILE_NOT_FOUND = "FILE_NOT_FOUND"
     PIN_BLOCKED = "PIN_BLOCKED"
-    AUTH_FAILURE = "AUTH_FAILURE"
 
 
 @dataclass
@@ -219,7 +207,7 @@ def _access_granted(card: CardImage, session: CardSession, level: AccessLevel) -
             return True
         return session.pin_verified and not card.pin.locked
     if level is AccessLevel.ADM:
-        return bool(session.adm_secret) and session.adm_secret == card._adm_secret
+        return session.adm_card is card
     return False  # NEV
 
 
@@ -241,58 +229,37 @@ def verify_pin(card: CardImage, session: CardSession, candidate: str) -> ApduRes
 
 
 def apdu_execute(card: CardImage, session: CardSession, apdu: Apdu) -> ApduResponse:
-    """Single dispatch point for card commands; all checks happen here."""
-    cmd = apdu.cmd
-    if cmd is ApduCommand.VERIFY_PIN:
-        return verify_pin(card, session, apdu.payload.decode("ascii", "replace"))
-    if cmd is ApduCommand.AUTHENTICATE:
-        rand, autn = apdu.payload[: crypto.KEY_LEN], apdu.payload[crypto.KEY_LEN :]
-        try:
-            result = card.run_aka(rand, autn)
-        except crypto.MacFailure:
-            return ApduResponse(ApduStatus.AUTH_FAILURE)
-        return ApduResponse(ApduStatus.OK, result.res + result.ck.octets + result.ik.octets)
-    if apdu.file_id is None or apdu.file_id not in card.files:
+    """Single dispatch point for file commands; all access checks happen here."""
+    entry = card.files.get(apdu.file_id)
+    if entry is None:
         return ApduResponse(ApduStatus.FILE_NOT_FOUND)
-    rule, body = card.files[apdu.file_id]
-    if cmd is ApduCommand.SELECT:
-        session.selected = apdu.file_id
-        return ApduResponse(ApduStatus.OK)
-    if cmd is ApduCommand.READ:
-        if not _access_granted(card, session, rule.read):
-            if card.pin.locked and rule.read is AccessLevel.PIN:
-                return ApduResponse(ApduStatus.PIN_BLOCKED)
-            return ApduResponse(ApduStatus.SECURITY_NOT_SATISFIED)
+    rule, body = entry
+    reading = apdu.cmd is ApduCommand.READ
+    level = rule.read if reading else rule.update
+    if not _access_granted(card, session, level):
+        if card.pin.locked and level is AccessLevel.PIN:
+            return ApduResponse(ApduStatus.PIN_BLOCKED)
+        return ApduResponse(ApduStatus.SECURITY_NOT_SATISFIED)
+    if reading:
         return ApduResponse(ApduStatus.OK, body)
-    if cmd is ApduCommand.UPDATE:
-        if not _access_granted(card, session, rule.update):
-            if card.pin.locked and rule.update is AccessLevel.PIN:
-                return ApduResponse(ApduStatus.PIN_BLOCKED)
-            return ApduResponse(ApduStatus.SECURITY_NOT_SATISFIED)
-        card.files[apdu.file_id] = (rule, bytes(apdu.payload))
-        return ApduResponse(ApduStatus.OK)
-    raise ValueError("unknown command %r" % cmd)
+    card.files[apdu.file_id] = (rule, bytes(apdu.payload))
+    return ApduResponse(ApduStatus.OK)
 
 
-def store_context_files(card: CardImage, loci: bytes, nsc: bytes, generation: str) -> None:
-    """ME-facing context write; bypasses APDU access conditions.
-
-    The baseband talks to the card over its own session and always may
-    update the context files; the APDU conditions govern external readers.
-    """
-    if generation == "5G" and not card.supports_5g_context:
-        raise UnsupportedGeneration("card has no 5G context files")
-    for fid, body in ((LOCI_FILES[generation], loci), (NSC_FILES[generation], nsc)):
-        rule = card.files[fid][0] if fid in card.files else AccessRule(AccessLevel.PIN, AccessLevel.PIN)
-        card.files[fid] = (rule, bytes(body))
+def store_context_files(
+    card: CardImage, session: CardSession, loci: bytes, nsc: bytes, generation: str
+) -> ApduStatus:
+    """Write (loci, nsc) with UPDATEs; OK, or the first refused or missing file's status."""
+    status = apdu_execute(card, session, Apdu(ApduCommand.UPDATE, LOCI_FILES[generation], loci)).status
+    if status is ApduStatus.OK:
+        status = apdu_execute(card, session, Apdu(ApduCommand.UPDATE, NSC_FILES[generation], nsc)).status
+    return status
 
 
-def load_context_files(card: CardImage, generation: str) -> tuple[bytes, bytes]:
-    """ME-facing context read; returns (loci, nsc) bodies."""
-    if generation == "5G" and not card.supports_5g_context:
-        raise UnsupportedGeneration("card has no 5G context files")
-    loci = card.files.get(LOCI_FILES[generation], (None, b""))[1]
-    nsc = card.files.get(NSC_FILES[generation], (None, b""))[1]
+def load_context_files(card: CardImage, session: CardSession, generation: str) -> tuple[bytes, bytes]:
+    """Read (loci, nsc) with READs; a refused or missing file reads as empty."""
+    loci = apdu_execute(card, session, Apdu(ApduCommand.READ, LOCI_FILES[generation])).payload
+    nsc = apdu_execute(card, session, Apdu(ApduCommand.READ, NSC_FILES[generation])).payload
     return loci, nsc
 
 

@@ -6,6 +6,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastreg.channel import RegistrationAccept
 from fastreg.crypto import KEY_LEN, Key, KeyKind
@@ -18,13 +20,14 @@ from fastreg.equipment import (
     PinRequired,
     PowerState,
     PowerStateError,
+    RegistrationOutcome,
     SecurityContext,
     SlotEmpty,
     SlotOccupied,
 )
 from fastreg.profiles import get_profile
 from fastreg.sim import SimEnv
-from fastreg.usim import EF_5GLOCI, EF_5GNSC, EF_EPSLOCI, EF_EPSNSC, standard_card
+from fastreg.usim import EF_5GLOCI, EF_5GNSC, EF_EPSLOCI, EF_EPSNSC, AccessLevel, standard_card
 
 SUPI = "460110123456789"
 
@@ -343,6 +346,71 @@ def test_exhausted_uplink_count_forces_a_fresh_aka(generation):
     me.set_airplane(False)
     again = me.register(generation)
     assert again.accepted and again.path == "fast" and not again.aka_ran
+
+
+# --- card context the handset may not or cannot use ------------------------
+
+
+def write_file(card, fid, body):
+    """Set a file's bytes in place, keeping its access rule."""
+    card.files[fid] = (card.files[fid][0], body)
+
+
+def unparsable_reasons(env):
+    return [e.fields["reason"] for e in env.events.named("context_unparsable")]
+
+
+def test_truncated_card_context_falls_back_to_aka():
+    env, me, card, _ = provisioned()
+    write_file(card, EF_EPSLOCI, b"guti")
+    write_file(card, EF_EPSNSC, b"\x00" * 5)
+    me.insert_card(card)
+    me.power_on()
+    out = me.register("4G")
+    assert out.accepted and out.path == "initial" and out.aka_ran
+    assert out.context_source == "none"
+    assert unparsable_reasons(env) == ["context-blob-too-short"]
+    assert env.events.named("context_unparsable")[0].fields["where"] == "card"
+
+
+def test_non_ascii_card_guti_falls_back_to_aka():
+    env, me, card, _ = provisioned()
+    bring_up(me, card, "4G")
+    write_file(card, EF_EPSLOCI, b"\xff\xfe")
+    out = me.register("4G")
+    assert out.accepted and out.path == "initial" and out.aka_ran
+    assert len(unparsable_reasons(env)) == 1
+
+
+def test_unreadable_card_context_is_not_used():
+    env, me, card, _ = provisioned()
+    card.files[EF_EPSNSC][0].read = AccessLevel.NEV
+    bring_up(me, card, "4G")
+    assert card.files[EF_EPSNSC][1]  # stored, but the handset may not read it back
+    out = me.register("4G")
+    assert out.accepted and out.path == "initial" and out.context_source == "none"
+
+
+def test_refused_context_store_is_logged_and_leaves_nsc_unchanged():
+    env, me, card, _ = provisioned()
+    card.files[EF_EPSNSC][0].update = AccessLevel.NEV
+    before = card.files[EF_EPSNSC][1]
+    bring_up(me, card, "4G")
+    assert card.files[EF_EPSNSC][1] == before
+    refused = env.events.named("context_store_refused")
+    assert [e.fields["status"] for e in refused] == ["SECURITY_NOT_SATISFIED"]
+    assert not env.events.named("context_stored")
+
+
+@settings(derandomize=True, database=None)
+@given(loci=st.binary(max_size=64), nsc=st.binary(max_size=64))
+def test_any_card_context_bytes_end_in_an_outcome(loci, nsc):
+    env, me, card, _ = provisioned()
+    write_file(card, EF_EPSLOCI, loci)
+    write_file(card, EF_EPSNSC, nsc)
+    me.insert_card(card)
+    me.power_on()
+    assert isinstance(me.register("4G"), RegistrationOutcome)
 
 
 # --- randomized slot/power walk against a shadow model ---------------------

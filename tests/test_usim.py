@@ -21,7 +21,6 @@ from fastreg.usim import (
     CardFormatError,
     CardImage,
     PinState,
-    UnsupportedGeneration,
     apdu_execute,
     card_from_text,
     card_to_text,
@@ -45,6 +44,13 @@ def read(card, session, fid):
 
 def update(card, session, fid, body):
     return apdu_execute(card, session, Apdu(ApduCommand.UPDATE, fid, body))
+
+
+def store(card, loci, nsc, generation="4G"):
+    """Write a context the way the handset does, PIN verified if enabled."""
+    session = card.open_baseband_session()
+    verify_pin(card, session, "1234")
+    assert store_context_files(card, session, loci, nsc, generation) is ApduStatus.OK
 
 
 # --- access conditions -------------------------------------------------
@@ -167,6 +173,14 @@ def test_baseband_session_passes_adm():
     assert read(card, session, EF_EPSNSC).status is ApduStatus.OK
 
 
+def test_baseband_session_grants_adm_on_its_own_card_only():
+    card_a = make_card(hardened=True)
+    card_b = standard_card(random.Random(12), "460001112223334", K, hardened=True)
+    session = card_a.open_baseband_session()
+    assert read(card_b, session, EF_EPSNSC).status is ApduStatus.SECURITY_NOT_SATISFIED
+    assert update(card_b, session, EF_IMSI, b"x").status is ApduStatus.SECURITY_NOT_SATISFIED
+
+
 def test_reader_session_never_gets_adm():
     card = make_card()
     session = card.open_session()
@@ -175,33 +189,25 @@ def test_reader_session_never_gets_adm():
     assert update(card, session, EF_IMSI, b"x").status is ApduStatus.SECURITY_NOT_SATISFIED
 
 
-def test_select_and_missing_file():
+def test_missing_file():
     card = make_card()
     session = card.open_session()
-    ok = apdu_execute(card, session, Apdu(ApduCommand.SELECT, EF_IMSI))
-    assert ok.status is ApduStatus.OK and session.selected == EF_IMSI
-    miss = apdu_execute(card, session, Apdu(ApduCommand.READ, 0x4F01))
-    assert miss.status is ApduStatus.FILE_NOT_FOUND
+    assert read(card, session, 0x4F01).status is ApduStatus.FILE_NOT_FOUND
+    assert update(card, session, 0x4F01, b"x").status is ApduStatus.FILE_NOT_FOUND
 
 
 def test_apdu_response_payload_only_on_ok():
     with pytest.raises(ValueError):
-        ApduResponse(ApduStatus.AUTH_FAILURE, b"leak")
+        ApduResponse(ApduStatus.SECURITY_NOT_SATISFIED, b"leak")
 
 
-def test_authenticate_apdu():
+def test_run_aka():
     card = make_card()
     vec = crypto.gen_auth_vector(K, 5)
-    session = card.open_baseband_session()
-    resp = apdu_execute(card, session, Apdu(ApduCommand.AUTHENTICATE, None, vec.rand + vec.autn))
-    assert resp.status is ApduStatus.OK
-    res = resp.payload[: crypto.RES_LEN]
-    assert res == vec.xres
+    assert card.run_aka(vec.rand, vec.autn).res == vec.xres
     assert card.seq == 5
-    bad = apdu_execute(
-        card, session, Apdu(ApduCommand.AUTHENTICATE, None, vec.rand + b"\x00" * 16)
-    )
-    assert bad.status is ApduStatus.AUTH_FAILURE
+    with pytest.raises(crypto.MacFailure):
+        card.run_aka(vec.rand, b"\x00" * 16)
 
 
 # --- ME-facing context storage -----------------------------------------
@@ -209,21 +215,35 @@ def test_authenticate_apdu():
 
 def test_store_and_load_context_files():
     card = make_card()
-    store_context_files(card, b"guti-1", b"\x01\x02", "4G")
-    assert load_context_files(card, "4G") == (b"guti-1", b"\x01\x02")
+    session = card.open_baseband_session()
+    assert store_context_files(card, session, b"guti-1", b"\x01\x02", "4G") is ApduStatus.OK
+    assert load_context_files(card, session, "4G") == (b"guti-1", b"\x01\x02")
     # Access rules survive the write.
     assert card.files[EF_EPSLOCI][0].read is AccessLevel.PIN
 
 
+def test_context_io_obeys_the_access_conditions():
+    card = make_card(hardened=True)
+    session = card.open_baseband_session()
+    store(card, b"guti-1", b"\x01\x02")
+    # A reader sees the PIN-readable LOCI but not the ADM-read NSC.
+    assert load_context_files(card, card.open_session(), "4G") == (b"guti-1", b"")
+    rule = card.files[EF_EPSNSC][0]
+    rule.update = AccessLevel.NEV
+    status = store_context_files(card, session, b"guti-2", b"\x03", "4G")
+    assert status is ApduStatus.SECURITY_NOT_SATISFIED
+    assert load_context_files(card, session, "4G") == (b"guti-2", b"\x01\x02")
+
+
 def test_5g_context_requires_capable_card():
     card = make_card(supports_5g_context=False)
-    with pytest.raises(UnsupportedGeneration):
-        store_context_files(card, b"g", b"c", "5G")
-    with pytest.raises(UnsupportedGeneration):
-        load_context_files(card, "5G")
+    session = card.open_baseband_session()
+    assert store_context_files(card, session, b"g", b"c", "5G") is ApduStatus.FILE_NOT_FOUND
+    assert load_context_files(card, session, "5G") == (b"", b"")
     capable = make_card(supports_5g_context=True)
-    store_context_files(capable, b"g", b"c", "5G")
-    assert load_context_files(capable, "5G") == (b"g", b"c")
+    session = capable.open_baseband_session()
+    assert store_context_files(capable, session, b"g", b"c", "5G") is ApduStatus.OK
+    assert load_context_files(capable, session, "5G") == (b"g", b"c")
 
 
 # --- programmable (fake) cards -----------------------------------------
@@ -233,7 +253,7 @@ def test_fake_card_equivalence_over_apdu():
     # Copy a victim card's registration files onto a fake card; every READ
     # a baseband would issue must return identical payloads.
     victim = make_card()
-    store_context_files(victim, b"guti-77", b"ctx-bytes", "4G")
+    store(victim, b"guti-77", b"ctx-bytes")
     rng = random.Random(12)
     fake = programmable_card(
         rng,
@@ -264,7 +284,7 @@ def test_fake_card_enforces_conditions_once_built():
 
 def test_card_text_round_trip():
     card = make_card(pin_enabled=True, supports_5g_context=True)
-    store_context_files(card, b"guti-abc", b"\xde\xad\xbe\xef", "4G")
+    store(card, b"guti-abc", b"\xde\xad\xbe\xef")
     text = card_to_text(card)
     again = card_from_text(text)
     assert again == card
@@ -274,7 +294,7 @@ def test_card_text_round_trip():
 def test_card_text_single_line_per_file_change():
     card = make_card()
     before = card_to_text(card).splitlines()
-    store_context_files(card, b"guti-x", b"", "4G")
+    store(card, b"guti-x", b"")
     after = card_to_text(card).splitlines()
     assert len(before) == len(after)
     diff = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
