@@ -10,6 +10,13 @@ Two base scenarios:
       in airplane mode; the chip keeps the cached context and hands it to
       the fake card's owner.
 
+Each variant of a base scenario is data: a pair `(steps, then)` in
+`SCENARIOS`, both rows of plain string tuples such as
+`("insert", "victim-me", "victim")`, so a row prints and replays as it
+stands.  `run_scenario` runs the steps one by one; a step that returns
+False ends its row.  The attacker's registration (the `attack` step) is
+then evaluated, and `then` runs only after a successful impersonation.
+
 On top of a successful base attack the harness evaluates the one-tap
 login bypass and the location-spoofing effect, and a per-profile matrix
 runs everything for the three operator presets.
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .channel import IdentityResponse, RegistrationRequestInitial
-from .equipment import PowerState, SecurityContext
+from .equipment import PowerState, RegistrationOutcome, SecurityContext
 from .network import OneTapToken
 from .profiles import DEFAULT_PIN, Countermeasures, get_profile
 from .sim import SimEnv
@@ -41,9 +48,6 @@ from .usim import (
 VICTIM_SUPI = "460110123456789"
 VICTIM_BS = "BS-A"
 ATTACKER_BS = "BS-B"
-
-S1_VARIANTS = ("default", "stale", "stale-recover", "reconnect")
-S2_VARIANTS = ("default", "swap-powered-on", "reconnect")
 
 
 class AccessDenied(Exception):
@@ -92,46 +96,41 @@ class AttackReport:
 
 
 class ScenarioEnv(SimEnv):
-    """A SimEnv holding the scenario's toggles and the victim's card.
+    """A SimEnv holding what a scenario's steps share.
 
-    The attacker holds the "attacker-me" handset, a card reader, public
-    defaults (DEFAULT_PIN) and the monitor tap's passive view of the air.
+    `cards` holds "victim" (and "fake" once programmed), `files` what a
+    reader extracted, `supi` what the air leaked, `outcome` the last
+    `attack`.  The attacker holds the "attacker-me" handset, a card
+    reader, public defaults (DEFAULT_PIN) and the monitor tap's view.
     """
 
-    cm: Countermeasures
-    victim_card: CardImage
+    cards: dict[str, CardImage]
+    files: dict[int, bytes]
+    supi: str | None
+    outcome: RegistrationOutcome | None
 
 
 def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: Countermeasures | None = None) -> ScenarioEnv:
-    """Victim subscriber and handset at BS-A, attacker handset at BS-B."""
+    """Victim subscriber and its two handsets at BS-A, attacker handset at BS-B."""
     cm = cm or Countermeasures()
     profile = cm.apply(get_profile(profile_name))
     env = ScenarioEnv(profile, seed)
-    env.cm = cm
-    _, env.victim_card = env.provision_subscriber(VICTIM_SUPI)
-    env.add_me(
-        "victim-me",
-        bs=VICTIM_BS,
-        custody="victim",
-        user_pin=profile.default_pin,
-        iccid_binding=cm.iccid_binding,
-        detect_offline_swap=cm.offline_swap_detection,
-    )
+    env.cards = {"victim": env.provision_subscriber(VICTIM_SUPI)[1]}
+    env.files, env.supi, env.outcome = {}, None, None
+    for name in ("victim-me", "shared-me"):
+        env.add_me(
+            name,
+            bs=VICTIM_BS,
+            custody="victim",
+            user_pin=profile.default_pin,
+            iccid_binding=cm.iccid_binding,
+            detect_offline_swap=cm.offline_swap_detection,
+        )
     env.add_me("attacker-me", bs=ATTACKER_BS, custody="attacker", iccid_binding=cm.iccid_binding)
     return env
 
 
 # --- attacker toolbox --------------------------------------------------
-
-
-def learn_victim_supi(env: ScenarioEnv) -> str | None:
-    """Pull a cleartext permanent identity off the recorded air traffic."""
-    for e in env.monitor.entries:
-        if e.msg.mtype in (RegistrationRequestInitial.mtype, IdentityResponse.mtype):
-            identity = e.msg.visible()["identity"]
-            if not identity.startswith("suci-"):
-                return identity
-    return None
 
 
 def card_reader_extract(card: CardImage) -> dict[int, bytes]:
@@ -151,15 +150,6 @@ def card_reader_extract(card: CardImage) -> dict[int, bytes]:
             raise AccessDenied("read %04X: %s" % (fid, resp.status.name))
         out[fid] = resp.payload
     return out
-
-
-def _rewrite_fake_context(fake: CardImage, guti: str, ul_count: int, nsc_blob: bytes) -> None:
-    """Update a fake card's context files through plain reader commands."""
-    ctx = SecurityContext.from_bytes(nsc_blob)
-    ctx.ul_count = ul_count
-    status = store_context_files(fake, fake.open_session(), guti.encode("ascii"), ctx.to_bytes(), "4G")
-    if status is not ApduStatus.OK:
-        raise AccessDenied("update: %s" % status.name)
 
 
 # --- evaluation helpers ------------------------------------------------
@@ -228,136 +218,136 @@ def _evaluate_impersonation(report: AttackReport, env: ScenarioEnv, outcome) -> 
     report.succeeded = clean_fast and witness and quiet and token_ok and location_ok
 
 
-def _observe_reconnect(report: AttackReport, env: ScenarioEnv, victim_me, attacker_me, generation: str) -> None:
-    """Let the victim come back online and record what both sides see."""
-    if victim_me.power is PowerState.AIRPLANE:
-        victim_me.set_airplane(False)
-    elif victim_me.power is PowerState.POWERED_OFF:
-        victim_me.power_on()
-    back = victim_me.register(generation)
-    report.note("victim_reconnect", _summarize(back))
-    retry = attacker_me.register(generation)
-    report.note("attacker_retry_after_reconnect", _summarize(retry))
+# --- scenarios as rows of steps ----------------------------------------
 
 
-# --- base scenarios ----------------------------------------------------
+def _step(report: AttackReport, step: tuple[str, ...]) -> bool:
+    """Run one step of a row on the report's env; False ends the row."""
+    env = report.env
+    match step:
+        case ("insert", me, card):
+            env.mes[me].insert_card(env.cards[card])
+        case ("remove", me):
+            env.mes[me].remove_card()
+        case ("airplane", me):
+            env.mes[me].set_airplane(True)
+        case ("online", me):
+            if env.mes[me].power is PowerState.AIRPLANE:
+                env.mes[me].set_airplane(False)
+            else:
+                env.mes[me].power_on()
+        case ("register", me, generation, *key):
+            outcome = env.mes[me].register(generation)
+            if key:
+                report.note(key[0], _summarize(outcome))
+        case ("attack", me, generation):
+            env.outcome = env.mes[me].register(generation)
+        case ("hand-over", me):
+            env.custody[me] = "attacker"
+            env.mes[me].bs = ATTACKER_BS
+        case ("extract", me):
+            # Borrow the card out of the idle handset, read it, put it back.
+            card = env.mes[me].remove_card()
+            try:
+                env.files = card_reader_extract(card)
+            except AccessDenied as err:
+                report.note("extraction", "denied: %s" % err)
+            else:
+                report.note("extraction", "ok: %04X %04X %04X" % (EF_IMSI, EF_EPSLOCI, EF_EPSNSC))
+            env.mes[me].insert_card(card)
+            return bool(env.files)
+        case ("copy-card",):
+            env.cards["fake"] = programmable_card(env.rng, env.files[EF_IMSI].decode("ascii"), env.files)
+        case ("learn-supi",):
+            # The first permanent identity seen in clear on the air.
+            kinds = (RegistrationRequestInitial.mtype, IdentityResponse.mtype)
+            shown = (e.msg.visible()["identity"] for e in env.monitor.entries if e.msg.mtype in kinds)
+            env.supi = next((i for i in shown if not i.startswith("suci-")), None)
+            report.note("identity", env.supi or "never seen in clear; cannot build the fake card")
+            return env.supi is not None
+        case ("clone-identity",):
+            env.cards["fake"] = programmable_card(env.rng, env.supi, {EF_IMSI: env.supi.encode("ascii")})
+        case ("if-rejected",):
+            return not env.outcome.accepted
+        case ("resync", me):
+            # Rewrite the fake card to the GUTI and count the handset last
+            # sent in clear; the next request then runs one count ahead.
+            guti, count = env.monitor.sniff_latest_guti(me)
+            report.note("sniffed_air", "%s count=%d" % (guti, count))
+            ctx = SecurityContext.from_bytes(env.files[EF_EPSNSC])
+            ctx.ul_count = count
+            fake = env.cards["fake"]
+            status = store_context_files(fake, fake.open_session(), guti.encode("ascii"), ctx.to_bytes(), "4G")
+            return status is ApduStatus.OK
+        case ("note-baseband", me):
+            report.note("baseband_entry_after_swap", env.mes[me].baseband.entry is not None)
+        case _:
+            raise UnknownScenario("unknown step %r" % (step,))
+    return True
 
 
-def scenario_usim_impersonation(
-    profile_name: str = "OP-I",
-    seed: int = 0,
-    cm: Countermeasures | None = None,
-    variant: str = "default",
-) -> AttackReport:
-    """S1: copy the 4G context off the victim's card, register elsewhere."""
-    if variant not in S1_VARIANTS:
-        raise UnknownScenario("unknown S1 variant %r (have: %s)" % (variant, ", ".join(S1_VARIANTS)))
-    env = build_environment(profile_name, seed, cm)
-    report = AttackReport("S1", profile_name, seed, variant, env=env)
-    victim, attacker = env.mes["victim-me"], env.mes["attacker-me"]
-    card = env.victim_card
-
-    victim.insert_card(card)
-    victim.power_on()
-    first = victim.register("4G")
-    report.note("victim_initial", _summarize(first))
-    victim.set_airplane(True)
-    real = victim.remove_card()
-
-    try:
-        files = card_reader_extract(real)
-    except AccessDenied as err:
-        report.note("extraction", "denied: %s" % err)
-        victim.insert_card(real)
-        report.window = (env.channel.step, env.channel.step)
-        return report
-    report.note("extraction", "ok: %04X %04X %04X" % (EF_IMSI, EF_EPSLOCI, EF_EPSNSC))
-    fake = programmable_card(env.rng, files[EF_IMSI].decode("ascii"), files)
-    victim.insert_card(real)
-
-    if variant in ("stale", "stale-recover"):
-        # Victim re-registers after the copy was taken, moving the stored
-        # count and GUTI past what the fake card carries.
-        victim.set_airplane(False)
-        victim.register("4G")
-        victim.set_airplane(True)
-
-    attacker.insert_card(fake)
-    attacker.power_on()
-    outcome = attacker.register("4G")
-
-    if variant == "stale-recover" and not outcome.accepted:
-        # Recovery: sniff the victim's latest cleartext GUTI and count off
-        # the air, rewrite the fake card, try again one count ahead.
-        guti, count = env.monitor.sniff_latest_guti("victim-me")
-        report.note("sniffed_air", "%s count=%d" % (guti, count))
-        attacker.remove_card()
-        _rewrite_fake_context(fake, guti, count, files[EF_EPSNSC])
-        attacker.insert_card(fake)
-        outcome = attacker.register("4G")
-
-    _evaluate_impersonation(report, env, outcome)
-    if variant == "reconnect" and report.succeeded:
-        _observe_reconnect(report, env, victim, attacker, "4G")
-    return report
+def _run_row(report: AttackReport, row: tuple[tuple[str, ...], ...]) -> bool:
+    """Run a row's steps in order, stopping at the first that returns False."""
+    return all(_step(report, step) for step in row)
 
 
-def scenario_baseband_impersonation(
-    profile_name: str = "OP-I",
-    seed: int = 0,
-    cm: Countermeasures | None = None,
-    variant: str = "default",
-) -> AttackReport:
-    """S2: swap a same-identity fake card into the victim's idle handset."""
-    if variant not in S2_VARIANTS:
-        raise UnknownScenario("unknown S2 variant %r (have: %s)" % (variant, ", ".join(S2_VARIANTS)))
-    env = build_environment(profile_name, seed, cm)
-    cm = env.cm
-    report = AttackReport("S2", profile_name, seed, variant, env=env)
-    card = env.victim_card
+_S1_COPY = (
+    ("insert", "victim-me", "victim"),
+    ("online", "victim-me"),
+    ("register", "victim-me", "4G", "victim_initial"),
+    ("airplane", "victim-me"),
+    ("extract", "victim-me"),
+    ("copy-card",),
+)
+_S1_ATTACK = (("insert", "attacker-me", "fake"), ("online", "attacker-me"), ("attack", "attacker-me", "4G"))
+_S1 = (*_S1_COPY, *_S1_ATTACK)
+# The victim registers again after the copy was taken, moving the stored
+# count and GUTI past what the fake card carries.
+_S1_MOVE_ON = (("online", "victim-me"), ("register", "victim-me", "4G"), ("airplane", "victim-me"))
+_S1_STALE = (*_S1_COPY, *_S1_MOVE_ON, *_S1_ATTACK)
+_S2_LEARN = (
+    ("insert", "shared-me", "victim"),
+    ("online", "shared-me"),
+    ("register", "shared-me", "5G", "victim_initial"),
+    ("learn-supi",),
+)
+_S2_SWAP = (("hand-over", "shared-me"), ("remove", "shared-me"), ("clone-identity",), ("insert", "shared-me", "fake"))
+_S2_ATTACK = (("note-baseband", "shared-me"), ("attack", "shared-me", "5G"))
+_S2 = (*_S2_LEARN, ("airplane", "shared-me"), *_S2_SWAP, ("online", "shared-me"), *_S2_ATTACK)
 
-    shared = env.add_me(
-        "shared-me",
-        bs=VICTIM_BS,
-        custody="victim",
-        user_pin=env.profile.default_pin,
-        iccid_binding=cm.iccid_binding,
-        detect_offline_swap=cm.offline_swap_detection,
-    )
-    shared.insert_card(card)
-    shared.power_on()
-    first = shared.register("5G")
-    report.note("victim_initial", _summarize(first))
-
-    supi = learn_victim_supi(env)
-    if supi is None:
-        report.note("identity", "never seen in clear; cannot build the fake card")
-        report.window = (env.channel.step, env.channel.step)
-        return report
-    report.note("identity", supi)
-
-    # The swap happens in airplane mode, except that swap-powered-on keeps
-    # the phone fully on, so deletion rule (1) fires.
-    airplane = variant != "swap-powered-on"
-    if airplane:
-        shared.set_airplane(True)
-    env.set_custody("shared-me", "attacker")
-    shared.bs = ATTACKER_BS
-    real = shared.remove_card()
-    fake = programmable_card(env.rng, supi, {EF_IMSI: supi.encode("ascii")})
-    shared.insert_card(fake)
-    if airplane:
-        shared.set_airplane(False)
-    report.note("baseband_entry_after_swap", shared.baseband.entry is not None)
-
-    outcome = shared.register("5G")
-    _evaluate_impersonation(report, env, outcome)
-    if variant == "reconnect" and report.succeeded:
-        victim_me = env.mes["victim-me"]
-        victim_me.insert_card(real)
-        victim_me.power_on()
-        _observe_reconnect(report, env, victim_me, shared, "5G")
-    return report
+# attack -> variant -> (steps, then): `then` runs only after a success.
+SCENARIOS = {
+    "S1": {
+        "default": (_S1, ()),
+        "stale": (_S1_STALE, ()),
+        "stale-recover": (
+            (*_S1_STALE, ("if-rejected",), ("remove", "attacker-me"), ("resync", "victim-me"), *_S1_ATTACK),
+            (),
+        ),
+        "reconnect": (
+            _S1,
+            (
+                ("online", "victim-me"),
+                ("register", "victim-me", "4G", "victim_reconnect"),
+                ("register", "attacker-me", "4G", "attacker_retry_after_reconnect"),
+            ),
+        ),
+    },
+    "S2": {
+        "default": (_S2, ()),
+        # The phone stays fully on, so deletion rule (1) fires on removal.
+        "swap-powered-on": ((*_S2_LEARN, *_S2_SWAP, *_S2_ATTACK), ()),
+        "reconnect": (
+            _S2,
+            (
+                ("insert", "victim-me", "victim"),
+                ("online", "victim-me"),
+                ("register", "victim-me", "5G", "victim_reconnect"),
+                ("register", "shared-me", "5G", "attacker_retry_after_reconnect"),
+            ),
+        ),
+    },
+}
 
 
 # --- downstream scenarios ----------------------------------------------
@@ -400,18 +390,13 @@ def scenario_location_spoof(base: AttackReport) -> AttackReport:
 
 # --- dispatch and matrix -----------------------------------------------
 
-BASE_SCENARIOS = {
-    "S1": scenario_usim_impersonation,
-    "S2": scenario_baseband_impersonation,
-}
-
 # Built on a default S2 run; they take no variant.
 DOWNSTREAM_SCENARIOS = {
     "one-tap-bypass": scenario_one_tap_bypass,
     "location-spoofing": scenario_location_spoof,
 }
 
-SCENARIO_NAMES = (*BASE_SCENARIOS, *DOWNSTREAM_SCENARIOS)
+SCENARIO_NAMES = (*SCENARIOS, *DOWNSTREAM_SCENARIOS)
 
 
 def run_scenario(
@@ -421,14 +406,28 @@ def run_scenario(
     cm: Countermeasures | None = None,
     variant: str = "default",
 ) -> AttackReport:
-    if attack in BASE_SCENARIOS:
-        return BASE_SCENARIOS[attack](profile_name, seed, cm, variant)
-    if attack in DOWNSTREAM_SCENARIOS:
-        if variant != "default":
-            raise UnknownScenario("%s takes no variant, got %r" % (attack, variant))
-        base = scenario_baseband_impersonation(profile_name, seed, cm, "default")
-        return DOWNSTREAM_SCENARIOS[attack](base)
-    raise UnknownScenario("unknown attack %r (have: %s)" % (attack, ", ".join(SCENARIO_NAMES)))
+    """Run one base scenario's row, or a downstream effect of a default S2."""
+    effect = DOWNSTREAM_SCENARIOS.get(attack)
+    if effect is not None and variant != "default":
+        raise UnknownScenario("%s takes no variant, got %r" % (attack, variant))
+    if effect is not None:
+        return effect(run_scenario("S2", profile_name, seed, cm))
+    if attack not in SCENARIOS:
+        raise UnknownScenario("unknown attack %r (have: %s)" % (attack, ", ".join(SCENARIO_NAMES)))
+    if (row := SCENARIOS[attack].get(variant)) is None:
+        raise UnknownScenario("unknown %s variant %r (have: %s)" % (attack, variant, ", ".join(SCENARIOS[attack])))
+    env = build_environment(profile_name, seed, cm)
+    report = AttackReport(attack, profile_name, seed, variant, env=env)
+    steps, then = row
+    _run_row(report, steps)
+    if env.outcome is None:
+        # The row ended before the attacker registered: nothing to judge.
+        report.window = (env.channel.step, env.channel.step)
+        return report
+    _evaluate_impersonation(report, env, env.outcome)
+    if report.succeeded:
+        _run_row(report, then)
+    return report
 
 
 PROFILE_ORDER = ("OP-I", "OP-II", "OP-III")
@@ -445,13 +444,11 @@ def run_table_matrix(seed: int = 0) -> dict[str, dict[str, bool]]:
     """Per-profile verdict matrix over both base attacks and both effects."""
     rows: dict[str, dict[str, bool]] = {}
     for i, name in enumerate(PROFILE_ORDER):
-        s1 = scenario_usim_impersonation(name, seed=seed + 10 * i + 1)
-        s2 = scenario_baseband_impersonation(name, seed=seed + 10 * i + 2)
-        base = s2 if s2.succeeded else (s1 if s1.succeeded else None)
-        one_tap = location = False
-        if base is not None:
-            one_tap = scenario_one_tap_bypass(base).succeeded
-            location = scenario_location_spoof(base).succeeded
+        s1 = run_scenario("S1", name, seed + 10 * i + 1)
+        s2 = run_scenario("S2", name, seed + 10 * i + 2)
+        base = s2 if s2.succeeded else s1
+        one_tap = base.succeeded and scenario_one_tap_bypass(base).succeeded
+        location = base.succeeded and scenario_location_spoof(base).succeeded
         rows[name] = {
             "usim_context": s1.succeeded,
             "baseband_context": s2.succeeded,

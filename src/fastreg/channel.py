@@ -145,14 +145,6 @@ def encode_ies(guti: str, ngksi: int, ul_count: int) -> bytes:
     return len(g).to_bytes(2, "big") + g + bytes([ngksi]) + ul_count.to_bytes(4, "big")
 
 
-def decode_ies(blob: bytes) -> tuple[str, int, int]:
-    glen = int.from_bytes(blob[:2], "big")
-    guti = blob[2 : 2 + glen].decode("ascii")
-    ngksi = blob[2 + glen]
-    ul_count = int.from_bytes(blob[3 + glen : 7 + glen], "big")
-    return guti, ngksi, ul_count
-
-
 def encode_accept_payload(guti: str, dl_count: int) -> bytes:
     g = guti.encode("ascii")
     return len(g).to_bytes(2, "big") + g + dl_count.to_bytes(4, "big")

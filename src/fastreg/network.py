@@ -14,6 +14,8 @@ constant-time lookup that relies on GUTI uniqueness (one row per GUTI).
 The model's Deregistration carries no NAS MAC, so any live alias sniffed
 off the air, however old, ends that subscriber's session.  A pending AKA
 belongs to the (sender, flow) that started it; others' frames are strays.
+A subscriber has at most one pending AKA: a new challenge replaces the
+older one, and a late answer to that older one is a stray.
 """
 
 from __future__ import annotations
@@ -215,6 +217,8 @@ class Amf:
         sub = self.subscribers[supi]
         sub.seq += 1
         vector = crypto.gen_auth_vector(sub.k_permanent, sub.seq)
+        # One pending AKA per subscriber: a new challenge replaces the old.
+        self.pending = {k: p for k, p in self.pending.items() if p.supi != supi}
         self.pending[envelope.src, envelope.flow] = _PendingAka(supi=supi, vector=vector, caps=caps, stage="res")
         self._emit("aka_started", supi=supi)
         self._reply(envelope, AuthRequest(vector.rand, vector.autn))

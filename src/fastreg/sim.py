@@ -52,9 +52,6 @@ class SimEnv:
         self.channel.register(name, me.handle)
         return me
 
-    def set_custody(self, name: str, who: str | None) -> None:
-        self.custody[name] = who
-
     def custody_of(self, who: str) -> list[str]:
         return [name for name, holder in self.custody.items() if holder == who]
 

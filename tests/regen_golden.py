@@ -21,22 +21,16 @@ import hashlib
 import sys
 from pathlib import Path
 
-from fastreg.attacks import (
-    PROFILE_ORDER,
-    S1_VARIANTS,
-    S2_VARIANTS,
-    PrerequisiteFailed,
-    run_scenario,
-)
+from fastreg.attacks import PROFILE_ORDER, SCENARIOS, PrerequisiteFailed, run_scenario
 from fastreg.profiles import countermeasures_from_pairs
 
 CORPUS = Path(__file__).resolve().parent / "golden_digests.txt"
 
-ATTACKS = (
-    [("S1", v) for v in S1_VARIANTS]
-    + [("S2", v) for v in S2_VARIANTS]
-    + [("one-tap-bypass", "default"), ("location-spoofing", "default")]
-)
+# Every row of the scenario table, then the two downstream effects.
+ATTACKS = [(attack, variant) for attack, rows in SCENARIOS.items() for variant in rows] + [
+    ("one-tap-bypass", "default"),
+    ("location-spoofing", "default"),
+]
 
 TOGGLES = (
     "usim_hardening",

@@ -22,9 +22,7 @@ from fastreg.attacks import (
     fast_agreement_pairs,
     run_scenario,
     run_table_matrix,
-    scenario_baseband_impersonation,
     scenario_one_tap_bypass,
-    scenario_usim_impersonation,
 )
 from fastreg.channel import RegistrationRequestFast
 from fastreg.crypto import KEY_LEN, Key, KeyKind
@@ -109,10 +107,10 @@ def _check_attack_trace(report, attacker_name):
 
 
 def test_criterion_2_fast_path_trace_shape():
-    s1 = scenario_usim_impersonation("OP-I", seed=2)
+    s1 = run_scenario("S1", "OP-I", seed=2)
     assert s1.succeeded
     _check_attack_trace(s1, "attacker-me")
-    s2 = scenario_baseband_impersonation("OP-I", seed=2)
+    s2 = run_scenario("S2", "OP-I", seed=2)
     assert s2.succeeded
     _check_attack_trace(s2, "shared-me")
     verdict(2, "fast-path trace shape")
@@ -123,8 +121,8 @@ def test_criterion_2_fast_path_trace_shape():
 
 def test_criterion_3_agreement_witness():
     for report in (
-        scenario_usim_impersonation("OP-I", seed=3),
-        scenario_baseband_impersonation("OP-I", seed=3),
+        run_scenario("S1", "OP-I", seed=3),
+        run_scenario("S2", "OP-I", seed=3),
     ):
         assert report.succeeded
         assert report.evidence["agreement_violated"] == "true"
@@ -144,7 +142,7 @@ def test_criterion_3_agreement_witness():
     # check is not vacuous: the fast path still runs and still pairs up.
     env = build_environment("OP-I", seed=12, cm=ALL_PROTECTIVE)
     me = env.mes["victim-me"]
-    me.insert_card(env.victim_card)
+    me.insert_card(env.cards["victim"])
     me.power_on()
     assert me.register("4G").accepted
     for _ in range(3):
@@ -347,26 +345,26 @@ def test_criterion_6_card_access_rules():
 
 def test_criterion_7_countermeasure_coverage():
     # Baselines first, so a blocked attack is attributable to the toggle.
-    assert scenario_usim_impersonation("OP-I", seed=21).succeeded
-    assert scenario_baseband_impersonation("OP-I", seed=21).succeeded
+    assert run_scenario("S1", "OP-I", seed=21).succeeded
+    assert run_scenario("S2", "OP-I", seed=21).succeeded
 
     singles = [
-        (Countermeasures(usim_hardening=True), scenario_usim_impersonation),
-        (Countermeasures(nondefault_pin=True), scenario_usim_impersonation),
-        (Countermeasures(iccid_binding=True), scenario_baseband_impersonation),
-        (Countermeasures(usim_5g_context=True), scenario_baseband_impersonation),
-        (Countermeasures(offline_swap_detection=True), scenario_baseband_impersonation),
-        (Countermeasures(supi_concealment=True), scenario_baseband_impersonation),
-        (Countermeasures(fast_registration=False), scenario_usim_impersonation),
-        (Countermeasures(fast_registration=False), scenario_baseband_impersonation),
+        (Countermeasures(usim_hardening=True), "S1"),
+        (Countermeasures(nondefault_pin=True), "S1"),
+        (Countermeasures(iccid_binding=True), "S2"),
+        (Countermeasures(usim_5g_context=True), "S2"),
+        (Countermeasures(offline_swap_detection=True), "S2"),
+        (Countermeasures(supi_concealment=True), "S2"),
+        (Countermeasures(fast_registration=False), "S1"),
+        (Countermeasures(fast_registration=False), "S2"),
     ]
-    for cm, scenario in singles:
-        report = scenario("OP-I", seed=21, cm=cm)
+    for cm, attack in singles:
+        report = run_scenario(attack, "OP-I", seed=21, cm=cm)
         assert not report.succeeded, (cm, report.evidence)
 
     # Periodic reauthentication bounds the stolen context's lifetime.
     cm = Countermeasures(periodic_aka=True)
-    report = scenario_baseband_impersonation("OP-I", seed=22, cm=cm)
+    report = run_scenario("S2", "OP-I", seed=22, cm=cm)
     assert report.succeeded  # theft inside the window still lands
     env = report.env
     env.channel.tick(25)
@@ -376,8 +374,8 @@ def test_criterion_7_countermeasure_coverage():
 
     # The combined protective set closes every scenario on every profile.
     for profile in ("OP-I", "OP-II", "OP-III"):
-        s1 = scenario_usim_impersonation(profile, seed=23, cm=ALL_PROTECTIVE)
-        s2 = scenario_baseband_impersonation(profile, seed=23, cm=ALL_PROTECTIVE)
+        s1 = run_scenario("S1", profile, seed=23, cm=ALL_PROTECTIVE)
+        s2 = run_scenario("S2", profile, seed=23, cm=ALL_PROTECTIVE)
         assert not s1.succeeded and not s2.succeeded
         with pytest.raises(PrerequisiteFailed):
             scenario_one_tap_bypass(s2)

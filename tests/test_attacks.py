@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import fields
+
 import pytest
 
 from fastreg.attacks import (
     ATTACKER_BS,
+    PROFILE_ORDER,
+    SCENARIOS,
     VICTIM_BS,
     VICTIM_SUPI,
     AccessDenied,
@@ -18,11 +23,9 @@ from fastreg.attacks import (
     matrix_lines,
     run_scenario,
     run_table_matrix,
-    scenario_baseband_impersonation,
     scenario_one_tap_bypass,
-    scenario_usim_impersonation,
 )
-from fastreg.profiles import ALL_PROTECTIVE, Countermeasures
+from fastreg.profiles import ALL_PROTECTIVE, Countermeasures, countermeasures_from_pairs
 
 EXPECTED_MATRIX = {
     "OP-I": {
@@ -54,7 +57,7 @@ EXPECTED_MATRIX = {
 
 def test_s1_succeeds_where_cards_are_not_hardened():
     for profile in ("OP-I", "OP-III"):
-        report = scenario_usim_impersonation(profile, seed=3)
+        report = run_scenario("S1", profile, seed=3)
         assert report.succeeded, report.evidence
         assert report.evidence["accepted_without_aka"] == "true"
         assert report.evidence["agreement_violated"] == "true"
@@ -65,7 +68,7 @@ def test_s1_succeeds_where_cards_are_not_hardened():
 
 
 def test_s1_blocked_by_hardened_card_files():
-    report = scenario_usim_impersonation("OP-II", seed=3)
+    report = run_scenario("S1", "OP-II", seed=3)
     assert not report.succeeded
     assert report.evidence["extraction"].startswith("denied: read 6FE4")
     # The victim keeps the card; nothing about the attempt bricked it.
@@ -74,14 +77,14 @@ def test_s1_blocked_by_hardened_card_files():
 
 def test_s2_succeeds_on_every_builtin_profile():
     for profile in ("OP-I", "OP-II", "OP-III"):
-        report = scenario_baseband_impersonation(profile, seed=4)
+        report = run_scenario("S2", profile, seed=4)
         assert report.succeeded, (profile, report.evidence)
         assert report.evidence["baseband_entry_after_swap"] == "true"
         assert report.evidence["accepted_without_aka"] == "true"
 
 
 def test_agreement_violation_names_only_attacker_handsets():
-    report = scenario_baseband_impersonation("OP-I", seed=5)
+    report = run_scenario("S2", "OP-I", seed=5)
     assert report.succeeded
     emitters = report.evidence["ue_init_emitters"].split(",")
     victim_names = report.env.custody_of("victim")
@@ -89,7 +92,7 @@ def test_agreement_violation_names_only_attacker_handsets():
 
 
 def test_victim_is_silent_inside_the_attack_window():
-    report = scenario_baseband_impersonation("OP-I", seed=6)
+    report = run_scenario("S2", "OP-I", seed=6)
     assert report.succeeded
     lo, hi = report.window
     victim_names = set(report.env.custody_of("victim"))
@@ -103,7 +106,7 @@ def test_victim_is_silent_inside_the_attack_window():
 def test_honest_traffic_pairs_every_verify_with_the_victim():
     env = build_environment("OP-I", seed=12, cm=ALL_PROTECTIVE)
     me = env.mes["victim-me"]
-    me.insert_card(env.victim_card)
+    me.insert_card(env.cards["victim"])
     me.power_on()
     assert me.register("4G").accepted
     for _ in range(3):
@@ -121,36 +124,32 @@ def test_honest_traffic_pairs_every_verify_with_the_victim():
 
 
 def test_card_hardening_alone_stops_s1():
-    report = scenario_usim_impersonation(
-        "OP-I", seed=7, cm=Countermeasures(usim_hardening=True)
-    )
+    report = run_scenario("S1", "OP-I", seed=7, cm=Countermeasures(usim_hardening=True))
     assert not report.succeeded
     assert report.evidence["extraction"].startswith("denied:")
 
 
 def test_nondefault_pin_alone_stops_s1():
-    report = scenario_usim_impersonation(
-        "OP-I", seed=7, cm=Countermeasures(nondefault_pin=True)
-    )
+    report = run_scenario("S1", "OP-I", seed=7, cm=Countermeasures(nondefault_pin=True))
     assert not report.succeeded
     assert report.evidence["extraction"].startswith("denied: PIN gate")
-    card = report.env.victim_card
+    card = report.env.cards["victim"]
     assert card.pin.retries_left == 2  # one burned guess, card still usable
     assert not card.pin.locked
 
 
 def test_card_reader_tries_only_the_public_default_pin_once():
     env = build_environment("OP-I", seed=7, cm=Countermeasures(nondefault_pin=True))
-    pin = env.victim_card.pin
+    pin = env.cards["victim"].pin
     with pytest.raises(AccessDenied, match="^PIN gate: SECURITY_NOT_SATISFIED$"):
-        card_reader_extract(env.victim_card)
+        card_reader_extract(env.cards["victim"])
     assert pin.retries_left == pin.retry_limit - 1
 
 
 def test_disabling_fast_registration_stops_both():
     cm = Countermeasures(fast_registration=False)
-    s1 = scenario_usim_impersonation("OP-I", seed=8, cm=cm)
-    s2 = scenario_baseband_impersonation("OP-I", seed=8, cm=cm)
+    s1 = run_scenario("S1", "OP-I", seed=8, cm=cm)
+    s2 = run_scenario("S2", "OP-I", seed=8, cm=cm)
     for report in (s1, s2):
         assert not report.succeeded
         assert report.evidence["accepted_without_aka"] == "false"
@@ -160,9 +159,7 @@ def test_disabling_fast_registration_stops_both():
 
 
 def test_iccid_binding_stops_the_card_swap():
-    report = scenario_baseband_impersonation(
-        "OP-I", seed=9, cm=Countermeasures(iccid_binding=True)
-    )
+    report = run_scenario("S2", "OP-I", seed=9, cm=Countermeasures(iccid_binding=True))
     assert not report.succeeded
     assert report.evidence["baseband_entry_after_swap"] == "false"
     assert report.evidence["attacker_registration"].startswith(
@@ -171,33 +168,27 @@ def test_iccid_binding_stops_the_card_swap():
 
 
 def test_card_resident_5g_context_stops_the_swap():
-    report = scenario_baseband_impersonation(
-        "OP-I", seed=9, cm=Countermeasures(usim_5g_context=True)
-    )
+    report = run_scenario("S2", "OP-I", seed=9, cm=Countermeasures(usim_5g_context=True))
     assert not report.succeeded
     # Context rode along on the removed card, so the handset holds nothing.
     assert report.evidence["baseband_entry_after_swap"] == "false"
 
 
 def test_offline_swap_detection_stops_the_swap():
-    report = scenario_baseband_impersonation(
-        "OP-I", seed=9, cm=Countermeasures(offline_swap_detection=True)
-    )
+    report = run_scenario("S2", "OP-I", seed=9, cm=Countermeasures(offline_swap_detection=True))
     assert not report.succeeded
     assert report.evidence["baseband_entry_after_swap"] == "false"
 
 
 def test_identity_concealment_starves_the_fake_card_builder():
-    report = scenario_baseband_impersonation(
-        "OP-I", seed=9, cm=Countermeasures(supi_concealment=True)
-    )
+    report = run_scenario("S2", "OP-I", seed=9, cm=Countermeasures(supi_concealment=True))
     assert not report.succeeded
     assert report.evidence["identity"].startswith("never seen in clear")
 
 
 def test_periodic_aka_bounds_the_stolen_context_lifetime():
     cm = Countermeasures(periodic_aka=True)
-    report = scenario_baseband_impersonation("OP-I", seed=10, cm=cm)
+    report = run_scenario("S2", "OP-I", seed=10, cm=cm)
     assert report.succeeded  # inside the window the theft still works
     env = report.env
     env.channel.tick(25)
@@ -210,19 +201,39 @@ def test_periodic_aka_bounds_the_stolen_context_lifetime():
 def test_protective_set_defeats_every_scenario():
     cm = ALL_PROTECTIVE
     for profile in ("OP-I", "OP-II", "OP-III"):
-        s1 = scenario_usim_impersonation(profile, seed=11, cm=cm)
-        s2 = scenario_baseband_impersonation(profile, seed=11, cm=cm)
+        s1 = run_scenario("S1", profile, seed=11, cm=cm)
+        s2 = run_scenario("S2", profile, seed=11, cm=cm)
         assert not s1.succeeded and not s2.succeeded
         for base in (s1, s2):
             with pytest.raises(PrerequisiteFailed):
                 scenario_one_tap_bypass(base)
 
 
+def test_no_single_protective_toggle_turns_a_failure_into_a_success():
+    # Protective means on, except for fast registration, which protects off.
+    toggles = [f.name for f in fields(Countermeasures)]
+    protective = [("on", "off") if t != "fast_registration" else ("off", "on") for t in toggles]
+    sets = list(itertools.product((True, False), repeat=len(toggles)))
+    violations = []
+    for profile in PROFILE_ORDER:
+        for attack in ("S1", "S2"):
+            won = {}
+            for guarded in sets:
+                pairs = {t: p[0] if g else p[1] for t, p, g in zip(toggles, protective, guarded)}
+                won[guarded] = run_scenario(attack, profile, 24, countermeasures_from_pairs(pairs)).succeeded
+            assert any(won.values()) and not all(won.values())  # not vacuous
+            for guarded, i in itertools.product(sets, range(len(toggles))):
+                stricter = guarded[:i] + (True,) + guarded[i + 1 :]
+                if not won[guarded] and won[stricter]:
+                    violations.append((profile, attack, guarded, toggles[i]))
+    assert not violations
+
+
 # --- variants --------------------------------------------------------------
 
 
 def test_stale_copy_fails_on_the_count_rule():
-    report = scenario_usim_impersonation("OP-I", seed=13, variant="stale")
+    report = run_scenario("S1", "OP-I", seed=13, variant="stale")
     assert not report.succeeded
     assert report.evidence["attacker_registration"].startswith("reject:")
     reasons = [e.fields["reason"] for e in report.env.events.named("fast_fallback")]
@@ -230,27 +241,27 @@ def test_stale_copy_fails_on_the_count_rule():
 
 
 def test_stale_copy_recovers_by_sniffing_the_air():
-    report = scenario_usim_impersonation("OP-I", seed=13, variant="stale-recover")
+    report = run_scenario("S1", "OP-I", seed=13, variant="stale-recover")
     assert report.succeeded, report.evidence
     assert "sniffed_air" in report.evidence
     assert report.evidence["sniffed_air"].startswith("guti-")
 
 
 def test_powered_on_swap_trips_the_deletion_rule():
-    report = scenario_baseband_impersonation("OP-I", seed=14, variant="swap-powered-on")
+    report = run_scenario("S2", "OP-I", seed=14, variant="swap-powered-on")
     assert not report.succeeded
     assert report.evidence["baseband_entry_after_swap"] == "false"
 
 
 def test_reconnect_views_after_s1():
-    report = scenario_usim_impersonation("OP-I", seed=15, variant="reconnect")
+    report = run_scenario("S1", "OP-I", seed=15, variant="reconnect")
     assert report.succeeded
     assert report.evidence["victim_reconnect"].startswith("accept")
     assert report.evidence["attacker_retry_after_reconnect"].startswith("reject:")
 
 
 def test_reconnect_views_after_s2():
-    report = scenario_baseband_impersonation("OP-I", seed=15, variant="reconnect")
+    report = run_scenario("S2", "OP-I", seed=15, variant="reconnect")
     assert report.succeeded
     assert report.evidence["victim_reconnect"].startswith("accept")
     assert report.evidence["attacker_retry_after_reconnect"].startswith("reject:")
@@ -260,12 +271,18 @@ def test_unknown_scenarios_and_variants_are_rejected():
     with pytest.raises(UnknownScenario):
         run_scenario("S3")
     with pytest.raises(UnknownScenario):
-        scenario_usim_impersonation("OP-I", variant="nope")
+        run_scenario("S1", "OP-I", variant="nope")
     with pytest.raises(UnknownScenario):
-        scenario_baseband_impersonation("OP-I", variant="stale")
+        run_scenario("S2", "OP-I", variant="stale")
     for downstream in ("one-tap-bypass", "location-spoofing"):
         with pytest.raises(UnknownScenario):
             run_scenario(downstream, variant="reconnect")
+
+
+def test_a_row_with_an_unknown_step_is_rejected(monkeypatch):
+    monkeypatch.setitem(SCENARIOS["S1"], "teleport", ((("teleport", "victim-me"),), ()))
+    with pytest.raises(UnknownScenario, match="teleport"):
+        run_scenario("S1", "OP-I", variant="teleport")
 
 
 # --- downstream consequences -----------------------------------------------
@@ -286,9 +303,7 @@ def test_network_pages_the_wrong_base_station():
 
 
 def test_downstream_scenarios_refuse_a_failed_base():
-    base = scenario_baseband_impersonation(
-        "OP-I", seed=17, cm=Countermeasures(iccid_binding=True)
-    )
+    base = run_scenario("S2", "OP-I", seed=17, cm=Countermeasures(iccid_binding=True))
     with pytest.raises(PrerequisiteFailed):
         scenario_one_tap_bypass(base)
 
@@ -309,17 +324,17 @@ def test_matrix_lines_are_plain_and_aligned():
 
 
 def test_reports_and_traces_are_reproducible():
-    a = scenario_baseband_impersonation("OP-I", seed=18)
-    b = scenario_baseband_impersonation("OP-I", seed=18)
+    a = run_scenario("S2", "OP-I", seed=18)
+    b = run_scenario("S2", "OP-I", seed=18)
     assert a.to_lines() == b.to_lines()
     assert a.env.trace_lines() == b.env.trace_lines()
     assert a.env.event_lines() == b.env.event_lines()
-    c = scenario_baseband_impersonation("OP-I", seed=19)
+    c = run_scenario("S2", "OP-I", seed=19)
     assert c.env.trace_lines() != a.env.trace_lines()
 
 
 def test_report_lines_carry_the_header_fields():
-    report = scenario_usim_impersonation("OP-I", seed=20)
+    report = run_scenario("S1", "OP-I", seed=20)
     lines = report.to_lines()
     assert lines[0] == "scenario S1"
     assert lines[1] == "profile OP-I"
@@ -331,10 +346,10 @@ def test_report_lines_carry_the_header_fields():
 
 
 def test_no_victim_key_material_reaches_the_air():
-    report = scenario_baseband_impersonation("OP-I", seed=21)
+    report = run_scenario("S2", "OP-I", seed=21)
     assert report.succeeded
     env = report.env
-    card = env.victim_card
+    card = env.cards["victim"]
     secrets = {card.k_permanent.octets.hex()}
     for entry in env.amf.table.values():
         if entry.supi == VICTIM_SUPI:

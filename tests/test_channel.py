@@ -15,9 +15,7 @@ from fastreg.channel import (
     RegistrationRequestFast,
     UnknownEndpoint,
     decode_accept_payload,
-    decode_ies,
     encode_accept_payload,
-    encode_ies,
 )
 
 
@@ -126,15 +124,6 @@ def test_msg_type_map_is_total():
     assert len(classes) == 11
     names = [cls.mtype for cls in classes]
     assert all(names) and len(set(names)) == len(names)
-
-
-def test_ies_codec_round_trip():
-    rng = random.Random(21)
-    for _ in range(200):
-        guti = "guti-%06x" % rng.getrandbits(24)
-        ngksi = rng.randrange(7)
-        count = rng.randrange(2**32)
-        assert decode_ies(encode_ies(guti, ngksi, count)) == (guti, ngksi, count)
 
 
 def test_accept_payload_codec_round_trip():

@@ -379,6 +379,29 @@ def test_pending_aka_is_bound_to_its_sender():
     assert env.amf.sessions[SUPI].state == "Registered"
 
 
+def test_replayed_fast_requests_leave_one_pending_aka():
+    env, me, card, _ = fast_ready()
+    challenges = []
+    for _ in range(50):
+        assert me.register("5G").accepted
+        captured = [t for t in env.monitor.entries if isinstance(t.msg, RegistrationRequestFast)][-1]
+        env.channel.inject(captured)
+        env.pump()
+        challenges.append(env.monitor.entries[-1])
+        me.set_airplane(True)
+        me.set_airplane(False)
+    assert fallback_reasons(env).count("count") == 50
+    # Each challenge replaced the one before: one pending AKA, the newest.
+    assert list(env.amf.pending) == [("ue", challenges[-1].flow)]
+    # A late answer to the oldest challenge is a stray, not an AKA step.
+    first = challenges[0]
+    res = card.run_aka(first.msg.rand, first.msg.autn).res
+    env.channel.send("ue", "amf", me.bs, first.flow, AuthResponse(res))
+    env.pump()
+    assert env.events.named("stray_message")[-1].fields == {"mtype": "authentication-response"}
+    assert env.amf.sessions[SUPI].via == "fast"
+
+
 def test_run_aka_network_refuses_a_wrong_key_card():
     env = SimEnv(get_profile("OP-I"), 9)
     record, card = env.provision_subscriber(SUPI)
