@@ -55,7 +55,7 @@ class AccessDenied(Exception):
 
 
 class PrerequisiteFailed(Exception):
-    """A downstream scenario was asked to build on a failed base attack."""
+    """A step ran before its input, or a downstream scenario built on a failed base attack."""
 
 
 class UnknownScenario(Exception):
@@ -221,6 +221,11 @@ def _evaluate_impersonation(report: AttackReport, env: ScenarioEnv, outcome) -> 
 # --- scenarios as rows of steps ----------------------------------------
 
 
+def _require(step: tuple[str, ...], have, what: str) -> None:
+    if not have:
+        raise PrerequisiteFailed("step %r needs %s from an earlier step" % (" ".join(step), what))
+
+
 def _step(report: AttackReport, step: tuple[str, ...]) -> bool:
     """Run one step of a row on the report's env; False ends the row."""
     env = report.env
@@ -257,6 +262,7 @@ def _step(report: AttackReport, step: tuple[str, ...]) -> bool:
             env.mes[me].insert_card(card)
             return bool(env.files)
         case ("copy-card",):
+            _require(step, env.files, "an extracted card")
             env.cards["fake"] = programmable_card(env.rng, env.files[EF_IMSI].decode("ascii"), env.files)
         case ("learn-supi",):
             # The first permanent identity seen in clear on the air.
@@ -266,12 +272,15 @@ def _step(report: AttackReport, step: tuple[str, ...]) -> bool:
             report.note("identity", env.supi or "never seen in clear; cannot build the fake card")
             return env.supi is not None
         case ("clone-identity",):
+            _require(step, env.supi, "a learned SUPI")
             env.cards["fake"] = programmable_card(env.rng, env.supi, {EF_IMSI: env.supi.encode("ascii")})
         case ("if-rejected",):
+            _require(step, env.outcome, "an attack")
             return not env.outcome.accepted
         case ("resync", me):
             # Rewrite the fake card to the GUTI and count the handset last
             # sent in clear; the next request then runs one count ahead.
+            _require(step, env.files and "fake" in env.cards, "an extracted card and a fake card")
             guti, count = env.monitor.sniff_latest_guti(me)
             report.note("sniffed_air", "%s count=%d" % (guti, count))
             ctx = SecurityContext.from_bytes(env.files[EF_EPSNSC])

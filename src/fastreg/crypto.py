@@ -6,10 +6,16 @@ encryption in SIV style, NAS message authentication, and the
 challenge/response vectors used by the AKA exchange.  These are stand-ins
 for MILENAGE/SNOW/AES; the registration and attack logic depends only on
 key possession and key separation, never on the concrete algorithms.
+
+`prf` is HMAC-SHA-256 computed per RFC 2104 over `hashlib`: the SHA-256
+states after the K xor ipad and K xor opad blocks are computed once per key
+and kept in a bounded memo of the 64 most recent keys, so a key reused
+across a session (the NAS keys of a stored context) skips that setup.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
@@ -81,9 +87,28 @@ class AkaResult:
     ik: Key
 
 
+_BLOCK = 64  # SHA-256 input block size, B in RFC 2104
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+@functools.lru_cache(maxsize=64)
+def _hmac_pads(key: bytes) -> tuple[hashlib._Hash, hashlib._Hash]:
+    """SHA-256 states that have absorbed K xor ipad and K xor opad; callers copy, never update."""
+    if len(key) > _BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\x00")
+    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
+
+
 def prf(key: bytes, data: bytes) -> bytes:
     """The single keyed PRF everything else is built from."""
-    return hmac.new(key, data, hashlib.sha256).digest()[:KEY_LEN]
+    inner_pad, outer_pad = _hmac_pads(key)
+    inner = inner_pad.copy()
+    inner.update(data)
+    outer = outer_pad.copy()
+    outer.update(inner.digest())
+    return outer.digest()[:KEY_LEN]
 
 
 # Admissible (parent kind, label) -> child kind.  Any other pair is a
@@ -129,8 +154,9 @@ def nas_keys(k_amf: Key) -> tuple[Key, Key]:
 
 
 def _keystream(key: bytes, siv: bytes, length: int) -> bytes:
+    prefix = b"KS" + siv
     blocks = range(-(-length // KEY_LEN))
-    return b"".join(prf(key, b"KS" + siv + n.to_bytes(4, "big")) for n in blocks)[:length]
+    return b"".join([prf(key, prefix + n.to_bytes(4, "big")) for n in blocks])[:length]
 
 
 def _xor(a: bytes, b: bytes) -> bytes:

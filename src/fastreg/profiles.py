@@ -68,20 +68,18 @@ class Countermeasures:
     offline_swap_detection: bool = False
 
     def apply(self, profile: OperatorProfile) -> OperatorProfile:
-        out = profile
-        if self.usim_hardening is not None:
-            out = replace(out, usim_hardened=self.usim_hardening)
-        if self.fast_registration is not None:
-            out = replace(out, fast_registration_enabled=self.fast_registration)
-        if self.supi_concealment is not None:
-            out = replace(out, supi_concealment=self.supi_concealment)
-        if self.usim_5g_context is not None:
-            out = replace(out, usim_supports_5g_context=self.usim_5g_context)
+        overrides = (
+            ("usim_hardened", self.usim_hardening),
+            ("fast_registration_enabled", self.fast_registration),
+            ("supi_concealment", self.supi_concealment),
+            ("usim_supports_5g_context", self.usim_5g_context),
+        )
+        changes = {name: value for name, value in overrides if value is not None}
         if self.periodic_aka:
-            out = replace(out, periodic_aka_interval=DEFAULT_PERIODIC_AKA_INTERVAL)
+            changes["periodic_aka_interval"] = DEFAULT_PERIODIC_AKA_INTERVAL
         if self.nondefault_pin:
-            out = replace(out, default_pin=NONDEFAULT_PIN, pin_enabled_by_default=True)
-        return out
+            changes.update(default_pin=NONDEFAULT_PIN, pin_enabled_by_default=True)
+        return replace(profile, **changes) if changes else profile
 
 
 def countermeasures_from_pairs(pairs: dict[str, str]) -> Countermeasures:

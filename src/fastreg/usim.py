@@ -228,19 +228,26 @@ def verify_pin(card: CardImage, session: CardSession, candidate: str) -> ApduRes
     return ApduResponse(ApduStatus.SECURITY_NOT_SATISFIED)
 
 
-def apdu_execute(card: CardImage, session: CardSession, apdu: Apdu) -> ApduResponse:
-    """Single dispatch point for file commands; all access checks happen here."""
-    entry = card.files.get(apdu.file_id)
+def _refusal(card: CardImage, session: CardSession, cmd: ApduCommand, file_id: int) -> ApduStatus | None:
+    """The status that refuses cmd on file_id in this session, or None if it may run."""
+    entry = card.files.get(file_id)
     if entry is None:
-        return ApduResponse(ApduStatus.FILE_NOT_FOUND)
-    rule, body = entry
-    reading = apdu.cmd is ApduCommand.READ
-    level = rule.read if reading else rule.update
-    if not _access_granted(card, session, level):
-        if card.pin.locked and level is AccessLevel.PIN:
-            return ApduResponse(ApduStatus.PIN_BLOCKED)
-        return ApduResponse(ApduStatus.SECURITY_NOT_SATISFIED)
-    if reading:
+        return ApduStatus.FILE_NOT_FOUND
+    level = entry[0].read if cmd is ApduCommand.READ else entry[0].update
+    if _access_granted(card, session, level):
+        return None
+    if card.pin.locked and level is AccessLevel.PIN:
+        return ApduStatus.PIN_BLOCKED
+    return ApduStatus.SECURITY_NOT_SATISFIED
+
+
+def apdu_execute(card: CardImage, session: CardSession, apdu: Apdu) -> ApduResponse:
+    """Single dispatch point for file commands; `_refusal` decides every access."""
+    refused = _refusal(card, session, apdu.cmd, apdu.file_id)
+    if refused is not None:
+        return ApduResponse(refused)
+    rule, body = card.files[apdu.file_id]
+    if apdu.cmd is ApduCommand.READ:
         return ApduResponse(ApduStatus.OK, body)
     card.files[apdu.file_id] = (rule, bytes(apdu.payload))
     return ApduResponse(ApduStatus.OK)
@@ -249,11 +256,20 @@ def apdu_execute(card: CardImage, session: CardSession, apdu: Apdu) -> ApduRespo
 def store_context_files(
     card: CardImage, session: CardSession, loci: bytes, nsc: bytes, generation: str
 ) -> ApduStatus:
-    """Write (loci, nsc) with UPDATEs; OK, or the first refused or missing file's status."""
-    status = apdu_execute(card, session, Apdu(ApduCommand.UPDATE, LOCI_FILES[generation], loci)).status
-    if status is ApduStatus.OK:
-        status = apdu_execute(card, session, Apdu(ApduCommand.UPDATE, NSC_FILES[generation], nsc)).status
-    return status
+    """Write (loci, nsc) with UPDATEs, or neither.
+
+    Both files' update conditions are checked before either is written, so
+    a refused NSC never leaves a new GUTI beside the old context.  Returns
+    OK, or the first refused or missing file's status.
+    """
+    writes = ((LOCI_FILES[generation], loci), (NSC_FILES[generation], nsc))
+    for file_id, _ in writes:
+        refused = _refusal(card, session, ApduCommand.UPDATE, file_id)
+        if refused is not None:
+            return refused
+    for file_id, body in writes:
+        apdu_execute(card, session, Apdu(ApduCommand.UPDATE, file_id, body))
+    return ApduStatus.OK
 
 
 def load_context_files(card: CardImage, session: CardSession, generation: str) -> tuple[bytes, bytes]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import fields
 
 import pytest
@@ -283,6 +284,21 @@ def test_a_row_with_an_unknown_step_is_rejected(monkeypatch):
     monkeypatch.setitem(SCENARIOS["S1"], "teleport", ((("teleport", "victim-me"),), ()))
     with pytest.raises(UnknownScenario, match="teleport"):
         run_scenario("S1", "OP-I", variant="teleport")
+
+
+@pytest.mark.parametrize(
+    "step, lacks",
+    [
+        (("clone-identity",), "a learned SUPI"),
+        (("copy-card",), "an extracted card"),
+        (("if-rejected",), "an attack"),
+        (("resync", "victim-me"), "an extracted card and a fake card"),
+    ],
+)
+def test_a_step_run_before_its_input_is_rejected(monkeypatch, step, lacks):
+    monkeypatch.setitem(SCENARIOS["S1"], "early", ((step,), ()))
+    with pytest.raises(PrerequisiteFailed, match=re.escape("step %r needs %s" % (" ".join(step), lacks))):
+        run_scenario("S1", "OP-I", variant="early")
 
 
 # --- downstream consequences -----------------------------------------------

@@ -70,8 +70,12 @@ VEC_SENC = "6facb7b13843643cf0191bd4960a4a4eee79dcd0281d9272bd041807"
 
 def test_prf_matches_scratch_oracle():
     rng = random.Random(1)
-    for _ in range(200):
-        key = rng.randbytes(16)
+    # A pool of 100 keys drawn with repeats: each key recurs, often after
+    # more than 64 other keys, so per-key state is reused and rebuilt.
+    pool = [rng.randbytes(16) for _ in range(100)]
+    pool += [rng.randbytes(n) for n in (0, 1, 63, 64, 65, 200)]
+    for i in range(2000):
+        key = pool[i % len(pool)] if i % 3 else rng.choice(pool)
         data = rng.randbytes(rng.randrange(0, 64))
         assert prf(key, data) == scratch_prf(key, data)
 

@@ -394,9 +394,10 @@ def test_unreadable_card_context_is_not_used():
 def test_refused_context_store_is_logged_and_leaves_nsc_unchanged():
     env, me, card, _ = provisioned()
     card.files[EF_EPSNSC][0].update = AccessLevel.NEV
-    before = card.files[EF_EPSNSC][1]
+    before = card.files[EF_EPSLOCI][1], card.files[EF_EPSNSC][1]
     bring_up(me, card, "4G")
-    assert card.files[EF_EPSNSC][1] == before
+    # Neither file is written: no new GUTI beside the old context.
+    assert (card.files[EF_EPSLOCI][1], card.files[EF_EPSNSC][1]) == before
     refused = env.events.named("context_store_refused")
     assert [e.fields["status"] for e in refused] == ["SECURITY_NOT_SATISFIED"]
     assert not env.events.named("context_stored")

@@ -232,7 +232,8 @@ def test_context_io_obeys_the_access_conditions():
     rule.update = AccessLevel.NEV
     status = store_context_files(card, session, b"guti-2", b"\x03", "4G")
     assert status is ApduStatus.SECURITY_NOT_SATISFIED
-    assert load_context_files(card, session, "4G") == (b"guti-2", b"\x01\x02")
+    # A refused NSC update leaves LOCI unwritten too.
+    assert load_context_files(card, session, "4G") == (b"guti-1", b"\x01\x02")
 
 
 def test_5g_context_requires_capable_card():
