@@ -112,8 +112,7 @@ class ScenarioEnv(SimEnv):
 
 def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: Countermeasures | None = None) -> ScenarioEnv:
     """Victim subscriber and its two handsets at BS-A, attacker handset at BS-B."""
-    cm = cm or Countermeasures()
-    profile = cm.apply(get_profile(profile_name))
+    profile = (cm or Countermeasures()).apply(get_profile(profile_name))
     env = ScenarioEnv(profile, seed)
     env.cards = {"victim": env.provision_subscriber(VICTIM_SUPI)[1]}
     env.files, env.supi, env.outcome = {}, None, None
@@ -122,11 +121,11 @@ def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: Countermeas
             name,
             bs=VICTIM_BS,
             custody="victim",
-            user_pin=profile.default_pin,
-            iccid_binding=cm.iccid_binding,
-            detect_offline_swap=cm.offline_swap_detection,
+            user_pin=profile.pin,
+            iccid_binding=profile.iccid_binding,
+            offline_swap_detection=profile.offline_swap_detection,
         )
-    env.add_me("attacker-me", bs=ATTACKER_BS, custody="attacker", iccid_binding=cm.iccid_binding)
+    env.add_me("attacker-me", bs=ATTACKER_BS, custody="attacker", iccid_binding=profile.iccid_binding)
     return env
 
 

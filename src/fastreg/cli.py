@@ -9,13 +9,17 @@
     fastreg card load PATH [--out FILE]
     fastreg profiles list
 
-Identical arguments always produce byte-identical trace and report files.
+`profiles list` prints NAME toggle=on|off ..., in the names that
+`--countermeasure` takes.  An input error, such as a file that cannot be
+read or written, exits 2 with one `error:` line.  Identical arguments
+always produce byte-identical trace and report files.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .attacks import (
@@ -29,6 +33,7 @@ from .attacks import (
 from .config import ConfigError, ScenarioConfig, parse_config
 from .profiles import (
     BUILTIN_PROFILES,
+    OperatorProfile,
     UnknownCountermeasure,
     countermeasures_from_pairs,
     get_profile,
@@ -137,22 +142,18 @@ def _cmd_card_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_profiles(_: argparse.Namespace) -> int:
-    for name in BUILTIN_PROFILES:
-        p = BUILTIN_PROFILES[name]
-        print(
-            "%-7s usim_hardened=%-5s pin=%s(%s) fast_registration=%-3s "
-            "supi_concealment=%-3s usim_5g_context=%s"
-            % (
-                name,
-                "yes" if p.usim_hardened else "no",
-                p.default_pin,
-                "enabled" if p.pin_enabled_by_default else "disabled",
-                "on" if p.fast_registration_enabled else "off",
-                "on" if p.supi_concealment else "off",
-                "yes" if p.usim_supports_5g_context else "no",
-            )
-        )
+    toggles = [f.name for f in fields(OperatorProfile)][1:]
+    for p in BUILTIN_PROFILES.values():
+        pairs = ["%s=%s" % (t, "on" if getattr(p, t) else "off") for t in toggles]
+        print("%-6s %s" % (p.name, " ".join(pairs)))
     return 0
+
+
+def _imsi(value: str) -> str:
+    """argparse type for --supi: an IMSI, 1 to 15 ASCII digits."""
+    if not (1 <= len(value) <= 15 and value.isascii() and value.isdigit()):
+        raise argparse.ArgumentTypeError("wants 1-15 ASCII digits, got %r" % value)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     save_p.add_argument("path")
     save_p.add_argument("--profile", choices=tuple(BUILTIN_PROFILES), default="OP-I")
     save_p.add_argument("--seed", type=int, default=0)
-    save_p.add_argument("--supi", default="460110123456789")
+    save_p.add_argument("--supi", type=_imsi, default="460110123456789")
     save_p.set_defaults(fn=_cmd_card_save)
     load_p = card_sub.add_parser("load", help="parse a card image and print a summary")
     load_p.add_argument("path")
@@ -210,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CardFormatError, UnknownCountermeasure, UnknownScenario, FileNotFoundError) as err:
+    except (ConfigError, CardFormatError, UnknownCountermeasure, UnknownScenario, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

@@ -146,6 +146,9 @@ def derive_k_amf(ck: Key, ik: Key) -> tuple[Key, Key, Key]:
     return k_ausf, k_seaf, k_amf
 
 
+# Memoised on the frozen key: a context rebuilt from stored bytes (the 4G
+# handset re-reads its context from the card) reuses the pair.
+@functools.lru_cache(maxsize=64)
 def nas_keys(k_amf: Key) -> tuple[Key, Key]:
     """Derive the (encryption, integrity) NAS key pair from K_AMF."""
     if k_amf.kind is not KeyKind.K_AMF:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from . import crypto
 from .channel import (
@@ -98,7 +97,7 @@ class SecurityContext:
         if not (0 <= self.ul_count < COUNT_LIMIT and 0 <= self.dl_count < COUNT_LIMIT):
             raise ValueError("NAS count out of 32-bit range")
 
-    @cached_property  # k_amf is never reassigned, so the pair cannot go stale
+    @property  # crypto.nas_keys memoises the pair per K_AMF
     def nas_keys(self) -> tuple[Key, Key]:
         return crypto.nas_keys(self.k_amf)
 
@@ -184,15 +183,14 @@ class MobileEquipment:
         *,
         user_pin: str | None = None,
         iccid_binding: bool = False,
-        detect_offline_swap: bool = False,
+        offline_swap_detection: bool = False,
     ) -> None:
         self.name = name
         self.env = env
         self.bs = bs
         self.user_pin = user_pin
         self.iccid_binding = iccid_binding
-        self.detect_offline_swap = detect_offline_swap
-        self.suci_builder = None
+        self.offline_swap_detection = offline_swap_detection
 
         self.power = PowerState.POWERED_OFF
         self.slot: CardImage | None = None
@@ -297,7 +295,7 @@ class MobileEquipment:
                 self._drop_entry("different-card-identity")
             elif self.iccid_binding and entry.iccid != self.slot.iccid:
                 self._drop_entry("iccid-mismatch")
-            elif self.detect_offline_swap and self.slot_event_pending:
+            elif self.offline_swap_detection and self.slot_event_pending:
                 self._drop_entry("offline-slot-event")
         self.slot_event_pending = False
         if self.slot is not None:
@@ -354,8 +352,8 @@ class MobileEquipment:
         return None, None, "none"
 
     def _identity(self, card: CardImage) -> str:
-        if self.suci_builder is not None:
-            return self.suci_builder(card.supi)
+        if self.env.profile.supi_concealment:
+            return self.env.amf.conceal_supi(card.supi)
         return card.supi
 
     def register(self, generation: str = "5G") -> RegistrationOutcome:

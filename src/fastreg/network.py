@@ -41,7 +41,7 @@ from .channel import (
 )
 from .crypto import Key
 from .equipment import COUNT_LIMIT, NGKSI_MAX, NotRegistered, SecurityContext
-from .profiles import OperatorProfile
+from .profiles import PERIODIC_AKA_INTERVAL, OperatorProfile
 
 
 class UnknownSubscriber(Exception):
@@ -158,14 +158,13 @@ class Amf:
     def _fast_check(self, msg: RegistrationRequestFast) -> tuple[str | None, TableEntry | None]:
         """Returns (failure reason or None, table entry if looked up)."""
         entry = self.table.get((msg.guti, msg.ngksi))
-        if not self.profile.fast_registration_enabled:
+        if not self.profile.fast_registration:
             return "disabled", entry
         if entry is None:
             return "lookup", None
-        interval = self.profile.periodic_aka_interval
-        if interval is not None:
+        if self.profile.periodic_aka:
             last = self.last_aka_step.get(entry.supi, -(10**9))
-            if self._step() - last >= interval:
+            if self._step() - last >= PERIODIC_AKA_INTERVAL:
                 return "periodic", entry
         ctx = entry.context
         if not 0 <= msg.ul_count < COUNT_LIMIT or ctx.dl_count + 1 >= COUNT_LIMIT:

@@ -1,4 +1,8 @@
-"""Operator presets and countermeasure toggles."""
+"""Operator presets and countermeasure toggles, in one vocabulary.
+
+A profile is a name plus the eight toggles; a toggle set (`Countermeasures`)
+is the same eight fields, where None keeps the profile's value.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ from dataclasses import dataclass, fields, replace
 
 DEFAULT_PIN = "1234"
 NONDEFAULT_PIN = "864209"
-DEFAULT_PERIODIC_AKA_INTERVAL = 25
+PERIODIC_AKA_INTERVAL = 25  # channel steps between forced AKAs under periodic_aka
 
 
 class UnknownProfile(Exception):
@@ -19,25 +23,37 @@ class UnknownCountermeasure(Exception):
 
 @dataclass(frozen=True)
 class OperatorProfile:
-    """Network- and card-issuance policy for one operator."""
+    """Network, card-issuance and handset policy for one operator.
+
+    usim_hardening / fast_registration / supi_concealment / usim_5g_context
+    / periodic_aka act on the network or card-issuance side;
+    nondefault_pin / iccid_binding / offline_swap_detection act on the
+    victim card and mobile equipment.
+    """
 
     name: str
-    usim_hardened: bool = False
+    usim_hardening: bool = False
+    nondefault_pin: bool = False
+    iccid_binding: bool = False
+    fast_registration: bool = True
+    periodic_aka: bool = False
     supi_concealment: bool = False
-    fast_registration_enabled: bool = True
-    usim_supports_5g_context: bool = False
-    default_pin: str = DEFAULT_PIN
-    pin_enabled_by_default: bool = False
-    periodic_aka_interval: int | None = None
+    usim_5g_context: bool = False
+    offline_swap_detection: bool = False
+
+    @property
+    def pin(self) -> str:
+        """The PIN cards are issued with; it is enabled iff nondefault_pin."""
+        return NONDEFAULT_PIN if self.nondefault_pin else DEFAULT_PIN
 
 
 # The three observed operator configurations.  They differ only in whether
 # the issued cards keep their context files readable behind the (disabled
 # by default) PIN or behind ADM.
 BUILTIN_PROFILES: dict[str, OperatorProfile] = {
-    "OP-I": OperatorProfile(name="OP-I", usim_hardened=False),
-    "OP-II": OperatorProfile(name="OP-II", usim_hardened=True),
-    "OP-III": OperatorProfile(name="OP-III", usim_hardened=False),
+    "OP-I": OperatorProfile(name="OP-I"),
+    "OP-II": OperatorProfile(name="OP-II", usim_hardening=True),
+    "OP-III": OperatorProfile(name="OP-III"),
 }
 
 
@@ -50,35 +66,19 @@ def get_profile(name: str) -> OperatorProfile:
 
 @dataclass(frozen=True)
 class Countermeasures:
-    """Toggle set layered over a profile; None means keep the profile value.
-
-    usim_hardening / fast_registration / supi_concealment / usim_5g_context
-    / periodic_aka act on the network or card-issuance side;
-    nondefault_pin / iccid_binding / offline_swap_detection act on the
-    victim card and mobile equipment.
-    """
+    """Toggle set layered over a profile; None keeps the profile's value."""
 
     usim_hardening: bool | None = None
-    nondefault_pin: bool = False
-    iccid_binding: bool = False
+    nondefault_pin: bool | None = None
+    iccid_binding: bool | None = None
     fast_registration: bool | None = None
-    periodic_aka: bool = False
+    periodic_aka: bool | None = None
     supi_concealment: bool | None = None
     usim_5g_context: bool | None = None
-    offline_swap_detection: bool = False
+    offline_swap_detection: bool | None = None
 
     def apply(self, profile: OperatorProfile) -> OperatorProfile:
-        overrides = (
-            ("usim_hardened", self.usim_hardening),
-            ("fast_registration_enabled", self.fast_registration),
-            ("supi_concealment", self.supi_concealment),
-            ("usim_supports_5g_context", self.usim_5g_context),
-        )
-        changes = {name: value for name, value in overrides if value is not None}
-        if self.periodic_aka:
-            changes["periodic_aka_interval"] = DEFAULT_PERIODIC_AKA_INTERVAL
-        if self.nondefault_pin:
-            changes.update(default_pin=NONDEFAULT_PIN, pin_enabled_by_default=True)
+        changes = {name: value for name, value in vars(self).items() if value is not None}
         return replace(profile, **changes) if changes else profile
 
 

@@ -45,8 +45,6 @@ class SimEnv:
         **kwargs,
     ) -> MobileEquipment:
         me = MobileEquipment(name, env=self, bs=bs, **kwargs)
-        if self.profile.supi_concealment:
-            me.suci_builder = self.amf.conceal_supi
         self.mes[name] = me
         self.custody[name] = custody
         self.channel.register(name, me.handle)
@@ -63,10 +61,10 @@ class SimEnv:
             self.rng,
             supi,
             k,
-            pin_value=self.profile.default_pin,
-            pin_enabled=self.profile.pin_enabled_by_default,
-            hardened=self.profile.usim_hardened,
-            supports_5g_context=self.profile.usim_supports_5g_context,
+            pin_value=self.profile.pin,
+            pin_enabled=self.profile.nondefault_pin,
+            hardened=self.profile.usim_hardening,
+            supports_5g_context=self.profile.usim_5g_context,
         )
         return record, card
 

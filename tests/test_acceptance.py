@@ -240,7 +240,7 @@ def test_criterion_5_slot_power_shadow():
     for binding, detect in ((False, False), (True, False), (False, True)):
         for _ in range(334):
             me = MobileEquipment(
-                "walk", iccid_binding=binding, detect_offline_swap=detect
+                "walk", iccid_binding=binding, offline_swap_detection=detect
             )
             state = ("OFF", None, False, False)
             for _ in range(rng.randrange(6, 15)):

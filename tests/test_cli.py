@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from fastreg.cli import main
+from fastreg.profiles import BUILTIN_PROFILES, Countermeasures, OperatorProfile, countermeasures_from_pairs
 
 
 def run_cli(capsys, *argv):
@@ -18,7 +22,19 @@ def test_profiles_list(capsys):
     assert code == 0 and not err
     lines = out.splitlines()
     assert len(lines) == 3
-    assert any(l.startswith("OP-II") and "usim_hardened=yes" in l for l in lines)
+    assert any(l.startswith("OP-II ") and "usim_hardening=on" in l for l in lines)
+
+
+def test_profiles_and_countermeasures_share_one_vocabulary(capsys):
+    assert [f.name for f in fields(OperatorProfile)][1:] == [f.name for f in fields(Countermeasures)]
+    _, out, _ = run_cli(capsys, "profiles", "list")
+    for line in out.splitlines():
+        name, *pairs = line.split()
+        settings = dict(pair.split("=") for pair in pairs)
+        # Every listed toggle and value is one --countermeasure accepts, and
+        # applying the whole line as a toggle set reproduces the profile.
+        cm = countermeasures_from_pairs(settings)
+        assert cm.apply(OperatorProfile(name)) == BUILTIN_PROFILES[name]
 
 
 def test_run_prints_report_then_trace(capsys):
@@ -135,6 +151,57 @@ def test_error_exits_two(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("card", "save", "{card}/nested.txt"),
+        ("card", "load", "{card}", "--out", "{dir}"),
+        ("run", "--attack", "S2", "--trace-out", "{dir}"),
+        ("matrix", "--report-out", "{dir}"),
+    ],
+    ids=("card-save-under-a-file", "card-out-directory", "trace-out-directory", "report-out-directory"),
+)
+def test_unwritable_output_paths_exit_two(tmp_path, capsys, argv):
+    card = tmp_path / "card.txt"
+    assert run_cli(capsys, "card", "save", str(card))[0] == 0
+    paths = {"dir": str(tmp_path), "card": str(card)}
+    code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_permission_error_exits_two(tmp_path, capsys, monkeypatch):
+    card = tmp_path / "card.txt"
+    assert run_cli(capsys, "card", "save", str(card))[0] == 0
+
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    for argv in (("card", "load", str(card)), ("run", str(card))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        assert err == "error: [Errno 13] Permission denied: %r\n" % str(card)
+
+
+@pytest.mark.parametrize("supi", ["", "a b", "\u00e9", "12345678901234x", "1234567890123456", "\u0661\u0662"])
+def test_card_save_rejects_a_supi_that_is_not_an_imsi(tmp_path, capsys, supi):
+    image = tmp_path / "card.txt"
+    with pytest.raises(SystemExit) as exit_:
+        main(["card", "save", str(image), "--supi", supi])
+    assert exit_.value.code == 2
+    assert "--supi" in capsys.readouterr().err
+    assert not image.exists()
+
+
+@pytest.mark.parametrize("supi", ["0", "001010000000001"])
+def test_card_saved_with_any_imsi_loads_back(tmp_path, capsys, supi):
+    image = tmp_path / "card.txt"
+    assert run_cli(capsys, "card", "save", str(image), "--supi", supi)[0] == 0
+    code, out, _ = run_cli(capsys, "card", "load", str(image))
+    assert code == 0 and "supi %s" % supi in out.splitlines()
+
+
 def test_unknown_variant_exits_two(capsys):
     code, _, err = run_cli(capsys, "run", "--attack", "S2", "--variant", "stale")
     assert code == 2 and "variant" in err
@@ -156,14 +223,19 @@ def test_downstream_attacks_take_no_variant(tmp_path, capsys):
         ("card", lambda t: t.replace("retries=3", "retries=x"), "line 5: bad pin line"),
         ("card", lambda t: t.replace("supi ", "supi \u00e9"), "line 2: non-ASCII byte 0xc3"),
         ("run", lambda t: "[scenario]\n# caf\u00e9\n", "line 2: non-ASCII byte 0xc3"),
+        ("card", None, "Is a directory"),
+        ("run", None, "Is a directory"),
     ],
-    ids=("short-pin", "retries-not-an-integer", "card-non-ascii", "config-non-ascii"),
+    ids=("short-pin", "retries-not-an-integer", "card-non-ascii", "config-non-ascii", "card-directory", "config-directory"),
 )
 def test_bad_input_files_exit_two_with_a_line_number(tmp_path, capsys, command, edit, fragment):
     image = tmp_path / "card.txt"
     assert run_cli(capsys, "card", "save", str(image))[0] == 0
     bad = tmp_path / "bad.txt"
-    bad.write_text(edit(image.read_text(encoding="ascii")), encoding="utf-8")
+    if edit is None:  # a directory where the file should be
+        bad.mkdir()
+    else:
+        bad.write_text(edit(image.read_text(encoding="ascii")), encoding="utf-8")
     argv = ("card", "load", str(bad)) if command == "card" else ("run", str(bad))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out

@@ -25,7 +25,7 @@ from fastreg.equipment import (
     SlotEmpty,
     SlotOccupied,
 )
-from fastreg.profiles import get_profile
+from fastreg.profiles import NONDEFAULT_PIN, get_profile
 from fastreg.sim import SimEnv
 from fastreg.usim import EF_5GLOCI, EF_5GNSC, EF_EPSLOCI, EF_EPSNSC, AccessLevel, standard_card
 
@@ -125,7 +125,7 @@ def test_5g_context_lands_in_the_baseband_for_plain_cards():
 
 def test_5g_capable_card_keeps_its_own_context():
     env, me, card, _ = provisioned(
-        profile_override={"usim_supports_5g_context": True}
+        profile_override={"usim_5g_context": True}
     )
     bring_up(me, card, "5G")
     assert me.baseband.entry is None
@@ -220,7 +220,7 @@ def test_iccid_binding_rejects_the_same_identity_swap():
 def test_offline_swap_detection_flags_any_slot_event():
     # Strict variant: even pulling and reseating the original card while
     # off the air invalidates the stored context.
-    env, me, card, _ = provisioned(me_kwargs={"detect_offline_swap": True})
+    env, me, card, _ = provisioned(me_kwargs={"offline_swap_detection": True})
     bring_up(me, card, "5G")
     me.set_airplane(True)
     me.remove_card()
@@ -258,7 +258,7 @@ def test_register_requires_power_and_card():
 
 def test_register_requires_verified_pin():
     env, me, card, _ = provisioned(
-        profile_override={"pin_enabled_by_default": True},
+        profile_override={"nondefault_pin": True},
         me_kwargs={"user_pin": "9999"},  # wrong guess, auto-verify fails
     )
     me.insert_card(card)
@@ -269,8 +269,8 @@ def test_register_requires_verified_pin():
 
 def test_correct_user_pin_is_verified_on_power_on():
     env, me, card, _ = provisioned(
-        profile_override={"pin_enabled_by_default": True},
-        me_kwargs={"user_pin": "1234"},
+        profile_override={"nondefault_pin": True},
+        me_kwargs={"user_pin": NONDEFAULT_PIN},
     )
     me.insert_card(card)
     me.power_on()
@@ -491,7 +491,7 @@ def test_random_slot_power_walk_matches_shadow_model():
 
     for binding, detect in ((False, False), (True, False), (False, True)):
         for _ in range(300):
-            me = MobileEquipment("walk", iccid_binding=binding, detect_offline_swap=detect)
+            me = MobileEquipment("walk", iccid_binding=binding, offline_swap_detection=detect)
             state = ("OFF", None, False, False)
             for _ in range(rng.randrange(6, 15)):
                 op = rng.choice(legal_ops(state))

@@ -23,7 +23,7 @@ from fastreg.channel import (
 from fastreg.crypto import KEY_LEN, Key, KeyKind
 from fastreg.equipment import COUNT_LIMIT
 from fastreg.network import NotRegistered, UnknownSubscriber
-from fastreg.profiles import get_profile
+from fastreg.profiles import PERIODIC_AKA_INTERVAL, get_profile
 from fastreg.sim import SimEnv
 from fastreg.usim import standard_card
 
@@ -146,7 +146,7 @@ def test_guti_allocations_never_repeat():
 
 def test_ngksi_allocation_cycles_through_seven_values():
     # With the fast path off, every registration runs a new AKA.
-    env, me, card, _ = fast_ready(profile_override={"fast_registration_enabled": False})
+    env, me, card, _ = fast_ready(profile_override={"fast_registration": False})
     seen = []
     for _ in range(8):
         out = me.register("5G")
@@ -244,7 +244,7 @@ def test_exhausted_downlink_count_forces_a_fresh_aka():
 
 
 def test_policy_switch_disables_the_fast_path_entirely():
-    env, me, card, _ = fast_ready(profile_override={"fast_registration_enabled": False})
+    env, me, card, _ = fast_ready(profile_override={"fast_registration": False})
     out = me.register("5G")
     # The handset still tries its stored context; the network makes it
     # prove itself from the permanent key instead.
@@ -253,10 +253,10 @@ def test_policy_switch_disables_the_fast_path_entirely():
 
 
 def test_periodic_aka_deadline_forces_reauthentication():
-    env, me, card, _ = fast_ready(profile_override={"periodic_aka_interval": 8})
+    env, me, card, _ = fast_ready(profile_override={"periodic_aka": True})
     out = me.register("5G")
     assert out.accepted and not out.aka_ran  # inside the window
-    env.channel.tick(9)
+    env.channel.tick(PERIODIC_AKA_INTERVAL)
     out = me.register("5G")
     assert out.accepted and out.aka_ran
     assert fallback_reasons(env)[-1] == "periodic"
@@ -485,9 +485,10 @@ def fast_round(me, generation="5G"):
 
 
 # OP-I cards hold no 5G context, so it stays in baseband memory; a 4G
-# context is re-read from the card files, a new object every round.
-@pytest.mark.parametrize(("generation", "per_round"), [("5G", 0), ("4G", 1)])
-def test_nas_keys_are_derived_once_per_context(monkeypatch, generation, per_round):
+# context is re-read from the card files, a new object every round, and
+# still reuses the NAS keys derived for its K_AMF.
+@pytest.mark.parametrize("generation", ["5G", "4G"])
+def test_nas_keys_are_derived_once_per_context(monkeypatch, generation):
     env = SimEnv(get_profile("OP-I"), 77)
     _, card = env.provision_subscriber(SUPI)
     me = env.add_me("ue")
@@ -495,12 +496,11 @@ def test_nas_keys_are_derived_once_per_context(monkeypatch, generation, per_roun
     me.power_on()
     assert me.register(generation).accepted
     calls = []
-    derive = crypto.nas_keys
-    monkeypatch.setattr(crypto, "nas_keys", lambda k: calls.append(k) or derive(k))
+    derive = crypto.kdf
+    monkeypatch.setattr(crypto, "kdf", lambda k, label: calls.append(label) or derive(k, label))
     for _ in range(200):
-        before = len(calls)
         fast_round(me, generation)
-        assert len(calls) - before == per_round
+        assert calls == []
 
 
 class NoScanTable(dict):
