@@ -24,10 +24,8 @@ runs everything for the three operator presets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .channel import IdentityResponse, RegistrationRequestInitial
-from .equipment import PowerState, RegistrationOutcome, SecurityContext
+from .equipment import PowerState, SecurityContext
 from .network import OneTapToken
 from .profiles import DEFAULT_PIN, Countermeasures, get_profile
 from .sim import SimEnv
@@ -62,20 +60,30 @@ class UnknownScenario(Exception):
     pass
 
 
-@dataclass
 class AttackReport:
-    scenario: str
-    profile: str
-    seed: int
-    variant: str = "default"
-    succeeded: bool = False
-    evidence: dict[str, str] = field(default_factory=dict)
-    window: tuple[int, int] = (0, 0)
-    env: ScenarioEnv | None = field(default=None, repr=False, compare=False)
-    # What a successful impersonation left behind for the downstream
-    # scenarios: the one-tap token and the network's paging location.
-    token: OneTapToken | None = field(default=None, repr=False, compare=False)
-    location: str | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("scenario", "profile", "seed", "variant", "succeeded", "evidence", "window", "env", "token", "location")
+
+    def __init__(
+        self,
+        scenario: str,
+        profile: str,
+        seed: int,
+        variant: str = "default",
+        window: tuple[int, int] = (0, 0),
+        env: ScenarioEnv | None = None,
+    ) -> None:
+        self.scenario = scenario
+        self.profile = profile
+        self.seed = seed
+        self.variant = variant
+        self.succeeded = False
+        self.evidence: dict[str, str] = {}
+        self.window = window
+        self.env = env
+        # What a successful impersonation left behind for the downstream
+        # scenarios: the one-tap token and the network's paging location.
+        self.token: OneTapToken | None = None
+        self.location: str | None = None
 
     def note(self, key: str, value) -> None:
         if isinstance(value, bool):
@@ -104,10 +112,7 @@ class ScenarioEnv(SimEnv):
     reader, public defaults (DEFAULT_PIN) and the monitor tap's view.
     """
 
-    cards: dict[str, CardImage]
-    files: dict[int, bytes]
-    supi: str | None
-    outcome: RegistrationOutcome | None
+    __slots__ = ("cards", "files", "supi", "outcome")
 
 
 def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: Countermeasures | None = None) -> ScenarioEnv:

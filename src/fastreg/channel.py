@@ -12,8 +12,9 @@ both the exported trace and everything the attacker reads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, ClassVar
+from collections.abc import Callable
+
+from .record import Frozen, set_field
 
 
 class UnknownEndpoint(Exception):
@@ -24,113 +25,136 @@ class NotObserved(Exception):
     """Raised when a tap query finds no matching capture."""
 
 
+class MalformedPayload(ValueError):
+    """Raised when an accept payload is not what encode_accept_payload writes."""
+
+
 # --- NAS messages -----------------------------------------------------
 
 
-class NasMessage:
+class NasMessage(Frozen):
     """One NAS message: its wire name and what a passive sniffer reads.
 
     Ciphered containers and MAC tags never appear in `visible()`; replay
     works from the captured envelope, not from this projection.
     """
 
-    mtype: ClassVar[str] = ""
+    __slots__ = ()
+    mtype = ""
 
     def visible(self) -> dict[str, str]:
         return {}
 
 
-@dataclass(frozen=True)
 class RegistrationRequestFast(NasMessage):
+    __slots__ = ("guti", "ngksi", "ul_count", "container", "mac")
     mtype = "registration-request-fast"
-    guti: str
-    ngksi: int
-    ul_count: int
-    container: bytes
-    mac: bytes
+
+    def __init__(self, guti: str, ngksi: int, ul_count: int, container: bytes, mac: bytes) -> None:
+        set_field(self, "guti", guti)
+        set_field(self, "ngksi", ngksi)
+        set_field(self, "ul_count", ul_count)
+        set_field(self, "container", container)
+        set_field(self, "mac", mac)
 
     def visible(self) -> dict[str, str]:
         return {"guti": self.guti, "ngksi": str(self.ngksi), "count": str(self.ul_count)}
 
 
-@dataclass(frozen=True)
 class _IdentityMessage(NasMessage):
-    identity: str
-    sec_caps: tuple[str, ...]
+    __slots__ = ("identity", "sec_caps")
+
+    def __init__(self, identity: str, sec_caps: tuple[str, ...]) -> None:
+        set_field(self, "identity", identity)
+        set_field(self, "sec_caps", sec_caps)
 
     def visible(self) -> dict[str, str]:
         return {"identity": self.identity, "caps": "+".join(self.sec_caps)}
 
 
-@dataclass(frozen=True)
 class RegistrationRequestInitial(_IdentityMessage):
+    __slots__ = ()
     mtype = "registration-request-initial"
 
 
-@dataclass(frozen=True)
 class IdentityRequest(NasMessage):
+    __slots__ = ()
     mtype = "identity-request"
 
 
-@dataclass(frozen=True)
 class IdentityResponse(_IdentityMessage):
+    __slots__ = ()
     mtype = "identity-response"
 
 
-@dataclass(frozen=True)
 class AuthRequest(NasMessage):
+    __slots__ = ("rand", "autn")
     mtype = "authentication-request"
-    rand: bytes
-    autn: bytes
+
+    def __init__(self, rand: bytes, autn: bytes) -> None:
+        set_field(self, "rand", rand)
+        set_field(self, "autn", autn)
 
     def visible(self) -> dict[str, str]:
         return {"rand": self.rand.hex(), "autn": self.autn.hex()}
 
 
-@dataclass(frozen=True)
 class AuthResponse(NasMessage):
+    __slots__ = ("res",)
     mtype = "authentication-response"
-    res: bytes
+
+    def __init__(self, res: bytes) -> None:
+        set_field(self, "res", res)
 
     def visible(self) -> dict[str, str]:
         return {"res": self.res.hex()}
 
 
-@dataclass(frozen=True)
 class SecurityModeCommand(NasMessage):
+    __slots__ = ("selected_algs", "ngksi")
     mtype = "security-mode-command"
-    selected_algs: tuple[str, ...]
-    ngksi: int
+
+    def __init__(self, selected_algs: tuple[str, ...], ngksi: int) -> None:
+        set_field(self, "selected_algs", selected_algs)
+        set_field(self, "ngksi", ngksi)
 
     def visible(self) -> dict[str, str]:
         return {"algs": "+".join(self.selected_algs), "ngksi": str(self.ngksi)}
 
 
-@dataclass(frozen=True)
 class SecurityModeComplete(NasMessage):
+    __slots__ = ("mac",)
     mtype = "security-mode-complete"
-    mac: bytes
+
+    def __init__(self, mac: bytes) -> None:
+        set_field(self, "mac", mac)
 
 
-@dataclass(frozen=True)
 class RegistrationAccept(NasMessage):
+    __slots__ = ("ciphered",)
     mtype = "registration-accept"
-    ciphered: bytes
+
+    def __init__(self, ciphered: bytes) -> None:
+        set_field(self, "ciphered", ciphered)
 
 
-@dataclass(frozen=True)
 class RegistrationReject(NasMessage):
+    __slots__ = ("cause",)
     mtype = "registration-reject"
-    cause: str
+
+    def __init__(self, cause: str) -> None:
+        set_field(self, "cause", cause)
 
     def visible(self) -> dict[str, str]:
         return {"cause": self.cause}
 
 
-@dataclass(frozen=True)
 class Deregistration(NasMessage):
+    __slots__ = ("guti",)
     mtype = "deregistration"
-    guti: str
+
+    def __init__(self, guti: str) -> None:
+        set_field(self, "guti", guti)
 
     def visible(self) -> dict[str, str]:
         return {"guti": self.guti}
@@ -151,25 +175,31 @@ def encode_accept_payload(guti: str, dl_count: int) -> bytes:
 
 
 def decode_accept_payload(blob: bytes) -> tuple[str, int]:
+    """Invert encode_accept_payload; MalformedPayload for anything it cannot have written."""
     glen = int.from_bytes(blob[:2], "big")
-    guti = blob[2 : 2 + glen].decode("ascii")
-    dl_count = int.from_bytes(blob[2 + glen : 6 + glen], "big")
-    return guti, dl_count
+    if len(blob) != 2 + glen + 4:
+        raise MalformedPayload("accept payload is %d bytes, its GUTI length %d wants %d" % (len(blob), glen, 6 + glen))
+    guti = blob[2 : 2 + glen]
+    if not guti.isascii():
+        raise MalformedPayload("accept payload GUTI is not ASCII")
+    return guti.decode("ascii"), int.from_bytes(blob[2 + glen :], "big")
 
 
 # --- envelopes, taps, events -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(Frozen):
     """One frame on the air, as sent, delivered and captured."""
 
-    step: int
-    src: str
-    dst: str
-    bs: str
-    flow: str
-    msg: NasMessage
+    __slots__ = ("step", "src", "dst", "bs", "flow", "msg")
+
+    def __init__(self, step: int, src: str, dst: str, bs: str, flow: str, msg: NasMessage) -> None:
+        set_field(self, "step", step)
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
+        set_field(self, "bs", bs)
+        set_field(self, "flow", flow)
+        set_field(self, "msg", msg)
 
     def line(self) -> str:
         shown = " ".join("%s=%s" % kv for kv in self.msg.visible().items())
@@ -185,6 +215,8 @@ class Envelope:
 
 class ChannelTap:
     """Passive capture of every envelope crossing the channel."""
+
+    __slots__ = ("entries",)
 
     def __init__(self) -> None:
         self.entries: list[Envelope] = []
@@ -204,12 +236,14 @@ class ChannelTap:
         raise NotObserved("no fast registration seen from %s" % src)
 
 
-@dataclass(frozen=True)
-class Event:
-    step: int
-    entity: str
-    name: str
-    fields: dict[str, str]
+class Event(Frozen):
+    __slots__ = ("step", "entity", "name", "fields")
+
+    def __init__(self, step: int, entity: str, name: str, fields: dict[str, str]) -> None:
+        set_field(self, "step", step)
+        set_field(self, "entity", entity)
+        set_field(self, "name", name)
+        set_field(self, "fields", fields)
 
     def line(self) -> str:
         shown = " ".join("%s=%s" % kv for kv in self.fields.items())
@@ -218,6 +252,8 @@ class Event:
 
 class EventLog:
     """Ordered protocol-event record, stamped with the channel step."""
+
+    __slots__ = ("_clock", "entries")
 
     def __init__(self, clock: "Channel") -> None:
         self._clock = clock
@@ -237,6 +273,8 @@ class EventLog:
 
 class Channel:
     """FIFO radio link with a step clock; single ordered delivery."""
+
+    __slots__ = ("step", "taps", "events", "drop_filter", "_queue", "_handlers")
 
     def __init__(self) -> None:
         self.step = 0

@@ -11,15 +11,15 @@
 
 `profiles list` prints NAME toggle=on|off ..., in the names that
 `--countermeasure` takes.  An input error, such as a file that cannot be
-read or written, exits 2 with one `error:` line.  Identical arguments
-always produce byte-identical trace and report files.
+read or written, exits 2 with one `error:` line and nothing on stdout:
+output files are written before any result is printed.  Identical
+arguments always produce byte-identical trace and report files.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .attacks import (
@@ -33,7 +33,7 @@ from .attacks import (
 from .config import ConfigError, ScenarioConfig, parse_config
 from .profiles import (
     BUILTIN_PROFILES,
-    OperatorProfile,
+    TOGGLES,
     UnknownCountermeasure,
     countermeasures_from_pairs,
     get_profile,
@@ -86,27 +86,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except PrerequisiteFailed as err:
         print("prerequisite failed: %s" % err)
         return 1
-    for line in report.to_lines():
-        print(line)
-    print()
-    print("trace:")
+    lines = report.to_lines()
     trace = report.env.trace_lines()
-    for line in trace:
-        print(line)
     if args.trace_out:
         _write_lines(args.trace_out, trace)
     if args.report_out:
-        _write_lines(args.report_out, report.to_lines())
+        _write_lines(args.report_out, lines)
+    print("\n".join([*lines, "", "trace:", *trace]))
     return 0
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     rows = run_table_matrix(args.seed)
     lines = matrix_lines(rows)
-    for line in lines:
-        print(line)
     if args.report_out:
         _write_lines(args.report_out, lines)
+    print("\n".join(lines))
     return 0
 
 
@@ -121,6 +116,8 @@ def _cmd_card_save(args: argparse.Namespace) -> int:
 
 def _cmd_card_load(args: argparse.Namespace) -> int:
     card = card_from_text(_read_ascii(args.path, CardFormatError))
+    if args.out:
+        Path(args.out).write_text(card_to_text(card), encoding="ascii")
     print("iccid %s" % card.iccid)
     print("supi %s" % card.supi)
     print("seq %d" % card.seq)
@@ -136,15 +133,13 @@ def _cmd_card_load(args: argparse.Namespace) -> int:
             % (fid, rule.read.value, rule.update.value, len(body))
         )
     if args.out:
-        Path(args.out).write_text(card_to_text(card), encoding="ascii")
         print("re-saved to %s" % args.out)
     return 0
 
 
 def _cmd_profiles(_: argparse.Namespace) -> int:
-    toggles = [f.name for f in fields(OperatorProfile)][1:]
     for p in BUILTIN_PROFILES.values():
-        pairs = ["%s=%s" % (t, "on" if getattr(p, t) else "off") for t in toggles]
+        pairs = ["%s=%s" % (t, "on" if getattr(p, t) else "off") for t in TOGGLES]
         print("%-6s %s" % (p.name, " ".join(pairs)))
     return 0
 

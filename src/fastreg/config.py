@@ -17,8 +17,6 @@ all hard errors carrying the offending line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .attacks import SCENARIO_NAMES
 from .profiles import (
     UnknownCountermeasure,
@@ -26,6 +24,7 @@ from .profiles import (
     countermeasures_from_pairs,
     get_profile,
 )
+from .record import fields_equal
 
 
 class ConfigError(ValueError):
@@ -35,13 +34,24 @@ class ConfigError(ValueError):
 SCENARIO_KEYS = ("attack", "profile", "seed", "variant")
 
 
-@dataclass
 class ScenarioConfig:
-    attack: str = "S2"
-    profile: str = "OP-I"
-    seed: int = 0
-    variant: str = "default"
-    countermeasures: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("attack", "profile", "seed", "variant", "countermeasures")
+
+    def __init__(
+        self,
+        attack: str = "S2",
+        profile: str = "OP-I",
+        seed: int = 0,
+        variant: str = "default",
+        countermeasures: dict[str, str] | None = None,
+    ) -> None:
+        self.attack = attack
+        self.profile = profile
+        self.seed = seed
+        self.variant = variant
+        self.countermeasures = {} if countermeasures is None else countermeasures
+
+    __eq__ = fields_equal
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -18,8 +18,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac
-from dataclasses import dataclass
 from enum import Enum
+
+from .record import Frozen, set_field
 
 KEY_LEN = 16
 MAC_LEN = 8
@@ -55,36 +56,48 @@ class KeyKind(Enum):
     K_NASINT = "K_NASint"
 
 
-@dataclass(frozen=True)
-class Key:
+class Key(Frozen):
     """A 16-octet key tagged with its position in the derivation chain."""
 
-    octets: bytes
-    kind: KeyKind
+    __slots__ = ("octets", "kind")
 
-    def __post_init__(self) -> None:
-        if len(self.octets) != KEY_LEN:
-            raise ValueError("keys are %d octets, got %d" % (KEY_LEN, len(self.octets)))
+    def __init__(self, octets: bytes, kind: KeyKind) -> None:
+        if len(octets) != KEY_LEN:
+            raise ValueError("keys are %d octets, got %d" % (KEY_LEN, len(octets)))
+        set_field(self, "octets", octets)
+        set_field(self, "kind", kind)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Key:
+            return NotImplemented
+        return self.octets == other.octets and self.kind is other.kind
+
+    def __hash__(self) -> int:  # nas_keys memoises on the key
+        return hash((self.octets, self.kind))
 
 
-@dataclass(frozen=True)
-class AuthVector:
+class AuthVector(Frozen):
     """Network-side authentication vector for one AKA round."""
 
-    rand: bytes
-    autn: bytes
-    xres: bytes
-    ck: Key
-    ik: Key
+    __slots__ = ("rand", "autn", "xres", "ck", "ik")
+
+    def __init__(self, rand: bytes, autn: bytes, xres: bytes, ck: Key, ik: Key) -> None:
+        set_field(self, "rand", rand)
+        set_field(self, "autn", autn)
+        set_field(self, "xres", xres)
+        set_field(self, "ck", ck)
+        set_field(self, "ik", ik)
 
 
-@dataclass(frozen=True)
-class AkaResult:
+class AkaResult(Frozen):
     """Card-side output of a successful AUTN check."""
 
-    res: bytes
-    ck: Key
-    ik: Key
+    __slots__ = ("res", "ck", "ik")
+
+    def __init__(self, res: bytes, ck: Key, ik: Key) -> None:
+        set_field(self, "res", res)
+        set_field(self, "ck", ck)
+        set_field(self, "ik", ik)
 
 
 _BLOCK = 64  # SHA-256 input block size, B in RFC 2104

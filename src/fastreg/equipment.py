@@ -21,7 +21,6 @@ offline-swap detection is switched on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from . import crypto
@@ -41,6 +40,7 @@ from .channel import (
     encode_ies,
 )
 from .crypto import Key, KeyKind
+from .record import fields_equal
 from .usim import ApduStatus, CardImage, load_context_files, store_context_files, verify_pin
 
 
@@ -79,23 +79,25 @@ COUNT_LIMIT = 2**32
 SEC_CAPS = ("EA2", "IA2")  # the handset's security capabilities
 
 
-@dataclass
 class SecurityContext:
     """NAS security context: session key, key-set id, caps, counters."""
 
-    k_amf: Key
-    ngksi: int
-    ue_sec_caps: tuple[str, ...]
-    ul_count: int
-    dl_count: int
+    __slots__ = ("k_amf", "ngksi", "ue_sec_caps", "ul_count", "dl_count")
 
-    def __post_init__(self) -> None:
-        if self.k_amf.kind is not KeyKind.K_AMF:
+    def __init__(self, k_amf: Key, ngksi: int, ue_sec_caps: tuple[str, ...], ul_count: int, dl_count: int) -> None:
+        if k_amf.kind is not KeyKind.K_AMF:
             raise ValueError("context key must be K_AMF kind")
-        if not 0 <= self.ngksi <= NGKSI_MAX:
+        if not 0 <= ngksi <= NGKSI_MAX:
             raise ValueError("ngksi out of range 0..%d" % NGKSI_MAX)
-        if not (0 <= self.ul_count < COUNT_LIMIT and 0 <= self.dl_count < COUNT_LIMIT):
+        if not (0 <= ul_count < COUNT_LIMIT and 0 <= dl_count < COUNT_LIMIT):
             raise ValueError("NAS count out of 32-bit range")
+        self.k_amf = k_amf
+        self.ngksi = ngksi
+        self.ue_sec_caps = ue_sec_caps
+        self.ul_count = ul_count
+        self.dl_count = dl_count
+
+    __eq__ = fields_equal
 
     @property  # crypto.nas_keys memoises the pair per K_AMF
     def nas_keys(self) -> tuple[Key, Key]:
@@ -131,49 +133,88 @@ class SecurityContext:
         return cls(k, ngksi, caps, ul, dl)
 
 
-@dataclass
 class BasebandEntry:
     """Chip-held context with the identity of the card it belongs to."""
 
-    supi: str
-    guti: str
-    context: SecurityContext
-    generation: str
-    iccid: str
+    __slots__ = ("supi", "guti", "context", "generation", "iccid")
+
+    def __init__(self, supi: str, guti: str, context: SecurityContext, generation: str, iccid: str) -> None:
+        self.supi = supi
+        self.guti = guti
+        self.context = context
+        self.generation = generation
+        self.iccid = iccid
 
 
-@dataclass
 class BasebandStore:
-    entry: BasebandEntry | None = None
+    __slots__ = ("entry",)
+
+    def __init__(self, entry: BasebandEntry | None = None) -> None:
+        self.entry = entry
 
 
-@dataclass
 class RegistrationOutcome:
     """What one register() call did, as seen from the handset."""
 
-    path: str  # "fast" | "initial"
-    generation: str
-    flow: str
-    start_step: int
-    aka_ran: bool = False
-    accepted: bool = False
-    guti: str | None = None
-    reject_cause: str | None = None
-    end_step: int = 0
-    context_source: str = "none"  # "card" | "baseband" | "none"
+    __slots__ = (
+        "path",
+        "generation",
+        "flow",
+        "start_step",
+        "aka_ran",
+        "accepted",
+        "guti",
+        "reject_cause",
+        "end_step",
+        "context_source",
+    )
+
+    def __init__(self, path: str, generation: str, flow: str, start_step: int, context_source: str) -> None:
+        self.path = path  # "fast" | "initial"
+        self.generation = generation
+        self.flow = flow
+        self.start_step = start_step
+        self.aka_ran = False
+        self.accepted = False
+        self.guti: str | None = None
+        self.reject_cause: str | None = None
+        self.end_step = 0
+        self.context_source = context_source  # "card" | "baseband" | "none"
 
 
-@dataclass
 class _InFlight:
-    flow: str
-    outcome: RegistrationOutcome
-    ctx: SecurityContext | None = None
-    source: str = "none"
-    aka: crypto.AkaResult | None = None
+    __slots__ = ("flow", "outcome", "ctx", "source", "aka")
+
+    def __init__(self, flow: str, outcome: RegistrationOutcome) -> None:
+        self.flow = flow
+        self.outcome = outcome
+        self.ctx: SecurityContext | None = None
+        self.source = "none"
+        self.aka: crypto.AkaResult | None = None
 
 
 class MobileEquipment:
     """One handset: slot, power switch, baseband store, NAS endpoint."""
+
+    __slots__ = (
+        "name",
+        "env",
+        "bs",
+        "user_pin",
+        "iccid_binding",
+        "offline_swap_detection",
+        "power",
+        "slot",
+        "baseband",
+        "slot_event_pending",
+        "registered",
+        "current_guti",
+        "generation",
+        "_card_session",
+        "_ctx",
+        "_active",
+        "_flow_n",
+    )
 
     def __init__(
         self,

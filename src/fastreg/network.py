@@ -20,7 +20,6 @@ older one, and a late answer to that older one is a stray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 
 from . import crypto
@@ -42,59 +41,84 @@ from .channel import (
 from .crypto import Key
 from .equipment import COUNT_LIMIT, NGKSI_MAX, NotRegistered, SecurityContext
 from .profiles import PERIODIC_AKA_INTERVAL, OperatorProfile
+from .record import Frozen, set_field
 
 
 class UnknownSubscriber(Exception):
     pass
 
 
-@dataclass
 class SubscriberRecord:
-    supi: str
-    k_permanent: Key
-    seq: int = 0
+    __slots__ = ("supi", "k_permanent", "seq")
+
+    def __init__(self, supi: str, k_permanent: Key, seq: int = 0) -> None:
+        self.supi = supi
+        self.k_permanent = k_permanent
+        self.seq = seq
 
 
-@dataclass
 class TableEntry:
     """One subscriber's live context; shared by all of its GUTI aliases."""
 
-    supi: str
-    context: SecurityContext
+    __slots__ = ("supi", "context")
+
+    def __init__(self, supi: str, context: SecurityContext) -> None:
+        self.supi = supi
+        self.context = context
 
 
-@dataclass
 class Session:
-    supi: str
-    serving_bs: str
-    guti: str
-    state: str  # "Registered" | "Deregistered"
-    via: str  # "fast" | "aka"
-    flow: str
+    __slots__ = ("supi", "serving_bs", "guti", "state", "via", "flow")
+
+    def __init__(self, supi: str, serving_bs: str, guti: str, state: str, via: str, flow: str) -> None:
+        self.supi = supi
+        self.serving_bs = serving_bs
+        self.guti = guti
+        self.state = state  # "Registered" | "Deregistered"
+        self.via = via  # "fast" | "aka"
+        self.flow = flow
 
 
-@dataclass(frozen=True)
-class OneTapToken:
+class OneTapToken(Frozen):
     """App-layer login token minted against the registered session."""
 
-    supi: str
-    nonce: str
+    __slots__ = ("supi", "nonce")
+
+    def __init__(self, supi: str, nonce: str) -> None:
+        set_field(self, "supi", supi)
+        set_field(self, "nonce", nonce)
 
 
-@dataclass
 class _PendingAka:
-    supi: str
-    vector: crypto.AuthVector
-    caps: tuple[str, ...]
-    stage: str  # "res" | "smc"
-    k_amf: Key | None = None
-    ngksi: int = 0
+    __slots__ = ("supi", "vector", "caps", "stage", "k_amf", "ngksi")
+
+    def __init__(self, supi: str, vector: crypto.AuthVector, caps: tuple[str, ...]) -> None:
+        self.supi = supi
+        self.vector = vector
+        self.caps = caps
+        self.stage = "res"  # "res" | "smc"
+        self.k_amf: Key | None = None
+        self.ngksi = 0
 
 
 class Amf:
     """Core-network endpoint owning subscribers, contexts and sessions."""
 
     name = "amf"
+    __slots__ = (
+        "profile",
+        "rng",
+        "env",
+        "subscribers",
+        "table",
+        "sessions",
+        "pending",
+        "last_aka_step",
+        "_next_ngksi",
+        "_guti_n",
+        "_guti_salt",
+        "_conceal_key",
+    )
 
     def __init__(self, profile: OperatorProfile, rng: Random) -> None:
         self.profile = profile
@@ -218,7 +242,7 @@ class Amf:
         vector = crypto.gen_auth_vector(sub.k_permanent, sub.seq)
         # One pending AKA per subscriber: a new challenge replaces the old.
         self.pending = {k: p for k, p in self.pending.items() if p.supi != supi}
-        self.pending[envelope.src, envelope.flow] = _PendingAka(supi=supi, vector=vector, caps=caps, stage="res")
+        self.pending[envelope.src, envelope.flow] = _PendingAka(supi, vector, caps)
         self._emit("aka_started", supi=supi)
         self._reply(envelope, AuthRequest(vector.rand, vector.autn))
 

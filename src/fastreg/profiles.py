@@ -6,11 +6,24 @@ is the same eight fields, where None keeps the profile's value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from .record import Frozen, fields_equal, set_field
 
 DEFAULT_PIN = "1234"
 NONDEFAULT_PIN = "864209"
 PERIODIC_AKA_INTERVAL = 25  # channel steps between forced AKAs under periodic_aka
+
+# The eight toggles, in one order: the fields of both classes below, the
+# names `--countermeasure` and config files take, and `profiles list`.
+TOGGLES = (
+    "usim_hardening",
+    "nondefault_pin",
+    "iccid_binding",
+    "fast_registration",
+    "periodic_aka",
+    "supi_concealment",
+    "usim_5g_context",
+    "offline_swap_detection",
+)
 
 
 class UnknownProfile(Exception):
@@ -21,8 +34,7 @@ class UnknownCountermeasure(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class OperatorProfile:
+class OperatorProfile(Frozen):
     """Network, card-issuance and handset policy for one operator.
 
     usim_hardening / fast_registration / supi_concealment / usim_5g_context
@@ -31,15 +43,31 @@ class OperatorProfile:
     victim card and mobile equipment.
     """
 
-    name: str
-    usim_hardening: bool = False
-    nondefault_pin: bool = False
-    iccid_binding: bool = False
-    fast_registration: bool = True
-    periodic_aka: bool = False
-    supi_concealment: bool = False
-    usim_5g_context: bool = False
-    offline_swap_detection: bool = False
+    __slots__ = ("name", *TOGGLES)
+
+    def __init__(
+        self,
+        name: str,
+        usim_hardening: bool = False,
+        nondefault_pin: bool = False,
+        iccid_binding: bool = False,
+        fast_registration: bool = True,
+        periodic_aka: bool = False,
+        supi_concealment: bool = False,
+        usim_5g_context: bool = False,
+        offline_swap_detection: bool = False,
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "usim_hardening", usim_hardening)
+        set_field(self, "nondefault_pin", nondefault_pin)
+        set_field(self, "iccid_binding", iccid_binding)
+        set_field(self, "fast_registration", fast_registration)
+        set_field(self, "periodic_aka", periodic_aka)
+        set_field(self, "supi_concealment", supi_concealment)
+        set_field(self, "usim_5g_context", usim_5g_context)
+        set_field(self, "offline_swap_detection", offline_swap_detection)
+
+    __eq__ = fields_equal
 
     @property
     def pin(self) -> str:
@@ -64,27 +92,41 @@ def get_profile(name: str) -> OperatorProfile:
         raise UnknownProfile("unknown profile %r (have: %s)" % (name, ", ".join(BUILTIN_PROFILES))) from None
 
 
-@dataclass(frozen=True)
-class Countermeasures:
+class Countermeasures(Frozen):
     """Toggle set layered over a profile; None keeps the profile's value."""
 
-    usim_hardening: bool | None = None
-    nondefault_pin: bool | None = None
-    iccid_binding: bool | None = None
-    fast_registration: bool | None = None
-    periodic_aka: bool | None = None
-    supi_concealment: bool | None = None
-    usim_5g_context: bool | None = None
-    offline_swap_detection: bool | None = None
+    __slots__ = TOGGLES
+
+    def __init__(
+        self,
+        usim_hardening: bool | None = None,
+        nondefault_pin: bool | None = None,
+        iccid_binding: bool | None = None,
+        fast_registration: bool | None = None,
+        periodic_aka: bool | None = None,
+        supi_concealment: bool | None = None,
+        usim_5g_context: bool | None = None,
+        offline_swap_detection: bool | None = None,
+    ) -> None:
+        set_field(self, "usim_hardening", usim_hardening)
+        set_field(self, "nondefault_pin", nondefault_pin)
+        set_field(self, "iccid_binding", iccid_binding)
+        set_field(self, "fast_registration", fast_registration)
+        set_field(self, "periodic_aka", periodic_aka)
+        set_field(self, "supi_concealment", supi_concealment)
+        set_field(self, "usim_5g_context", usim_5g_context)
+        set_field(self, "offline_swap_detection", offline_swap_detection)
 
     def apply(self, profile: OperatorProfile) -> OperatorProfile:
-        changes = {name: value for name, value in vars(self).items() if value is not None}
-        return replace(profile, **changes) if changes else profile
+        changes = {t: value for t in TOGGLES if (value := getattr(self, t)) is not None}
+        if not changes:
+            return profile
+        return OperatorProfile(profile.name, **{t: changes.get(t, getattr(profile, t)) for t in TOGGLES})
 
 
 def countermeasures_from_pairs(pairs: dict[str, str]) -> Countermeasures:
     """Build a toggle set from name=on|off pairs (CLI or config syntax)."""
-    names = sorted(f.name for f in fields(Countermeasures))
+    names = sorted(TOGGLES)
     kwargs: dict[str, bool] = {}
     for name, value in pairs.items():
         if name not in names:

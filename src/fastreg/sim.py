@@ -20,6 +20,8 @@ from .usim import CardImage, standard_card
 class SimEnv:
     """Container wiring the channel, the network and any handsets."""
 
+    __slots__ = ("profile", "seed", "rng", "channel", "amf", "monitor", "mes", "custody")
+
     def __init__(self, profile: OperatorProfile, seed: int) -> None:
         self.profile = profile
         self.seed = seed

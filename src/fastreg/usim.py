@@ -18,12 +18,12 @@ ADM for the one card it was opened on; a reader session never does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
 
 from . import crypto
 from .crypto import Key, KeyKind
+from .record import fields_equal
 
 EF_IMSI = 0x6F07
 EF_EPSLOCI = 0x6FE3
@@ -48,36 +48,50 @@ class AccessLevel(Enum):
     NEV = "NEV"
 
 
-@dataclass
 class AccessRule:
-    read: AccessLevel
-    update: AccessLevel
+    __slots__ = ("read", "update")
+
+    def __init__(self, read: AccessLevel, update: AccessLevel) -> None:
+        self.read = read
+        self.update = update
+
+    __eq__ = fields_equal
 
 
-@dataclass
 class PinState:
-    value: str
-    enabled: bool
-    retries_left: int
-    retry_limit: int = DEFAULT_RETRY_LIMIT
-    locked: bool = False
+    __slots__ = ("value", "enabled", "retries_left", "retry_limit", "locked")
 
-    def __post_init__(self) -> None:
-        if not (self.value.isdigit() and 4 <= len(self.value) <= 8):
+    def __init__(
+        self,
+        value: str,
+        enabled: bool,
+        retries_left: int,
+        retry_limit: int = DEFAULT_RETRY_LIMIT,
+        locked: bool = False,
+    ) -> None:
+        if not (value.isdigit() and 4 <= len(value) <= 8):
             raise ValueError("PIN must be 4..8 digits")
-        if self.retries_left > self.retry_limit:
+        if retries_left > retry_limit:
             raise ValueError("retries_left above retry_limit")
-        if self.locked != (self.retries_left == 0):
+        if locked != (retries_left == 0):
             raise ValueError("locked iff retries_left == 0")
+        self.value = value
+        self.enabled = enabled
+        self.retries_left = retries_left
+        self.retry_limit = retry_limit
+        self.locked = locked
+
+    __eq__ = fields_equal
 
 
-@dataclass
 class CardSession:
-    pin_verified: bool = False
-    adm_card: CardImage | None = field(default=None, repr=False)  # ADM holds on this card only
+    __slots__ = ("pin_verified", "adm_card")
+
+    def __init__(self, pin_verified: bool = False, adm_card: CardImage | None = None) -> None:
+        self.pin_verified = pin_verified
+        self.adm_card = adm_card  # ADM holds on this card only
 
 
-@dataclass
 class CardImage:
     """One smart card: identity, permanent key, files, PIN state.
 
@@ -85,21 +99,34 @@ class CardImage:
     instantiated it enforces its access conditions like any other card.
     """
 
-    iccid: str
-    supi: str
-    k_permanent: Key
-    files: dict[int, tuple[AccessRule, bytes]]
-    pin: PinState
-    seq: int = 0
-    supports_5g_context: bool = False
-    programmable: bool = False
+    __slots__ = ("iccid", "supi", "k_permanent", "files", "pin", "seq", "supports_5g_context", "programmable")
 
-    def __post_init__(self) -> None:
-        if self.k_permanent.kind is not KeyKind.K_PERMANENT:
+    def __init__(
+        self,
+        iccid: str,
+        supi: str,
+        k_permanent: Key,
+        files: dict[int, tuple[AccessRule, bytes]],
+        pin: PinState,
+        seq: int = 0,
+        supports_5g_context: bool = False,
+        programmable: bool = False,
+    ) -> None:
+        if k_permanent.kind is not KeyKind.K_PERMANENT:
             raise ValueError("card key must be K_permanent kind")
-        if self.supports_5g_context:
-            if EF_5GLOCI not in self.files or EF_5GNSC not in self.files:
+        if supports_5g_context:
+            if EF_5GLOCI not in files or EF_5GNSC not in files:
                 raise ValueError("5G-capable card must carry 4F01 and 4F03")
+        self.iccid = iccid
+        self.supi = supi
+        self.k_permanent = k_permanent
+        self.files = files
+        self.pin = pin
+        self.seq = seq
+        self.supports_5g_context = supports_5g_context
+        self.programmable = programmable
+
+    __eq__ = fields_equal
 
     def open_session(self) -> CardSession:
         """Reader session: never holds the ADM credential."""
@@ -175,11 +202,13 @@ class ApduCommand(Enum):
     UPDATE = "UPDATE"
 
 
-@dataclass
 class Apdu:
-    cmd: ApduCommand
-    file_id: int
-    payload: bytes = b""
+    __slots__ = ("cmd", "file_id", "payload")
+
+    def __init__(self, cmd: ApduCommand, file_id: int, payload: bytes = b"") -> None:
+        self.cmd = cmd
+        self.file_id = file_id
+        self.payload = payload
 
 
 class ApduStatus(Enum):
@@ -189,14 +218,14 @@ class ApduStatus(Enum):
     PIN_BLOCKED = "PIN_BLOCKED"
 
 
-@dataclass
 class ApduResponse:
-    status: ApduStatus
-    payload: bytes = b""
+    __slots__ = ("status", "payload")
 
-    def __post_init__(self) -> None:
-        if self.status is not ApduStatus.OK and self.payload:
+    def __init__(self, status: ApduStatus, payload: bytes = b"") -> None:
+        if status is not ApduStatus.OK and payload:
             raise ValueError("payload only travels on OK")
+        self.status = status
+        self.payload = payload
 
 
 def _access_granted(card: CardImage, session: CardSession, level: AccessLevel) -> bool:

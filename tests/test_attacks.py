@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import fields
 
 import pytest
 
@@ -26,7 +25,7 @@ from fastreg.attacks import (
     run_table_matrix,
     scenario_one_tap_bypass,
 )
-from fastreg.profiles import ALL_PROTECTIVE, Countermeasures, countermeasures_from_pairs
+from fastreg.profiles import ALL_PROTECTIVE, TOGGLES, Countermeasures, countermeasures_from_pairs
 
 EXPECTED_MATRIX = {
     "OP-I": {
@@ -212,7 +211,7 @@ def test_protective_set_defeats_every_scenario():
 
 def test_no_single_protective_toggle_turns_a_failure_into_a_success():
     # Protective means on, except for fast registration, which protects off.
-    toggles = [f.name for f in fields(Countermeasures)]
+    toggles = TOGGLES
     protective = [("on", "off") if t != "fast_registration" else ("off", "on") for t in toggles]
     sets = list(itertools.product((True, False), repeat=len(toggles)))
     violations = []

@@ -5,11 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastreg.channel import (
     AuthRequest,
     Channel,
     ChannelTap,
+    MalformedPayload,
     NasMessage,
     NotObserved,
     RegistrationRequestFast,
@@ -132,6 +135,23 @@ def test_accept_payload_codec_round_trip():
         guti = "guti-%06x" % rng.getrandbits(24)
         dl = rng.randrange(2**32)
         assert decode_accept_payload(encode_accept_payload(guti, dl)) == (guti, dl)
+
+
+@pytest.mark.parametrize("blob", [b"", b"abc", b"\x00\x03abc\x00\x00\x00", b"\x00\x01\xe9\x00\x00\x00\x01"])
+def test_accept_payload_decoder_rejects_what_the_encoder_cannot_write(blob):
+    # Truncated, empty, one byte short, and a non-ASCII GUTI.
+    with pytest.raises(MalformedPayload):
+        decode_accept_payload(blob)
+
+
+@settings(derandomize=True, database=None)
+@given(blob=st.binary(max_size=64))
+def test_accept_payload_decoder_is_total(blob):
+    try:
+        guti, dl_count = decode_accept_payload(blob)
+    except MalformedPayload:
+        return
+    assert encode_accept_payload(guti, dl_count) == blob
 
 
 def test_sniff_latest_guti_tracks_queried_sender():

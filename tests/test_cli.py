@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from fastreg.cli import main
-from fastreg.profiles import BUILTIN_PROFILES, Countermeasures, OperatorProfile, countermeasures_from_pairs
+from fastreg.profiles import BUILTIN_PROFILES, TOGGLES, Countermeasures, OperatorProfile, countermeasures_from_pairs
 
 
 def run_cli(capsys, *argv):
@@ -26,7 +25,7 @@ def test_profiles_list(capsys):
 
 
 def test_profiles_and_countermeasures_share_one_vocabulary(capsys):
-    assert [f.name for f in fields(OperatorProfile)][1:] == [f.name for f in fields(Countermeasures)]
+    assert OperatorProfile.__slots__[1:] == Countermeasures.__slots__ == TOGGLES
     _, out, _ = run_cli(capsys, "profiles", "list")
     for line in out.splitlines():
         name, *pairs = line.split()
@@ -165,8 +164,9 @@ def test_unwritable_output_paths_exit_two(tmp_path, capsys, argv):
     card = tmp_path / "card.txt"
     assert run_cli(capsys, "card", "save", str(card))[0] == 0
     paths = {"dir": str(tmp_path), "card": str(card)}
-    code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
+    assert not out
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 

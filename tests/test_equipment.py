@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastreg.channel import RegistrationAccept
+from fastreg.channel import Envelope, RegistrationAccept
 from fastreg.crypto import KEY_LEN, Key, KeyKind
 from fastreg.equipment import (
     COUNT_LIMIT,
@@ -25,7 +24,7 @@ from fastreg.equipment import (
     SlotEmpty,
     SlotOccupied,
 )
-from fastreg.profiles import NONDEFAULT_PIN, get_profile
+from fastreg.profiles import NONDEFAULT_PIN, Countermeasures, get_profile
 from fastreg.sim import SimEnv
 from fastreg.usim import EF_5GLOCI, EF_5GNSC, EF_EPSLOCI, EF_EPSNSC, AccessLevel, standard_card
 
@@ -35,7 +34,7 @@ SUPI = "460110123456789"
 def provisioned(seed=11, me_kwargs=None, profile_override=None):
     prof = get_profile("OP-I")
     if profile_override:
-        prof = replace(prof, **profile_override)
+        prof = Countermeasures(**profile_override).apply(prof)
     env = SimEnv(prof, seed)
     record, card = env.provision_subscriber(SUPI)
     me = env.add_me("ue", **(me_kwargs or {}))
@@ -308,7 +307,7 @@ def test_stale_accept_replay_is_discarded():
     out = me.register("5G")
     assert not out.accepted
     env.channel.drop_filter = None
-    env.channel.inject(replace(stale, flow=out.flow))
+    env.channel.inject(Envelope(stale.step, stale.src, stale.dst, stale.bs, out.flow, stale.msg))
     env.pump()
     assert not out.accepted
     assert len(env.events.named("dl_replay_discarded")) == 1

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from fastreg import crypto
@@ -23,7 +21,7 @@ from fastreg.channel import (
 from fastreg.crypto import KEY_LEN, Key, KeyKind
 from fastreg.equipment import COUNT_LIMIT
 from fastreg.network import NotRegistered, UnknownSubscriber
-from fastreg.profiles import PERIODIC_AKA_INTERVAL, get_profile
+from fastreg.profiles import PERIODIC_AKA_INTERVAL, Countermeasures, get_profile
 from fastreg.sim import SimEnv
 from fastreg.usim import standard_card
 
@@ -34,7 +32,7 @@ def fast_ready(seed=77, profile_override=None):
     """Environment with one subscriber holding a stored 5G context."""
     prof = get_profile("OP-I")
     if profile_override:
-        prof = replace(prof, **profile_override)
+        prof = Countermeasures(**profile_override).apply(prof)
     env = SimEnv(prof, seed)
     record, card = env.provision_subscriber(SUPI)
     me = env.add_me("ue")
