@@ -7,12 +7,17 @@ the air: replay re-sends them whole, and a trace line renders only the
 visible projection an over-the-air sniffer reads (cleartext fields;
 ciphered containers and MACs never).  The environment's monitor tap is
 both the exported trace and everything the attacker reads.
+
+An event is a tuple (step, entity, name, fields) with named read-only
+accessors.  `EventLog.emit` stores the caller's fields dict as it is, so
+every field value is a `str` when it is emitted; nothing converts later.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
+from operator import itemgetter
 
 from .record import Frozen, set_field
 
@@ -236,14 +241,23 @@ class ChannelTap:
         raise NotObserved("no fast registration seen from %s" % src)
 
 
-class Event(Frozen):
-    __slots__ = ("step", "entity", "name", "fields")
+class Event(tuple):
+    """One protocol event: (step, entity, name, fields), every field value a str.
 
-    def __init__(self, step: int, entity: str, name: str, fields: dict[str, str]) -> None:
-        set_field(self, "step", step)
-        set_field(self, "entity", entity)
-        set_field(self, "name", name)
-        set_field(self, "fields", fields)
+    Tuple-backed so that `EventLog.emit` builds it in one call to
+    `tuple.__new__`; the fields are read through properties that have no
+    setter, so an event cannot be changed once emitted.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, step: int, entity: str, name: str, fields: dict[str, str]) -> "Event":
+        return tuple.__new__(cls, (step, entity, name, fields))
+
+    step = property(itemgetter(0))
+    entity = property(itemgetter(1))
+    name = property(itemgetter(2))
+    fields = property(itemgetter(3))
 
     def line(self) -> str:
         shown = " ".join("%s=%s" % kv for kv in self.fields.items())
@@ -259,8 +273,9 @@ class EventLog:
         self._clock = clock
         self.entries: list[Event] = []
 
-    def emit(self, entity: str, name: str, **fields: str) -> Event:
-        event = Event(self._clock.step, entity, name, {k: str(v) for k, v in fields.items()})
+    def emit(self, entity: str, name: str, fields: dict[str, str]) -> Event:
+        """Record one event; `fields` (str values) is kept, not copied."""
+        event = tuple.__new__(Event, (self._clock.step, entity, name, fields))
         self.entries.append(event)
         return event
 
@@ -297,7 +312,7 @@ class Channel:
         for tap in self.taps:
             tap.record(envelope)
         if self.drop_filter is not None and self.drop_filter(envelope):
-            self.events.emit("channel", "dropped", dst=dst, mtype=msg.mtype)
+            self.events.emit("channel", "dropped", {"dst": dst, "mtype": msg.mtype})
             return envelope
         self._queue.append(envelope)
         return envelope

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .attacks import (
     SCENARIO_NAMES,
@@ -42,13 +41,19 @@ from .sim import SimEnv
 from .usim import CardFormatError, card_from_text, card_to_text
 
 
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="ascii") as out:
+        out.write(text)
+
+
 def _write_lines(path: str, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _read_ascii(path: str, error: type[Exception]) -> str:
     """The file's text; `error` names the line of a non-ASCII byte."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as src:
+        data = src.read()
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as err:
@@ -109,7 +114,7 @@ def _cmd_card_save(args: argparse.Namespace) -> int:
     profile = get_profile(args.profile)
     env = SimEnv(profile, args.seed)
     _, card = env.provision_subscriber(args.supi)
-    Path(args.path).write_text(card_to_text(card), encoding="ascii")
+    _write_text(args.path, card_to_text(card))
     print("wrote %s (iccid %s, supi %s)" % (args.path, card.iccid, card.supi))
     return 0
 
@@ -117,7 +122,7 @@ def _cmd_card_save(args: argparse.Namespace) -> int:
 def _cmd_card_load(args: argparse.Namespace) -> int:
     card = card_from_text(_read_ascii(args.path, CardFormatError))
     if args.out:
-        Path(args.out).write_text(card_to_text(card), encoding="ascii")
+        _write_text(args.out, card_to_text(card))
     print("iccid %s" % card.iccid)
     print("supi %s" % card.supi)
     print("seq %d" % card.seq)

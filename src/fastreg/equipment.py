@@ -248,9 +248,9 @@ class MobileEquipment:
 
     # --- plumbing ------------------------------------------------------
 
-    def _emit(self, event: str, **fields) -> None:
+    def _emit(self, event: str, fields: dict[str, str]) -> None:
         if self.env is not None:
-            self.env.events.emit(self.name, event, **fields)
+            self.env.events.emit(self.name, event, fields)
 
     def _send(self, flow: str, msg) -> None:
         self.env.channel.send(self.name, self.env.amf.name, self.bs, flow, msg)
@@ -262,7 +262,7 @@ class MobileEquipment:
     def _drop_entry(self, reason: str) -> None:
         if self.baseband.entry is not None:
             self.baseband.entry = None
-            self._emit("baseband_context_deleted", reason=reason)
+            self._emit("baseband_context_deleted", {"reason": reason})
 
     # --- slot and power operations ------------------------------------
 
@@ -270,7 +270,7 @@ class MobileEquipment:
         if self.slot is not None:
             raise SlotOccupied("slot already holds %s" % self.slot.iccid)
         self.slot = card
-        self._emit("card_inserted", iccid=card.iccid)
+        self._emit("card_inserted", {"iccid": card.iccid})
         if self.power is PowerState.POWERED_ON:
             self._enter_powered_on()
         else:
@@ -282,13 +282,13 @@ class MobileEquipment:
         card = self.slot
         self.slot = None
         self._card_session = None
-        self._emit("card_removed", iccid=card.iccid)
+        self._emit("card_removed", {"iccid": card.iccid})
         if self.power is PowerState.POWERED_ON:
             # Rule: removal while powered on clears the chip-held context.
             self._drop_entry("removed-while-powered-on")
             if self.registered:
                 self.registered = False
-                self._emit("service_lost", reason="card-removed")
+                self._emit("service_lost", {"reason": "card-removed"})
             self._ctx, self._active = None, None
         else:
             self.slot_event_pending = True
@@ -298,7 +298,7 @@ class MobileEquipment:
         if self.power is PowerState.POWERED_ON:
             return
         self.power = PowerState.POWERED_ON
-        self._emit("power_on")
+        self._emit("power_on", {})
         self._enter_powered_on()
 
     def power_off(self) -> None:
@@ -309,7 +309,7 @@ class MobileEquipment:
         self.power = PowerState.POWERED_OFF
         self._card_session = None
         self._ctx, self._active = None, None
-        self._emit("power_off")
+        self._emit("power_off", {})
 
     def set_airplane(self, enabled: bool) -> None:
         if enabled:
@@ -318,12 +318,12 @@ class MobileEquipment:
             if self.registered:
                 self.deregister()
             self.power = PowerState.AIRPLANE
-            self._emit("airplane_on")
+            self._emit("airplane_on", {})
         else:
             if self.power is not PowerState.AIRPLANE:
                 raise PowerStateError("not in airplane mode")
             self.power = PowerState.POWERED_ON
-            self._emit("airplane_off")
+            self._emit("airplane_off", {})
             self._enter_powered_on()
 
     def _enter_powered_on(self) -> None:
@@ -358,9 +358,9 @@ class MobileEquipment:
         if self.generation == "4G" or card.supports_5g_context:
             status = store_context_files(card, self._card_session, loci, blob, self.generation)
             if status is ApduStatus.OK:
-                self._emit("context_stored", where="card", generation=self.generation)
+                self._emit("context_stored", {"where": "card", "generation": self.generation})
             else:
-                self._emit("context_store_refused", status=status.name)
+                self._emit("context_store_refused", {"status": status.name})
         else:
             self.baseband.entry = BasebandEntry(
                 supi=card.supi,
@@ -369,7 +369,7 @@ class MobileEquipment:
                 generation=self.generation,
                 iccid=card.iccid,
             )
-            self._emit("context_stored", where="baseband", generation=self.generation)
+            self._emit("context_stored", {"where": "baseband", "generation": self.generation})
 
     # --- registration -------------------------------------------------
 
@@ -381,7 +381,7 @@ class MobileEquipment:
                 try:
                     return SecurityContext.from_bytes(nsc), loci.decode("ascii"), "card"
                 except ValueError as err:  # UnicodeDecodeError included
-                    self._emit("context_unparsable", where="card", reason=str(err).replace(" ", "-"))
+                    self._emit("context_unparsable", {"where": "card", "reason": str(err).replace(" ", "-")})
         entry = self.baseband.entry
         if (
             entry is not None
@@ -411,7 +411,7 @@ class MobileEquipment:
         ctx, guti, source = self._select_context(card, generation)
         if ctx is not None and ctx.ul_count + 1 >= COUNT_LIMIT:
             # The uplink COUNT would wrap: re-key with a fresh AKA instead.
-            self._emit("count_exhausted", guti=guti)
+            self._emit("count_exhausted", {"guti": guti})
             ctx, source = None, "none"
         outcome = RegistrationOutcome(
             path="fast" if ctx is not None else "initial",
@@ -429,9 +429,7 @@ class MobileEquipment:
             ies = encode_ies(guti, ctx.ngksi, ctx.ul_count)
             container = crypto.senc(ies, k_enc)
             mac = crypto.mac_compute(ies, container, k_int)
-            self._emit(
-                "ue_init", ies=ies.hex(), container=container.hex(), mac=mac.hex()
-            )
+            self._emit("ue_init", {"ies": ies.hex(), "container": container.hex(), "mac": mac.hex()})
             self._send(flow, RegistrationRequestFast(guti, ctx.ngksi, ctx.ul_count, container, mac))
         else:
             self._send(flow, RegistrationRequestInitial(self._identity(card), SEC_CAPS))
@@ -444,7 +442,7 @@ class MobileEquipment:
         self._send(self._next_flow(), Deregistration(self.current_guti))
         self._persist_context()
         self.registered = False
-        self._emit("ue_deregistered", guti=self.current_guti)
+        self._emit("ue_deregistered", {"guti": self.current_guti})
         self.env.channel.pump()
 
     # --- NAS downlink handlers ----------------------------------------
@@ -462,7 +460,7 @@ class MobileEquipment:
         state = self._active
         handler = self._HANDLERS.get(type(envelope.msg))
         if state is None or envelope.flow != state.flow or handler is None:
-            self._emit("stray_message", mtype=envelope.msg.mtype)
+            self._emit("stray_message", {"mtype": envelope.msg.mtype})
             return
         getattr(self, handler)(state, envelope)
 
@@ -474,7 +472,7 @@ class MobileEquipment:
             state.aka = card.run_aka(msg.rand, msg.autn)
             res = state.aka.res
         except crypto.MacFailure:
-            self._emit("card_rejected_autn")
+            self._emit("card_rejected_autn", {})
             res = b""
         self._send(state.flow, AuthResponse(res))
 
@@ -484,7 +482,7 @@ class MobileEquipment:
     def _on_security_mode(self, state: _InFlight, envelope) -> None:
         msg: SecurityModeCommand = envelope.msg
         if state.aka is None:
-            self._emit("stray_message", mtype=msg.mtype)
+            self._emit("stray_message", {"mtype": msg.mtype})
             return
         _, _, k_amf = crypto.derive_k_amf(state.aka.ck, state.aka.ik)
         ctx = SecurityContext(
@@ -501,17 +499,17 @@ class MobileEquipment:
     def _on_accept(self, state: _InFlight, envelope) -> None:
         msg: RegistrationAccept = envelope.msg
         if state.ctx is None:
-            self._emit("stray_message", mtype=msg.mtype)
+            self._emit("stray_message", {"mtype": msg.mtype})
             return
         try:
             plain = crypto.sdec(msg.ciphered, state.ctx.nas_keys[0])
         except crypto.DecryptFailure:
-            self._emit("accept_undecryptable")
+            self._emit("accept_undecryptable", {})
             return
         new_guti, dl_count = decode_accept_payload(plain)
         if dl_count <= state.ctx.dl_count:
             # Downlink replay guard mirrors the uplink count rule.
-            self._emit("dl_replay_discarded", count=dl_count)
+            self._emit("dl_replay_discarded", {"count": str(dl_count)})
             return
         state.ctx.dl_count = dl_count
         self.current_guti = new_guti
@@ -522,7 +520,7 @@ class MobileEquipment:
         outcome.accepted = True
         outcome.guti = new_guti
         outcome.end_step = envelope.step
-        self._emit("ue_registered", guti=new_guti, path=outcome.path)
+        self._emit("ue_registered", {"guti": new_guti, "path": outcome.path})
         if state.source in ("card", "baseband"):
             # Fast-path accept refreshes the stored context in place.
             self._persist_context()
@@ -532,5 +530,5 @@ class MobileEquipment:
         msg: RegistrationReject = envelope.msg
         state.outcome.reject_cause = msg.cause
         state.outcome.end_step = envelope.step
-        self._emit("ue_rejected", cause=msg.cause)
+        self._emit("ue_rejected", {"cause": msg.cause})
         self._active = None

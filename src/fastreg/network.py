@@ -136,9 +136,9 @@ class Amf:
 
     # --- plumbing ------------------------------------------------------
 
-    def _emit(self, event: str, **fields) -> None:
+    def _emit(self, event: str, fields: dict[str, str]) -> None:
         if self.env is not None:
-            self.env.events.emit(self.name, event, **fields)
+            self.env.events.emit(self.name, event, fields)
 
     def _reply(self, envelope, msg) -> None:
         """Answer the sender on its own flow, through the same base station."""
@@ -179,54 +179,49 @@ class Amf:
 
     # --- fast-path decision -------------------------------------------
 
-    def _fast_check(self, msg: RegistrationRequestFast) -> tuple[str | None, TableEntry | None]:
-        """Returns (failure reason or None, table entry if looked up)."""
+    def _fast_check(self, msg: RegistrationRequestFast) -> tuple[str | None, TableEntry | None, bytes]:
+        """Returns (failure reason or None, table entry if looked up, the verified IEs or b"")."""
         entry = self.table.get((msg.guti, msg.ngksi))
         if not self.profile.fast_registration:
-            return "disabled", entry
+            return "disabled", entry, b""
         if entry is None:
-            return "lookup", None
+            return "lookup", None, b""
         if self.profile.periodic_aka:
             last = self.last_aka_step.get(entry.supi, -(10**9))
             if self._step() - last >= PERIODIC_AKA_INTERVAL:
-                return "periodic", entry
+                return "periodic", entry, b""
         ctx = entry.context
         if not 0 <= msg.ul_count < COUNT_LIMIT or ctx.dl_count + 1 >= COUNT_LIMIT:
             # Either COUNT would leave 32 bits: re-key with a fresh AKA.
-            return "count", entry
+            return "count", entry, b""
         k_enc, k_int = ctx.nas_keys
         ies = encode_ies(msg.guti, msg.ngksi, msg.ul_count)
         if not crypto.mac_verify(ies, msg.container, k_int, msg.mac):
-            return "mac", entry
+            return "mac", entry, b""
         try:
             plain = crypto.sdec(msg.container, k_enc)
         except crypto.DecryptFailure:
             plain = None
         if plain != ies:
-            return "container", entry
+            return "container", entry, b""
         if msg.ul_count <= ctx.ul_count:
-            return "count", entry
-        return None, entry
+            return "count", entry, b""
+        return None, entry, ies
 
     def _on_fast(self, envelope) -> None:
         msg: RegistrationRequestFast = envelope.msg
-        reason, entry = self._fast_check(msg)
+        reason, entry, ies = self._fast_check(msg)
         if reason is None:
             ctx = entry.context
             ctx.ul_count = msg.ul_count
-            self._emit(
-                "amf_verify",
-                ies=encode_ies(msg.guti, msg.ngksi, msg.ul_count).hex(),
-                container=msg.container.hex(),
-                mac=msg.mac.hex(),
-            )
+            self._emit("amf_verify", {"ies": ies.hex(), "container": msg.container.hex(), "mac": msg.mac.hex()})
             new_guti = self._alloc_guti()
             # Alias: the new GUTI joins the old ones on the same context.
             self.table[(new_guti, msg.ngksi)] = entry
             ctx.dl_count += 1
             self._accept(envelope, entry.supi, new_guti, "fast", ctx)
             return
-        self._emit("fast_fallback", reason=reason, guti=msg.guti)
+        self._emit("fast_fallback", {"reason": reason, "guti": msg.guti})
         if entry is not None:
             self._begin_aka(
                 entry.supi, envelope, caps=entry.context.ue_sec_caps
@@ -243,7 +238,7 @@ class Amf:
         # One pending AKA per subscriber: a new challenge replaces the old.
         self.pending = {k: p for k, p in self.pending.items() if p.supi != supi}
         self.pending[envelope.src, envelope.flow] = _PendingAka(supi, vector, caps)
-        self._emit("aka_started", supi=supi)
+        self._emit("aka_started", {"supi": supi})
         self._reply(envelope, AuthRequest(vector.rand, vector.autn))
 
     def _on_identity(self, envelope) -> None:
@@ -251,7 +246,7 @@ class Amf:
         try:
             supi = self.resolve_identity(msg.identity)
         except UnknownSubscriber:
-            self._emit("unknown_identity", identity=msg.identity)
+            self._emit("unknown_identity", {"identity": msg.identity})
             self._reply(envelope, RegistrationReject("unknown-subscriber"))
             return
         self._begin_aka(supi, envelope, caps=msg.sec_caps)
@@ -259,11 +254,11 @@ class Amf:
     def _on_auth_response(self, envelope) -> None:
         state = self.pending.get((envelope.src, envelope.flow))
         if state is None or state.stage != "res":
-            self._emit("stray_message", mtype=envelope.msg.mtype)
+            self._emit("stray_message", {"mtype": envelope.msg.mtype})
             return
         msg: AuthResponse = envelope.msg
         if not msg.res or msg.res != state.vector.xres:
-            self._emit("aka_reject", supi=state.supi)
+            self._emit("aka_reject", {"supi": state.supi})
             del self.pending[envelope.src, envelope.flow]
             self._reply(envelope, RegistrationReject("authentication-failure"))
             return
@@ -280,14 +275,14 @@ class Amf:
     def _on_smc_complete(self, envelope) -> None:
         state = self.pending.get((envelope.src, envelope.flow))
         if state is None or state.stage != "smc":
-            self._emit("stray_message", mtype=envelope.msg.mtype)
+            self._emit("stray_message", {"mtype": envelope.msg.mtype})
             return
         del self.pending[envelope.src, envelope.flow]
         ctx = SecurityContext(
             k_amf=state.k_amf, ngksi=state.ngksi, ue_sec_caps=tuple(state.caps), ul_count=0, dl_count=1
         )
         if not crypto.mac_verify(b"security-mode-complete", b"", ctx.nas_keys[1], envelope.msg.mac):
-            self._emit("smc_failure", supi=state.supi)
+            self._emit("smc_failure", {"supi": state.supi})
             self._reply(envelope, RegistrationReject("security-mode-failure"))
             return
         # A new AKA replaces every alias of the subscriber's old context.
@@ -296,13 +291,13 @@ class Amf:
         guti = self._alloc_guti()
         self.table[(guti, state.ngksi)] = TableEntry(supi=supi, context=ctx)
         self.last_aka_step[supi] = self._step()
-        self._emit("aka_established", supi=supi, guti=guti)
+        self._emit("aka_established", {"supi": supi, "guti": guti})
         self._accept(envelope, supi, guti, "aka", ctx)
 
     def _accept(self, envelope, supi: str, guti: str, via: str, ctx: SecurityContext) -> None:
         """Open the subscriber's session and send it the ciphered accept."""
         self.sessions[supi] = Session(supi, envelope.bs, guti, "Registered", via, envelope.flow)
-        self._emit("registration_accept", supi=supi, guti=guti, via=via)
+        self._emit("registration_accept", {"supi": supi, "guti": guti, "via": via})
         payload = crypto.senc(encode_accept_payload(guti, ctx.dl_count), ctx.nas_keys[0])
         self._reply(envelope, RegistrationAccept(payload))
 
@@ -314,9 +309,9 @@ class Amf:
                 session = self.sessions.get(entry.supi)
                 if session is not None:
                     session.state = "Deregistered"
-                self._emit("deregistered", supi=entry.supi)
+                self._emit("deregistered", {"supi": entry.supi})
                 return
-        self._emit("stray_message", mtype=msg.mtype)
+        self._emit("stray_message", {"mtype": msg.mtype})
 
     # --- channel entry point ------------------------------------------
 
@@ -333,7 +328,7 @@ class Amf:
     def handle(self, envelope) -> None:
         handler = self._HANDLERS.get(type(envelope.msg))
         if handler is None:
-            self._emit("stray_message", mtype=envelope.msg.mtype)
+            self._emit("stray_message", {"mtype": envelope.msg.mtype})
             return
         getattr(self, handler)(envelope)
 

@@ -7,6 +7,9 @@ and no instance carries a `__dict__`.  An immutable record derives from
 `Frozen`; its `__init__` stores each field with `set_field`, and any later
 assignment or deletion raises AttributeError.  Records compare by
 identity; the few that are compared by value set `__eq__ = fields_equal`.
+The exception is `channel.Event`, the most numerous record: it is a
+`tuple` subclass with read-only properties, built in one `tuple.__new__`
+call, and it compares by value like any tuple.
 """
 
 set_field = object.__setattr__  # how a Frozen record's __init__ stores its fields

@@ -20,13 +20,14 @@ from .usim import CardImage, standard_card
 class SimEnv:
     """Container wiring the channel, the network and any handsets."""
 
-    __slots__ = ("profile", "seed", "rng", "channel", "amf", "monitor", "mes", "custody")
+    __slots__ = ("profile", "seed", "rng", "channel", "events", "amf", "monitor", "mes", "custody")
 
     def __init__(self, profile: OperatorProfile, seed: int) -> None:
         self.profile = profile
         self.seed = seed
         self.rng = Random(seed)
         self.channel = Channel()
+        self.events: EventLog = self.channel.events
         self.amf = Amf(profile, self.rng)
         self.amf.env = self
         self.channel.register(self.amf.name, self.amf.handle)
@@ -34,10 +35,6 @@ class SimEnv:
         self.channel.taps.append(self.monitor)
         self.mes: dict[str, MobileEquipment] = {}
         self.custody: dict[str, str | None] = {}
-
-    @property
-    def events(self) -> EventLog:
-        return self.channel.events
 
     def add_me(
         self,

@@ -54,11 +54,16 @@ def cases():
                     yield attack, variant, profile, cm, seed
 
 
+def run_case(attack: str, variant: str, profile: str, cm: str, seed: int):
+    """The case's report; raises PrerequisiteFailed as run_scenario does."""
+    pairs = {} if cm == "none" else {cm: "on"}
+    return run_scenario(attack, profile, seed, countermeasures_from_pairs(pairs), variant)
+
+
 def case_lines(attack: str, variant: str, profile: str, cm: str, seed: int) -> list[str]:
     """Every output line of one case: report, trace and events."""
-    pairs = {} if cm == "none" else {cm: "on"}
     try:
-        report = run_scenario(attack, profile, seed, countermeasures_from_pairs(pairs), variant)
+        report = run_case(attack, variant, profile, cm, seed)
     except PrerequisiteFailed as err:
         return ["prerequisite failed: %s" % err]
     return report.to_lines() + report.env.trace_lines() + report.env.event_lines()

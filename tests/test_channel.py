@@ -12,6 +12,7 @@ from fastreg.channel import (
     AuthRequest,
     Channel,
     ChannelTap,
+    Event,
     MalformedPayload,
     NasMessage,
     NotObserved,
@@ -82,6 +83,19 @@ def test_drop_filter_suppresses_delivery_but_not_capture():
     assert isinstance(seen["b"][0].msg, RegistrationRequestFast)
     assert len(tap.entries) == 2  # the sniffer still saw the dropped frame
     assert ch.events.named("dropped")
+
+
+def test_emit_keeps_the_callers_fields_and_the_step():
+    ch, _ = make_channel()
+    ch.tick(3)
+    fields = {"reason": "lookup", "guti": "guti-1"}
+    event = ch.events.emit("amf", "fast_fallback", fields)
+    assert type(event) is Event and ch.events.entries == [event]
+    assert (event.step, event.entity, event.name) == (3, "amf", "fast_fallback")
+    assert event.fields is fields
+    assert event.line() == "   3 amf fast_fallback reason=lookup guti=guti-1"
+    assert Event(3, "amf", "fast_fallback", fields) == event
+    assert ch.events.emit("ue", "power_on", {}).line() == "   3 ue power_on"
 
 
 def test_inject_replays_identical_frame_at_new_step():

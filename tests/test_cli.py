@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
+from fastreg import cli
 from fastreg.cli import main
 from fastreg.profiles import BUILTIN_PROFILES, TOGGLES, Countermeasures, OperatorProfile, countermeasures_from_pairs
 
@@ -174,10 +173,10 @@ def test_permission_error_exits_two(tmp_path, capsys, monkeypatch):
     card = tmp_path / "card.txt"
     assert run_cli(capsys, "card", "save", str(card))[0] == 0
 
-    def refuse(path):
+    def refuse(path, *args, **kwargs):
         raise PermissionError(13, "Permission denied", str(path))
 
-    monkeypatch.setattr(Path, "read_bytes", refuse)
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
     for argv in (("card", "load", str(card)), ("run", str(card))):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and not out

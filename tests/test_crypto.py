@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+import types
 
 import pytest
 
+from fastreg import crypto
 from fastreg.crypto import (
     KEY_LEN,
     MAC_LEN,
@@ -257,3 +259,49 @@ def test_key_length_enforced():
         Key(b"\x00" * 15, KeyKind.K_AMF)
     with pytest.raises(ValueError):
         Key(b"\x00" * 17, KeyKind.K_AMF)
+
+
+def _flip(blob: bytes, i: int) -> bytes:
+    out = bytearray(blob)
+    out[i] ^= 0x01
+    return bytes(out)
+
+
+def test_memos_cannot_hide_tampering():
+    rng = random.Random(6)
+    k = Key(rng.randbytes(16), KeyKind.K_NASENC)
+    other = Key(rng.randbytes(16), KeyKind.K_NASENC)
+    m = b"fast registration ies"
+    ct = senc(m, k)  # fills the keystream and SIV memos for (k, m)
+    hits = crypto._keystream.cache_info().hits
+    assert sdec(ct, k) == m
+    assert crypto._keystream.cache_info().hits == hits + 1  # the receiver reused the sender's keystream
+    for bad, key in ((_flip(ct, KEY_LEN + 3), k), (_flip(ct, 5), k), (ct, other)):
+        for _ in range(2):  # the second try meets whatever the first one memoised
+            with pytest.raises(DecryptFailure):
+                sdec(bad, key)
+    assert sdec(ct, k) == m
+
+    ik = Key(rng.randbytes(16), KeyKind.K_NASINT)
+    other_ik = Key(rng.randbytes(16), KeyKind.K_NASINT)
+    tag = mac_compute(b"ies", m, ik)
+    for _ in range(2):
+        assert not mac_verify(b"ies", m, ik, _flip(tag, 0))
+        assert not mac_verify(b"ies", m, other_ik, tag)
+    assert mac_verify(b"ies", m, ik, tag)
+
+
+def test_memos_are_bounded():
+    for memo in (crypto._keystream, crypto._siv, crypto._mac, crypto._hmac_pads, nas_keys):
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1024, memo
+
+
+# perfbench/tracer.py times a function by wrapping it, and it wraps only
+# plain functions: one hidden behind a memo wrapper loses its span.
+TRACED = ("prf", "kdf", "derive_k_amf", "senc", "sdec", "mac_compute", "mac_verify", "gen_auth_vector", "check_autn")
+
+
+@pytest.mark.parametrize("name", TRACED)
+def test_traced_entry_points_stay_plain_functions(name):
+    assert type(getattr(crypto, name)) is types.FunctionType
