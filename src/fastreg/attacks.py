@@ -293,7 +293,7 @@ def _step(report: AttackReport, step: tuple[str, ...]) -> bool:
             status = store_context_files(fake, fake.open_session(), guti.encode("ascii"), ctx.to_bytes(), "4G")
             return status is ApduStatus.OK
         case ("note-baseband", me):
-            report.note("baseband_entry_after_swap", env.mes[me].baseband.entry is not None)
+            report.note("baseband_entry_after_swap", env.mes[me].baseband is not None)
         case _:
             raise UnknownScenario("unknown step %r" % (step,))
     return True

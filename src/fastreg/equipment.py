@@ -146,13 +146,6 @@ class BasebandEntry:
         self.iccid = iccid
 
 
-class BasebandStore:
-    __slots__ = ("entry",)
-
-    def __init__(self, entry: BasebandEntry | None = None) -> None:
-        self.entry = entry
-
-
 class RegistrationOutcome:
     """What one register() call did, as seen from the handset."""
 
@@ -235,7 +228,7 @@ class MobileEquipment:
 
         self.power = PowerState.POWERED_OFF
         self.slot: CardImage | None = None
-        self.baseband = BasebandStore()
+        self.baseband: BasebandEntry | None = None
         self.slot_event_pending = False
         self.registered = False
         self.current_guti: str | None = None
@@ -260,8 +253,8 @@ class MobileEquipment:
         return "%s#%d" % (self.name, self._flow_n - 1)
 
     def _drop_entry(self, reason: str) -> None:
-        if self.baseband.entry is not None:
-            self.baseband.entry = None
+        if self.baseband is not None:
+            self.baseband = None
             self._emit("baseband_context_deleted", {"reason": reason})
 
     # --- slot and power operations ------------------------------------
@@ -328,7 +321,7 @@ class MobileEquipment:
 
     def _enter_powered_on(self) -> None:
         """Runs on every transition into powered-on and on hot card insert."""
-        entry = self.baseband.entry
+        entry = self.baseband
         if entry is not None:
             if self.slot is None:
                 self._drop_entry("powered-on-empty-slot")
@@ -362,7 +355,7 @@ class MobileEquipment:
             else:
                 self._emit("context_store_refused", {"status": status.name})
         else:
-            self.baseband.entry = BasebandEntry(
+            self.baseband = BasebandEntry(
                 supi=card.supi,
                 guti=self.current_guti,
                 context=self._ctx,
@@ -382,7 +375,7 @@ class MobileEquipment:
                     return SecurityContext.from_bytes(nsc), loci.decode("ascii"), "card"
                 except ValueError as err:  # UnicodeDecodeError included
                     self._emit("context_unparsable", {"where": "card", "reason": str(err).replace(" ", "-")})
-        entry = self.baseband.entry
+        entry = self.baseband
         if (
             entry is not None
             and entry.generation == generation

@@ -2,15 +2,17 @@
 
 The fast-path decision runs the checks in a fixed order and falls back to
 a full AKA the moment one fails, without telling the handset which check
-tripped: table lookup by (GUTI, ngKSI), NAS MAC, container/cleartext
-equality, then the strictly-greater uplink count rule.
+tripped: table lookup by GUTI with the ngKSI compared against the
+context found, NAS MAC, container/cleartext equality, then the
+strictly-greater uplink count rule.
 
-The context table behaves like an append-only map: a fast-path accept
-adds the freshly allocated GUTI as another alias of the same context
-object and the old alias stays valid, so byte-identical replays die on
-the count check rather than the lookup.  Only a new AKA purges a
-subscriber's old rows and installs a fresh context.  Deregistration is a
-constant-time lookup that relies on GUTI uniqueness (one row per GUTI).
+The AMF keeps one record per subscriber, and the context table maps
+each of its GUTI aliases to that record.  The table behaves like an
+append-only map: a fast-path accept adds the freshly allocated GUTI as
+another alias and the old alias stays valid, so byte-identical replays
+die on the count check rather than the lookup.  Only a new AKA purges a
+subscriber's old rows and installs a fresh context.  Deregistration is
+one lookup by construction: the table is keyed by GUTI alone.
 The model's Deregistration carries no NAS MAC, so any live alias sniffed
 off the air, however old, ends that subscriber's session.  A pending AKA
 belongs to the (sender, flow) that started it; others' frames are strays.
@@ -49,22 +51,17 @@ class UnknownSubscriber(Exception):
 
 
 class SubscriberRecord:
-    __slots__ = ("supi", "k_permanent", "seq")
+    """One subscriber's key, AKA state and current context; shared by all of its GUTI aliases."""
+
+    __slots__ = ("supi", "k_permanent", "seq", "context", "next_ngksi", "last_aka_step")
 
     def __init__(self, supi: str, k_permanent: Key, seq: int = 0) -> None:
         self.supi = supi
         self.k_permanent = k_permanent
         self.seq = seq
-
-
-class TableEntry:
-    """One subscriber's live context; shared by all of its GUTI aliases."""
-
-    __slots__ = ("supi", "context")
-
-    def __init__(self, supi: str, context: SecurityContext) -> None:
-        self.supi = supi
-        self.context = context
+        self.context: SecurityContext | None = None
+        self.next_ngksi = 0
+        self.last_aka_step = 0
 
 
 class Session:
@@ -90,15 +87,13 @@ class OneTapToken(Frozen):
 
 
 class _PendingAka:
-    __slots__ = ("supi", "vector", "caps", "stage", "k_amf", "ngksi")
+    __slots__ = ("supi", "vector", "caps", "context")
 
     def __init__(self, supi: str, vector: crypto.AuthVector, caps: tuple[str, ...]) -> None:
         self.supi = supi
         self.vector = vector
         self.caps = caps
-        self.stage = "res"  # "res" | "smc"
-        self.k_amf: Key | None = None
-        self.ngksi = 0
+        self.context: SecurityContext | None = None  # set once RES verifies
 
 
 class Amf:
@@ -113,39 +108,34 @@ class Amf:
         "table",
         "sessions",
         "pending",
-        "last_aka_step",
-        "_next_ngksi",
         "_guti_n",
         "_guti_salt",
         "_conceal_key",
     )
 
-    def __init__(self, profile: OperatorProfile, rng: Random) -> None:
-        self.profile = profile
-        self.rng = rng
-        self.env = None
+    def __init__(self, env) -> None:
+        self.env = env
+        self.profile: OperatorProfile = env.profile
+        self.rng: Random = env.rng
         self.subscribers: dict[str, SubscriberRecord] = {}
-        self.table: dict[tuple[str, int], TableEntry] = {}
+        self.table: dict[str, SubscriberRecord] = {}
         self.sessions: dict[str, Session] = {}
         self.pending: dict[tuple[str, str], _PendingAka] = {}
-        self.last_aka_step: dict[str, int] = {}
-        self._next_ngksi: dict[str, int] = {}
         self._guti_n = 0
-        self._guti_salt = "%06x" % rng.getrandbits(24)
-        self._conceal_key = rng.randbytes(crypto.KEY_LEN)
+        self._guti_salt = "%06x" % self.rng.getrandbits(24)
+        self._conceal_key = self.rng.randbytes(crypto.KEY_LEN)
 
     # --- plumbing ------------------------------------------------------
 
     def _emit(self, event: str, fields: dict[str, str]) -> None:
-        if self.env is not None:
-            self.env.events.emit(self.name, event, fields)
+        self.env.events.emit(self.name, event, fields)
 
     def _reply(self, envelope, msg) -> None:
         """Answer the sender on its own flow, through the same base station."""
         self.env.channel.send(self.name, envelope.src, envelope.bs, envelope.flow, msg)
 
     def _step(self) -> int:
-        return self.env.channel.step if self.env is not None else 0
+        return self.env.channel.step
 
     # --- subscriber management ----------------------------------------
 
@@ -172,24 +162,19 @@ class Amf:
         self._guti_n += 1
         return "guti-%s-%04d" % (self._guti_salt, self._guti_n)
 
-    def _alloc_ngksi(self, supi: str) -> int:
-        n = self._next_ngksi.get(supi, 0)
-        self._next_ngksi[supi] = (n + 1) % 7
-        return n
-
     # --- fast-path decision -------------------------------------------
 
-    def _fast_check(self, msg: RegistrationRequestFast) -> tuple[str | None, TableEntry | None, bytes]:
-        """Returns (failure reason or None, table entry if looked up, the verified IEs or b"")."""
-        entry = self.table.get((msg.guti, msg.ngksi))
+    def _fast_check(self, msg: RegistrationRequestFast) -> tuple[str | None, SubscriberRecord | None, bytes]:
+        """Returns (failure reason or None, record if looked up, the verified IEs or b"")."""
+        entry = self.table.get(msg.guti)
+        if entry is not None and entry.context.ngksi != msg.ngksi:
+            entry = None  # a known GUTI under another ngKSI is a lookup miss
         if not self.profile.fast_registration:
             return "disabled", entry, b""
         if entry is None:
             return "lookup", None, b""
-        if self.profile.periodic_aka:
-            last = self.last_aka_step.get(entry.supi, -(10**9))
-            if self._step() - last >= PERIODIC_AKA_INTERVAL:
-                return "periodic", entry, b""
+        if self.profile.periodic_aka and self._step() - entry.last_aka_step >= PERIODIC_AKA_INTERVAL:
+            return "periodic", entry, b""
         ctx = entry.context
         if not 0 <= msg.ul_count < COUNT_LIMIT or ctx.dl_count + 1 >= COUNT_LIMIT:
             # Either COUNT would leave 32 bits: re-key with a fresh AKA.
@@ -217,7 +202,7 @@ class Amf:
             self._emit("amf_verify", {"ies": ies.hex(), "container": msg.container.hex(), "mac": msg.mac.hex()})
             new_guti = self._alloc_guti()
             # Alias: the new GUTI joins the old ones on the same context.
-            self.table[(new_guti, msg.ngksi)] = entry
+            self.table[new_guti] = entry
             ctx.dl_count += 1
             self._accept(envelope, entry.supi, new_guti, "fast", ctx)
             return
@@ -253,7 +238,7 @@ class Amf:
 
     def _on_auth_response(self, envelope) -> None:
         state = self.pending.get((envelope.src, envelope.flow))
-        if state is None or state.stage != "res":
+        if state is None or state.context is not None:
             self._emit("stray_message", {"mtype": envelope.msg.mtype})
             return
         msg: AuthResponse = envelope.msg
@@ -263,10 +248,10 @@ class Amf:
             self._reply(envelope, RegistrationReject("authentication-failure"))
             return
         _, _, k_amf = crypto.derive_k_amf(state.vector.ck, state.vector.ik)
-        state.k_amf = k_amf
-        state.ngksi = self._alloc_ngksi(state.supi)
-        state.stage = "smc"
-        self._reply(envelope, SecurityModeCommand(tuple(state.caps), state.ngksi))
+        sub = self.subscribers[state.supi]
+        ngksi, sub.next_ngksi = sub.next_ngksi, (sub.next_ngksi + 1) % (NGKSI_MAX + 1)
+        state.context = SecurityContext(k_amf=k_amf, ngksi=ngksi, ue_sec_caps=tuple(state.caps), ul_count=0, dl_count=1)
+        self._reply(envelope, SecurityModeCommand(tuple(state.caps), ngksi))
 
     def _purge_subscriber_rows(self, supi: str) -> None:
         for key in [k for k, e in self.table.items() if e.supi == supi]:
@@ -274,13 +259,11 @@ class Amf:
 
     def _on_smc_complete(self, envelope) -> None:
         state = self.pending.get((envelope.src, envelope.flow))
-        if state is None or state.stage != "smc":
+        if state is None or state.context is None:
             self._emit("stray_message", {"mtype": envelope.msg.mtype})
             return
         del self.pending[envelope.src, envelope.flow]
-        ctx = SecurityContext(
-            k_amf=state.k_amf, ngksi=state.ngksi, ue_sec_caps=tuple(state.caps), ul_count=0, dl_count=1
-        )
+        ctx = state.context
         if not crypto.mac_verify(b"security-mode-complete", b"", ctx.nas_keys[1], envelope.msg.mac):
             self._emit("smc_failure", {"supi": state.supi})
             self._reply(envelope, RegistrationReject("security-mode-failure"))
@@ -289,8 +272,9 @@ class Amf:
         supi = state.supi
         self._purge_subscriber_rows(supi)
         guti = self._alloc_guti()
-        self.table[(guti, state.ngksi)] = TableEntry(supi=supi, context=ctx)
-        self.last_aka_step[supi] = self._step()
+        sub = self.subscribers[supi]
+        sub.context, sub.last_aka_step = ctx, self._step()
+        self.table[guti] = sub
         self._emit("aka_established", {"supi": supi, "guti": guti})
         self._accept(envelope, supi, guti, "aka", ctx)
 
@@ -303,15 +287,14 @@ class Amf:
 
     def _on_dereg(self, envelope) -> None:
         msg: Deregistration = envelope.msg
-        # Each GUTI is allocated and inserted once, so at most one probe hits.
-        for ngksi in range(NGKSI_MAX + 1):
-            if (entry := self.table.get((msg.guti, ngksi))) is not None:
-                session = self.sessions.get(entry.supi)
-                if session is not None:
-                    session.state = "Deregistered"
-                self._emit("deregistered", {"supi": entry.supi})
-                return
-        self._emit("stray_message", {"mtype": msg.mtype})
+        entry = self.table.get(msg.guti)
+        if entry is None:
+            self._emit("stray_message", {"mtype": msg.mtype})
+            return
+        session = self.sessions.get(entry.supi)
+        if session is not None:
+            session.state = "Deregistered"
+        self._emit("deregistered", {"supi": entry.supi})
 
     # --- channel entry point ------------------------------------------
 

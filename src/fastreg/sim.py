@@ -28,8 +28,7 @@ class SimEnv:
         self.rng = Random(seed)
         self.channel = Channel()
         self.events: EventLog = self.channel.events
-        self.amf = Amf(profile, self.rng)
-        self.amf.env = self
+        self.amf = Amf(self)
         self.channel.register(self.amf.name, self.amf.handle)
         self.monitor = ChannelTap()
         self.channel.taps.append(self.monitor)

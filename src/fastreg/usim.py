@@ -71,8 +71,8 @@ class PinState:
     ) -> None:
         if not (value.isdigit() and 4 <= len(value) <= 8):
             raise ValueError("PIN must be 4..8 digits")
-        if retries_left > retry_limit:
-            raise ValueError("retries_left above retry_limit")
+        if not 0 <= retries_left <= retry_limit or retry_limit < 1:
+            raise ValueError("need 0 <= retries_left <= retry_limit and retry_limit >= 1")
         if locked != (retries_left == 0):
             raise ValueError("locked iff retries_left == 0")
         self.value = value

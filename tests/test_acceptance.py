@@ -255,7 +255,7 @@ def test_criterion_5_slot_power_shadow():
                     ops.append("seed")
                 op = rng.choice(ops)
                 if op == "seed":
-                    me.baseband.entry = BasebandEntry(
+                    me.baseband = BasebandEntry(
                         VICTIM_SUPI, "guti-seed", ctx, "5G", cards["A"].iccid
                     )
                 elif op.startswith("insert_"):
@@ -271,7 +271,7 @@ def test_criterion_5_slot_power_shadow():
                 else:
                     me.set_airplane(False)
                 state = _shadow(state, op, binding, detect)
-                assert (me.baseband.entry is not None) == state[3], (
+                assert (me.baseband is not None) == state[3], (
                     binding,
                     detect,
                     op,

@@ -220,12 +220,13 @@ def test_downstream_attacks_take_no_variant(tmp_path, capsys):
     [
         ("card", lambda t: t.replace("pin 1234 ", "pin 12 "), "line 5: bad pin line: PIN must be 4..8 digits"),
         ("card", lambda t: t.replace("retries=3", "retries=x"), "line 5: bad pin line"),
+        ("card", lambda t: t.replace("retries=3", "retries=-1"), "line 5: bad pin line"),
         ("card", lambda t: t.replace("supi ", "supi \u00e9"), "line 2: non-ASCII byte 0xc3"),
         ("run", lambda t: "[scenario]\n# caf\u00e9\n", "line 2: non-ASCII byte 0xc3"),
         ("card", None, "Is a directory"),
         ("run", None, "Is a directory"),
     ],
-    ids=("short-pin", "retries-not-an-integer", "card-non-ascii", "config-non-ascii", "card-directory", "config-directory"),
+    ids=("short-pin", "retries-not-an-integer", "retries-negative", "card-non-ascii", "config-non-ascii", "card-directory", "config-directory"),
 )
 def test_bad_input_files_exit_two_with_a_line_number(tmp_path, capsys, command, edit, fragment):
     image = tmp_path / "card.txt"

@@ -102,7 +102,7 @@ def test_4g_context_lands_on_the_card():
     env, me, card, _ = provisioned()
     bring_up(me, card, "4G")
     assert card.files[EF_EPSLOCI][1] and card.files[EF_EPSNSC][1]
-    assert me.baseband.entry is None
+    assert me.baseband is None
     stored = SecurityContext.from_bytes(card.files[EF_EPSNSC][1])
     assert stored.k_amf.kind is KeyKind.K_AMF
     again = me.register("4G")
@@ -113,7 +113,7 @@ def test_4g_context_lands_on_the_card():
 def test_5g_context_lands_in_the_baseband_for_plain_cards():
     env, me, card, _ = provisioned()
     bring_up(me, card, "5G")
-    entry = me.baseband.entry
+    entry = me.baseband
     assert entry is not None
     assert (entry.supi, entry.generation, entry.iccid) == (SUPI, "5G", card.iccid)
     assert EF_5GLOCI not in card.files  # plain card has nowhere to put it
@@ -127,7 +127,7 @@ def test_5g_capable_card_keeps_its_own_context():
         profile_override={"usim_5g_context": True}
     )
     bring_up(me, card, "5G")
-    assert me.baseband.entry is None
+    assert me.baseband is None
     assert card.files[EF_5GLOCI][1] and card.files[EF_5GNSC][1]
     again = me.register("5G")
     assert again.accepted and again.path == "fast" and again.context_source == "card"
@@ -138,7 +138,7 @@ def test_power_off_keeps_baseband_entry_and_clears_live_state():
     bring_up(me, card, "5G")
     me.register("5G")
     me.power_off()
-    assert me.baseband.entry is not None
+    assert me.baseband is not None
     assert not me.registered
     me.power_on()
     again = me.register("5G")
@@ -157,7 +157,7 @@ def test_removal_while_powered_on_deletes_the_entry():
     bring_up(me, card, "5G")
     me.register("5G")
     me.remove_card()
-    assert me.baseband.entry is None
+    assert me.baseband is None
     assert deletion_reasons(env) == ["removed-while-powered-on"]
     assert not me.registered
     assert env.events.named("service_lost")
@@ -169,7 +169,7 @@ def test_power_on_with_empty_slot_deletes_the_entry():
     me.power_off()
     me.remove_card()
     me.power_on()
-    assert me.baseband.entry is None
+    assert me.baseband is None
     assert deletion_reasons(env) == ["powered-on-empty-slot"]
 
 
@@ -181,7 +181,7 @@ def test_different_card_identity_deletes_the_entry():
     me.remove_card()
     me.insert_card(other)
     me.set_airplane(False)
-    assert me.baseband.entry is None
+    assert me.baseband is None
     assert deletion_reasons(env) == ["different-card-identity"]
 
 
@@ -196,7 +196,7 @@ def test_same_identity_swap_survives_airplane_mode():
     me.remove_card()
     me.insert_card(clone)
     me.set_airplane(False)
-    assert me.baseband.entry is not None
+    assert me.baseband is not None
     again = me.register("5G")
     assert again.path == "fast" and again.context_source == "baseband"
     assert again.accepted
@@ -210,7 +210,7 @@ def test_iccid_binding_rejects_the_same_identity_swap():
     me.remove_card()
     me.insert_card(clone)
     me.set_airplane(False)
-    assert me.baseband.entry is None
+    assert me.baseband is None
     assert deletion_reasons(env) == ["iccid-mismatch"]
     again = me.register("5G")
     assert again.path == "initial"
@@ -225,7 +225,7 @@ def test_offline_swap_detection_flags_any_slot_event():
     me.remove_card()
     me.insert_card(card)
     me.set_airplane(False)
-    assert me.baseband.entry is None
+    assert me.baseband is None
     assert deletion_reasons(env) == ["offline-slot-event"]
 
 
@@ -237,7 +237,7 @@ def test_powered_off_swap_also_survives_without_extras():
     me.remove_card()
     me.insert_card(clone)
     me.power_on()
-    assert me.baseband.entry is not None
+    assert me.baseband is not None
 
 
 # --- preconditions and guards ----------------------------------------------
@@ -337,7 +337,7 @@ def test_exhausted_uplink_count_forces_a_fresh_aka(generation):
         ctx.ul_count = COUNT_LIMIT - 1
         card.files[EF_EPSNSC] = (rule, ctx.to_bytes())
     else:
-        me.baseband.entry.context.ul_count = COUNT_LIMIT - 1
+        me.baseband.context.ul_count = COUNT_LIMIT - 1
     out = me.register(generation)
     assert out.accepted and out.path == "initial" and out.aka_ran
     assert len(env.events.named("count_exhausted")) == 1
@@ -496,7 +496,7 @@ def test_random_slot_power_walk_matches_shadow_model():
             for _ in range(rng.randrange(6, 15)):
                 op = rng.choice(legal_ops(state))
                 if op == "seed":
-                    me.baseband.entry = seed_entry()
+                    me.baseband = seed_entry()
                 elif op.startswith("insert_"):
                     me.insert_card(cards[op.split("_", 1)[1]])
                 elif op == "remove":
@@ -511,7 +511,7 @@ def test_random_slot_power_walk_matches_shadow_model():
                     me.set_airplane(False)
                 state = shadow_step(state, op, binding=binding, detect=detect)
                 power, slot, pending, entry = state
-                assert (me.baseband.entry is not None) == entry, (binding, detect, op)
+                assert (me.baseband is not None) == entry, (binding, detect, op)
                 assert me.power.value == {
                     "ON": "PoweredOn", "AIR": "Airplane", "OFF": "PoweredOff"
                 }[power]

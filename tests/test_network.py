@@ -19,7 +19,7 @@ from fastreg.channel import (
     encode_ies,
 )
 from fastreg.crypto import KEY_LEN, Key, KeyKind
-from fastreg.equipment import COUNT_LIMIT
+from fastreg.equipment import COUNT_LIMIT, NGKSI_MAX
 from fastreg.network import NotRegistered, UnknownSubscriber
 from fastreg.profiles import PERIODIC_AKA_INTERVAL, Countermeasures, get_profile
 from fastreg.sim import SimEnv
@@ -68,7 +68,7 @@ class Probe:
 
 
 def table_key(env):
-    (key,) = [k for k, e in env.amf.table.items() if e.supi == SUPI][:1] or [None]
+    (key,) = [(k, e.context.ngksi) for k, e in env.amf.table.items() if e.supi == SUPI][:1] or [None]
     return key
 
 
@@ -138,7 +138,7 @@ def test_guti_allocations_never_repeat():
     env, me, card, _ = fast_ready()
     for _ in range(6):
         me.register("5G")
-    gutis = [k[0] for k, e in env.amf.table.items() if e.supi == SUPI]
+    gutis = [k for k, e in env.amf.table.items() if e.supi == SUPI]
     assert len(gutis) == len(set(gutis))
 
 
@@ -149,7 +149,7 @@ def test_ngksi_allocation_cycles_through_seven_values():
     for _ in range(8):
         out = me.register("5G")
         assert out.accepted and out.aka_ran
-        ((_, ngksi),) = [k for k, e in env.amf.table.items() if e.supi == SUPI]
+        (ngksi,) = [e.context.ngksi for k, e in env.amf.table.items() if e.supi == SUPI]
         seen.append(ngksi)
     assert seen == [1, 2, 3, 4, 5, 6, 0, 1]  # slot 0 went to the initial AKA
 
@@ -166,6 +166,28 @@ def test_unknown_guti_falls_back_through_identity_request():
     assert probe.last_types() == ["IdentityRequest"]
 
 
+@pytest.mark.parametrize("fast_registration", [True, False])
+def test_known_guti_under_another_ngksi_is_a_lookup_miss(fast_registration):
+    env, me, card, _ = fast_ready(profile_override={"fast_registration": fast_registration})
+    (guti, ngksi) = table_key(env)
+    ctx = env.amf.table[guti].context
+    k_enc, k_int = crypto.nas_keys(ctx.k_amf)
+    # Correctly protected under the stored keys, but with another ngKSI.
+    other = (ngksi + 1) % (NGKSI_MAX + 1)
+    ies = encode_ies(guti, other, ctx.ul_count + 1)
+    container = crypto.senc(ies, k_enc)
+    probe = Probe(env)
+    mac = crypto.mac_compute(ies, container, k_int)
+    probe.send(RegistrationRequestFast(guti, other, ctx.ul_count + 1, container, mac))
+    reason = "lookup" if fast_registration else "disabled"
+    assert env.events.named("fast_fallback")[-1].fields == {"reason": reason, "guti": guti}
+    # A miss names no subscriber, so the network asks for an identity
+    # instead of challenging the subscriber behind the GUTI.
+    assert probe.last_types() == ["IdentityRequest"]
+    assert [e.fields["supi"] for e in env.events.named("aka_started")] == [SUPI]
+    assert not env.events.named("amf_verify")
+
+
 def test_bad_mac_falls_back_to_aka_challenge():
     env, me, card, _ = fast_ready()
     (guti, ngksi) = table_key(env)
@@ -179,7 +201,7 @@ def test_bad_mac_falls_back_to_aka_challenge():
 def test_container_cleartext_mismatch_is_rejected():
     env, me, card, _ = fast_ready()
     (guti, ngksi) = table_key(env)
-    ctx = env.amf.table[(guti, ngksi)].context
+    ctx = env.amf.table[guti].context
     k_enc, k_int = crypto.nas_keys(ctx.k_amf)
     ies = encode_ies(guti, ngksi, ctx.ul_count + 1)
     # Valid MAC over a container whose plaintext disagrees with the IEs.
@@ -205,7 +227,7 @@ def test_stale_count_is_rejected():
     env, me, card, _ = fast_ready()
     out = me.register("5G")
     assert out.accepted
-    (guti, ngksi) = [k for k, e in env.amf.table.items() if e.supi == SUPI][0]
+    (guti, ngksi) = [(k, e.context.ngksi) for k, e in env.amf.table.items() if e.supi == SUPI][0]
     ctx = [e for e in env.amf.table.values() if e.supi == SUPI][0].context
     k_enc, k_int = crypto.nas_keys(ctx.k_amf)
     probe = Probe(env)
@@ -417,7 +439,7 @@ def test_run_aka_network_refuses_a_wrong_key_card():
     holder.insert_card(card)
     holder.power_on()
     out = holder.register("5G")
-    assert out.accepted and out.guti in {k[0] for k in env.amf.table}
+    assert out.accepted and out.guti in env.amf.table
 
 
 # --- session services ------------------------------------------------------
@@ -536,14 +558,14 @@ def test_older_alias_guti_deregisters_the_right_subscriber():
     me.insert_card(card)
     me.power_on()
     purged = me.register("5G").guti
-    # A second AKA puts this subscriber's rows under ngKSI 1, so the
-    # lookup has to probe past ngKSI 0.
+    # A second AKA puts this subscriber's context under ngKSI 1, which a
+    # deregistration does not carry: the GUTI alone finds the record.
     me.insert_card(me.remove_card())
     gutis = [me.register("5G").guti]
     for _ in range(3):
         fast_round(me)
         gutis.append(me.current_guti)
-    assert {k[1] for k, e in env.amf.table.items() if e.supi == SUPI} == {1}
+    assert {e.context.ngksi for k, e in env.amf.table.items() if e.supi == SUPI} == {1}
     probe = Probe(env)
     probe.send(Deregistration(gutis[1]))
     assert env.events.named("deregistered")[-1].fields == {"supi": SUPI}

@@ -326,6 +326,14 @@ def test_pin_state_invariants():
         PinState("1234", True, 0, 3, locked=False)
     with pytest.raises(ValueError):
         PinState("1234", True, 1, 3, locked=True)
+    with pytest.raises(ValueError):
+        PinState("1234", True, 4, 3)
+    with pytest.raises(ValueError):
+        PinState("1234", True, -1, 3)
+    with pytest.raises(ValueError):
+        PinState("1234", True, -1, -1)
+    with pytest.raises(ValueError):
+        PinState("1234", True, 0, 0, locked=True)
 
 
 def test_card_requires_permanent_key_kind():
