@@ -235,6 +235,7 @@ def _step(report: AttackReport, step: tuple[str, ...]) -> bool:
     env = report.env
     match step:
         case ("insert", me, card):
+            _require(step, card in env.cards, "the %s card" % card)
             env.mes[me].insert_card(env.cards[card])
         case ("remove", me):
             env.mes[me].remove_card()

@@ -8,13 +8,23 @@ visible projection an over-the-air sniffer reads (cleartext fields;
 ciphered containers and MACs never).  The environment's monitor tap is
 both the exported trace and everything the attacker reads.
 
-An event is a tuple (step, entity, name, fields) with named read-only
-accessors.  `EventLog.emit` stores the caller's fields dict as it is, so
-every field value is a `str` when it is emitted; nothing converts later.
+An event is one flat tuple (step, entity, name, *values) with named
+read-only accessors.  Its field names are not stored: `EVENT_FIELDS`
+declares them once per event name, in order, and `Event.fields` and
+`Event.line` zip them with the values.  That table is the only source
+of each event's field order: an emit site passes its values in the
+order `EVENT_FIELDS[name]` lists, and a new field or event is added
+there first.  A count that does not match raises when the event is
+read; `tests/test_channel.py` checks every emit site's count against
+the table.  `EventLog.emit` stores the caller's values as they are, so
+every value is a `str` when it is emitted; nothing converts later.  Octet strings enter events through
+`field_hex`, so a receiver that logs the bytes its sender logged shares
+the sender's strings.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from collections.abc import Callable
 from operator import itemgetter
@@ -241,27 +251,79 @@ class ChannelTap:
         raise NotObserved("no fast registration seen from %s" % src)
 
 
+# Every event the package emits, by name: its field names, in order.
+# Emit sites pass bare value tuples; this table is what names them.
+EVENT_FIELDS: dict[str, tuple[str, ...]] = {
+    "dropped": ("dst", "mtype"),
+    "stray_message": ("mtype",),
+    # handset
+    "power_on": (),
+    "power_off": (),
+    "airplane_on": (),
+    "airplane_off": (),
+    "card_inserted": ("iccid",),
+    "card_removed": ("iccid",),
+    "service_lost": ("reason",),
+    "baseband_context_deleted": ("reason",),
+    "context_stored": ("where", "generation"),
+    "context_store_refused": ("status",),
+    "context_unparsable": ("where", "reason"),
+    "count_exhausted": ("guti",),
+    "ue_init": ("ies", "container", "mac"),
+    "ue_deregistered": ("guti",),
+    "card_rejected_autn": (),
+    "accept_undecryptable": (),
+    "dl_replay_discarded": ("count",),
+    "ue_registered": ("guti", "path"),
+    "ue_rejected": ("cause",),
+    # network
+    "fast_fallback": ("reason", "guti"),
+    "amf_verify": ("ies", "container", "mac"),
+    "aka_started": ("supi",),
+    "unknown_identity": ("identity",),
+    "aka_reject": ("supi",),
+    "smc_failure": ("supi",),
+    "aka_established": ("supi", "guti"),
+    "registration_accept": ("supi", "guti", "via"),
+    "deregistered": ("supi",),
+}
+
+# The hex of an octet string, as an event value.  The AMF logs the bytes
+# the handset logged a moment before, so a few entries let both events
+# hold the same three strings.
+field_hex = functools.lru_cache(maxsize=8)(bytes.hex)
+
+
 class Event(tuple):
-    """One protocol event: (step, entity, name, fields), every field value a str.
+    """One protocol event: (step, entity, name, *values), every value a str.
 
     Tuple-backed so that `EventLog.emit` builds it in one call to
-    `tuple.__new__`; the fields are read through properties that have no
-    setter, so an event cannot be changed once emitted.
+    `tuple.__new__`; it is read through properties that have no setter,
+    so an event cannot be changed once emitted.  `fields` and `line()`
+    pair the values with `EVENT_FIELDS[name]` and raise if their counts
+    differ, so an event is never shown under the wrong names.
     """
 
     __slots__ = ()
 
-    def __new__(cls, step: int, entity: str, name: str, fields: dict[str, str]) -> "Event":
-        return tuple.__new__(cls, (step, entity, name, fields))
+    def __new__(cls, step: int, entity: str, name: str, values: tuple[str, ...]) -> "Event":
+        return tuple.__new__(cls, (step, entity, name) + values)
 
     step = property(itemgetter(0))
     entity = property(itemgetter(1))
     name = property(itemgetter(2))
-    fields = property(itemgetter(3))
+
+    def _pairs(self):
+        return zip(EVENT_FIELDS[self[2]], self[3:], strict=True)
+
+    @property
+    def fields(self) -> dict[str, str]:
+        """A fresh dict of the values under their declared names."""
+        return dict(self._pairs())
 
     def line(self) -> str:
-        shown = " ".join("%s=%s" % kv for kv in self.fields.items())
-        return ("%4d %s %s %s" % (self.step, self.entity, self.name, shown)).rstrip()
+        shown = " ".join("%s=%s" % kv for kv in self._pairs())
+        return ("%4d %s %s %s" % (self[0], self[1], self[2], shown)).rstrip()
 
 
 class EventLog:
@@ -273,9 +335,9 @@ class EventLog:
         self._clock = clock
         self.entries: list[Event] = []
 
-    def emit(self, entity: str, name: str, fields: dict[str, str]) -> Event:
-        """Record one event; `fields` (str values) is kept, not copied."""
-        event = tuple.__new__(Event, (self._clock.step, entity, name, fields))
+    def emit(self, entity: str, name: str, values: tuple[str, ...]) -> Event:
+        """Record one event; `values` are strs in `EVENT_FIELDS[name]` order."""
+        event = tuple.__new__(Event, (self._clock.step, entity, name) + values)
         self.entries.append(event)
         return event
 
@@ -312,7 +374,7 @@ class Channel:
         for tap in self.taps:
             tap.record(envelope)
         if self.drop_filter is not None and self.drop_filter(envelope):
-            self.events.emit("channel", "dropped", {"dst": dst, "mtype": msg.mtype})
+            self.events.emit("channel", "dropped", (dst, msg.mtype))
             return envelope
         self._queue.append(envelope)
         return envelope

@@ -38,7 +38,7 @@ from .profiles import (
     get_profile,
 )
 from .sim import SimEnv
-from .usim import CardFormatError, card_from_text, card_to_text
+from .usim import CardFormatError, card_from_text, card_to_text, is_imsi
 
 
 def _write_text(path: str, text: str) -> None:
@@ -151,7 +151,7 @@ def _cmd_profiles(_: argparse.Namespace) -> int:
 
 def _imsi(value: str) -> str:
     """argparse type for --supi: an IMSI, 1 to 15 ASCII digits."""
-    if not (1 <= len(value) <= 15 and value.isascii() and value.isdigit()):
+    if not is_imsi(value):
         raise argparse.ArgumentTypeError("wants 1-15 ASCII digits, got %r" % value)
     return value
 

@@ -38,6 +38,7 @@ from .channel import (
     SecurityModeComplete,
     decode_accept_payload,
     encode_ies,
+    field_hex,
 )
 from .crypto import Key, KeyKind
 from .record import fields_equal
@@ -241,9 +242,9 @@ class MobileEquipment:
 
     # --- plumbing ------------------------------------------------------
 
-    def _emit(self, event: str, fields: dict[str, str]) -> None:
+    def _emit(self, event: str, values: tuple[str, ...]) -> None:
         if self.env is not None:
-            self.env.events.emit(self.name, event, fields)
+            self.env.events.emit(self.name, event, values)
 
     def _send(self, flow: str, msg) -> None:
         self.env.channel.send(self.name, self.env.amf.name, self.bs, flow, msg)
@@ -255,7 +256,7 @@ class MobileEquipment:
     def _drop_entry(self, reason: str) -> None:
         if self.baseband is not None:
             self.baseband = None
-            self._emit("baseband_context_deleted", {"reason": reason})
+            self._emit("baseband_context_deleted", (reason,))
 
     # --- slot and power operations ------------------------------------
 
@@ -263,7 +264,7 @@ class MobileEquipment:
         if self.slot is not None:
             raise SlotOccupied("slot already holds %s" % self.slot.iccid)
         self.slot = card
-        self._emit("card_inserted", {"iccid": card.iccid})
+        self._emit("card_inserted", (card.iccid,))
         if self.power is PowerState.POWERED_ON:
             self._enter_powered_on()
         else:
@@ -275,13 +276,13 @@ class MobileEquipment:
         card = self.slot
         self.slot = None
         self._card_session = None
-        self._emit("card_removed", {"iccid": card.iccid})
+        self._emit("card_removed", (card.iccid,))
         if self.power is PowerState.POWERED_ON:
             # Rule: removal while powered on clears the chip-held context.
             self._drop_entry("removed-while-powered-on")
             if self.registered:
                 self.registered = False
-                self._emit("service_lost", {"reason": "card-removed"})
+                self._emit("service_lost", ("card-removed",))
             self._ctx, self._active = None, None
         else:
             self.slot_event_pending = True
@@ -291,7 +292,7 @@ class MobileEquipment:
         if self.power is PowerState.POWERED_ON:
             return
         self.power = PowerState.POWERED_ON
-        self._emit("power_on", {})
+        self._emit("power_on", ())
         self._enter_powered_on()
 
     def power_off(self) -> None:
@@ -302,7 +303,7 @@ class MobileEquipment:
         self.power = PowerState.POWERED_OFF
         self._card_session = None
         self._ctx, self._active = None, None
-        self._emit("power_off", {})
+        self._emit("power_off", ())
 
     def set_airplane(self, enabled: bool) -> None:
         if enabled:
@@ -311,12 +312,12 @@ class MobileEquipment:
             if self.registered:
                 self.deregister()
             self.power = PowerState.AIRPLANE
-            self._emit("airplane_on", {})
+            self._emit("airplane_on", ())
         else:
             if self.power is not PowerState.AIRPLANE:
                 raise PowerStateError("not in airplane mode")
             self.power = PowerState.POWERED_ON
-            self._emit("airplane_off", {})
+            self._emit("airplane_off", ())
             self._enter_powered_on()
 
     def _enter_powered_on(self) -> None:
@@ -351,9 +352,9 @@ class MobileEquipment:
         if self.generation == "4G" or card.supports_5g_context:
             status = store_context_files(card, self._card_session, loci, blob, self.generation)
             if status is ApduStatus.OK:
-                self._emit("context_stored", {"where": "card", "generation": self.generation})
+                self._emit("context_stored", ("card", self.generation))
             else:
-                self._emit("context_store_refused", {"status": status.name})
+                self._emit("context_store_refused", (status.name,))
         else:
             self.baseband = BasebandEntry(
                 supi=card.supi,
@@ -362,7 +363,7 @@ class MobileEquipment:
                 generation=self.generation,
                 iccid=card.iccid,
             )
-            self._emit("context_stored", {"where": "baseband", "generation": self.generation})
+            self._emit("context_stored", ("baseband", self.generation))
 
     # --- registration -------------------------------------------------
 
@@ -374,7 +375,7 @@ class MobileEquipment:
                 try:
                     return SecurityContext.from_bytes(nsc), loci.decode("ascii"), "card"
                 except ValueError as err:  # UnicodeDecodeError included
-                    self._emit("context_unparsable", {"where": "card", "reason": str(err).replace(" ", "-")})
+                    self._emit("context_unparsable", ("card", str(err).replace(" ", "-")))
         entry = self.baseband
         if (
             entry is not None
@@ -404,7 +405,7 @@ class MobileEquipment:
         ctx, guti, source = self._select_context(card, generation)
         if ctx is not None and ctx.ul_count + 1 >= COUNT_LIMIT:
             # The uplink COUNT would wrap: re-key with a fresh AKA instead.
-            self._emit("count_exhausted", {"guti": guti})
+            self._emit("count_exhausted", (guti,))
             ctx, source = None, "none"
         outcome = RegistrationOutcome(
             path="fast" if ctx is not None else "initial",
@@ -422,7 +423,7 @@ class MobileEquipment:
             ies = encode_ies(guti, ctx.ngksi, ctx.ul_count)
             container = crypto.senc(ies, k_enc)
             mac = crypto.mac_compute(ies, container, k_int)
-            self._emit("ue_init", {"ies": ies.hex(), "container": container.hex(), "mac": mac.hex()})
+            self._emit("ue_init", (field_hex(ies), field_hex(container), field_hex(mac)))
             self._send(flow, RegistrationRequestFast(guti, ctx.ngksi, ctx.ul_count, container, mac))
         else:
             self._send(flow, RegistrationRequestInitial(self._identity(card), SEC_CAPS))
@@ -435,7 +436,7 @@ class MobileEquipment:
         self._send(self._next_flow(), Deregistration(self.current_guti))
         self._persist_context()
         self.registered = False
-        self._emit("ue_deregistered", {"guti": self.current_guti})
+        self._emit("ue_deregistered", (self.current_guti,))
         self.env.channel.pump()
 
     # --- NAS downlink handlers ----------------------------------------
@@ -453,7 +454,7 @@ class MobileEquipment:
         state = self._active
         handler = self._HANDLERS.get(type(envelope.msg))
         if state is None or envelope.flow != state.flow or handler is None:
-            self._emit("stray_message", {"mtype": envelope.msg.mtype})
+            self._emit("stray_message", (envelope.msg.mtype,))
             return
         getattr(self, handler)(state, envelope)
 
@@ -465,7 +466,7 @@ class MobileEquipment:
             state.aka = card.run_aka(msg.rand, msg.autn)
             res = state.aka.res
         except crypto.MacFailure:
-            self._emit("card_rejected_autn", {})
+            self._emit("card_rejected_autn", ())
             res = b""
         self._send(state.flow, AuthResponse(res))
 
@@ -475,7 +476,7 @@ class MobileEquipment:
     def _on_security_mode(self, state: _InFlight, envelope) -> None:
         msg: SecurityModeCommand = envelope.msg
         if state.aka is None:
-            self._emit("stray_message", {"mtype": msg.mtype})
+            self._emit("stray_message", (msg.mtype,))
             return
         _, _, k_amf = crypto.derive_k_amf(state.aka.ck, state.aka.ik)
         ctx = SecurityContext(
@@ -492,17 +493,17 @@ class MobileEquipment:
     def _on_accept(self, state: _InFlight, envelope) -> None:
         msg: RegistrationAccept = envelope.msg
         if state.ctx is None:
-            self._emit("stray_message", {"mtype": msg.mtype})
+            self._emit("stray_message", (msg.mtype,))
             return
         try:
             plain = crypto.sdec(msg.ciphered, state.ctx.nas_keys[0])
         except crypto.DecryptFailure:
-            self._emit("accept_undecryptable", {})
+            self._emit("accept_undecryptable", ())
             return
         new_guti, dl_count = decode_accept_payload(plain)
         if dl_count <= state.ctx.dl_count:
             # Downlink replay guard mirrors the uplink count rule.
-            self._emit("dl_replay_discarded", {"count": str(dl_count)})
+            self._emit("dl_replay_discarded", (str(dl_count),))
             return
         state.ctx.dl_count = dl_count
         self.current_guti = new_guti
@@ -513,7 +514,7 @@ class MobileEquipment:
         outcome.accepted = True
         outcome.guti = new_guti
         outcome.end_step = envelope.step
-        self._emit("ue_registered", {"guti": new_guti, "path": outcome.path})
+        self._emit("ue_registered", (new_guti, outcome.path))
         if state.source in ("card", "baseband"):
             # Fast-path accept refreshes the stored context in place.
             self._persist_context()
@@ -523,5 +524,5 @@ class MobileEquipment:
         msg: RegistrationReject = envelope.msg
         state.outcome.reject_cause = msg.cause
         state.outcome.end_step = envelope.step
-        self._emit("ue_rejected", {"cause": msg.cause})
+        self._emit("ue_rejected", (msg.cause,))
         self._active = None

@@ -39,6 +39,7 @@ from .channel import (
     SecurityModeComplete,
     encode_accept_payload,
     encode_ies,
+    field_hex,
 )
 from .crypto import Key
 from .equipment import COUNT_LIMIT, NGKSI_MAX, NotRegistered, SecurityContext
@@ -127,8 +128,8 @@ class Amf:
 
     # --- plumbing ------------------------------------------------------
 
-    def _emit(self, event: str, fields: dict[str, str]) -> None:
-        self.env.events.emit(self.name, event, fields)
+    def _emit(self, event: str, values: tuple[str, ...]) -> None:
+        self.env.events.emit(self.name, event, values)
 
     def _reply(self, envelope, msg) -> None:
         """Answer the sender on its own flow, through the same base station."""
@@ -199,14 +200,14 @@ class Amf:
         if reason is None:
             ctx = entry.context
             ctx.ul_count = msg.ul_count
-            self._emit("amf_verify", {"ies": ies.hex(), "container": msg.container.hex(), "mac": msg.mac.hex()})
+            self._emit("amf_verify", (field_hex(ies), field_hex(msg.container), field_hex(msg.mac)))
             new_guti = self._alloc_guti()
             # Alias: the new GUTI joins the old ones on the same context.
             self.table[new_guti] = entry
             ctx.dl_count += 1
             self._accept(envelope, entry.supi, new_guti, "fast", ctx)
             return
-        self._emit("fast_fallback", {"reason": reason, "guti": msg.guti})
+        self._emit("fast_fallback", (reason, msg.guti))
         if entry is not None:
             self._begin_aka(
                 entry.supi, envelope, caps=entry.context.ue_sec_caps
@@ -223,7 +224,7 @@ class Amf:
         # One pending AKA per subscriber: a new challenge replaces the old.
         self.pending = {k: p for k, p in self.pending.items() if p.supi != supi}
         self.pending[envelope.src, envelope.flow] = _PendingAka(supi, vector, caps)
-        self._emit("aka_started", {"supi": supi})
+        self._emit("aka_started", (supi,))
         self._reply(envelope, AuthRequest(vector.rand, vector.autn))
 
     def _on_identity(self, envelope) -> None:
@@ -231,7 +232,7 @@ class Amf:
         try:
             supi = self.resolve_identity(msg.identity)
         except UnknownSubscriber:
-            self._emit("unknown_identity", {"identity": msg.identity})
+            self._emit("unknown_identity", (msg.identity,))
             self._reply(envelope, RegistrationReject("unknown-subscriber"))
             return
         self._begin_aka(supi, envelope, caps=msg.sec_caps)
@@ -239,11 +240,11 @@ class Amf:
     def _on_auth_response(self, envelope) -> None:
         state = self.pending.get((envelope.src, envelope.flow))
         if state is None or state.context is not None:
-            self._emit("stray_message", {"mtype": envelope.msg.mtype})
+            self._emit("stray_message", (envelope.msg.mtype,))
             return
         msg: AuthResponse = envelope.msg
         if not msg.res or msg.res != state.vector.xres:
-            self._emit("aka_reject", {"supi": state.supi})
+            self._emit("aka_reject", (state.supi,))
             del self.pending[envelope.src, envelope.flow]
             self._reply(envelope, RegistrationReject("authentication-failure"))
             return
@@ -260,12 +261,12 @@ class Amf:
     def _on_smc_complete(self, envelope) -> None:
         state = self.pending.get((envelope.src, envelope.flow))
         if state is None or state.context is None:
-            self._emit("stray_message", {"mtype": envelope.msg.mtype})
+            self._emit("stray_message", (envelope.msg.mtype,))
             return
         del self.pending[envelope.src, envelope.flow]
         ctx = state.context
         if not crypto.mac_verify(b"security-mode-complete", b"", ctx.nas_keys[1], envelope.msg.mac):
-            self._emit("smc_failure", {"supi": state.supi})
+            self._emit("smc_failure", (state.supi,))
             self._reply(envelope, RegistrationReject("security-mode-failure"))
             return
         # A new AKA replaces every alias of the subscriber's old context.
@@ -275,13 +276,13 @@ class Amf:
         sub = self.subscribers[supi]
         sub.context, sub.last_aka_step = ctx, self._step()
         self.table[guti] = sub
-        self._emit("aka_established", {"supi": supi, "guti": guti})
+        self._emit("aka_established", (supi, guti))
         self._accept(envelope, supi, guti, "aka", ctx)
 
     def _accept(self, envelope, supi: str, guti: str, via: str, ctx: SecurityContext) -> None:
         """Open the subscriber's session and send it the ciphered accept."""
         self.sessions[supi] = Session(supi, envelope.bs, guti, "Registered", via, envelope.flow)
-        self._emit("registration_accept", {"supi": supi, "guti": guti, "via": via})
+        self._emit("registration_accept", (supi, guti, via))
         payload = crypto.senc(encode_accept_payload(guti, ctx.dl_count), ctx.nas_keys[0])
         self._reply(envelope, RegistrationAccept(payload))
 
@@ -289,12 +290,12 @@ class Amf:
         msg: Deregistration = envelope.msg
         entry = self.table.get(msg.guti)
         if entry is None:
-            self._emit("stray_message", {"mtype": msg.mtype})
+            self._emit("stray_message", (msg.mtype,))
             return
         session = self.sessions.get(entry.supi)
         if session is not None:
             session.state = "Deregistered"
-        self._emit("deregistered", {"supi": entry.supi})
+        self._emit("deregistered", (entry.supi,))
 
     # --- channel entry point ------------------------------------------
 
@@ -311,7 +312,7 @@ class Amf:
     def handle(self, envelope) -> None:
         handler = self._HANDLERS.get(type(envelope.msg))
         if handler is None:
-            self._emit("stray_message", {"mtype": envelope.msg.mtype})
+            self._emit("stray_message", (envelope.msg.mtype,))
             return
         getattr(self, handler)(envelope)
 

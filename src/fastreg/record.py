@@ -9,7 +9,9 @@ assignment or deletion raises AttributeError.  Records compare by
 identity; the few that are compared by value set `__eq__ = fields_equal`.
 The exception is `channel.Event`, the most numerous record: it is a
 `tuple` subclass with read-only properties, built in one `tuple.__new__`
-call, and it compares by value like any tuple.
+call as the flat tuple (step, entity, name, *values) with its field
+names declared once in `channel.EVENT_FIELDS`, and it compares by value
+like any tuple.
 """
 
 set_field = object.__setattr__  # how a Frozen record's __init__ stores its fields

@@ -335,6 +335,11 @@ def card_to_text(card: CardImage) -> str:
     return "\n".join(lines) + "\n"
 
 
+def is_imsi(value: str) -> bool:
+    """An IMSI as a card stores it: 1 to 15 ASCII digits."""
+    return 1 <= len(value) <= 15 and value.isascii() and value.isdigit()
+
+
 def _parse_kv(token: str, want: str) -> str:
     key, _, val = token.partition("=")
     if key != want or not val:
@@ -400,10 +405,26 @@ def card_from_text(text: str) -> CardImage:
     def flags(supports_5g, programmable) -> tuple[bool, bool]:
         return _parse_kv(supports_5g, "supports_5g") == "1", _parse_kv(programmable, "programmable") == "1"
 
-    iccid = parsed("iccid", str)
-    supi = parsed("supi", str)
+    def iccid_value(value: str) -> str:
+        if not (value.isascii() and value.isdigit()):
+            raise ValueError("wants ASCII digits, got %r" % value)
+        return value
+
+    def supi_value(value: str) -> str:
+        if not is_imsi(value):
+            raise ValueError("wants 1-15 ASCII digits, got %r" % value)
+        return value
+
+    def seq_value(value: str) -> int:
+        seq = int(value)
+        if seq < 0:
+            raise ValueError("wants 0 or more, got %d" % seq)
+        return seq
+
+    iccid = parsed("iccid", iccid_value)
+    supi = parsed("supi", supi_value)
     key = parsed("k", lambda k: Key(bytes.fromhex(k), KeyKind.K_PERMANENT))
-    seq = parsed("seq", int)
+    seq = parsed("seq", seq_value)
     pin = parsed("pin", pin_state, 5)
     supports_5g, programmable = parsed("flags", flags, 2)
     try:

@@ -292,6 +292,9 @@ def test_a_row_with_an_unknown_step_is_rejected(monkeypatch):
         (("copy-card",), "an extracted card"),
         (("if-rejected",), "an attack"),
         (("resync", "victim-me"), "an extracted card and a fake card"),
+        # The fake card exists only once copy-card or clone-identity built it.
+        (("insert", "attacker-me", "fake"), "the fake card"),
+        (("insert", "shared-me", "fake"), "the fake card"),
     ],
 )
 def test_a_step_run_before_its_input_is_rejected(monkeypatch, step, lacks):

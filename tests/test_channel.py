@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fastreg import channel, equipment, network
 from fastreg.channel import (
+    EVENT_FIELDS,
     AuthRequest,
     Channel,
     ChannelTap,
@@ -20,6 +24,7 @@ from fastreg.channel import (
     UnknownEndpoint,
     decode_accept_payload,
     encode_accept_payload,
+    field_hex,
 )
 
 
@@ -88,14 +93,51 @@ def test_drop_filter_suppresses_delivery_but_not_capture():
 def test_emit_keeps_the_callers_fields_and_the_step():
     ch, _ = make_channel()
     ch.tick(3)
-    fields = {"reason": "lookup", "guti": "guti-1"}
-    event = ch.events.emit("amf", "fast_fallback", fields)
+    values = ("lookup", "guti-1")
+    event = ch.events.emit("amf", "fast_fallback", values)
     assert type(event) is Event and ch.events.entries == [event]
     assert (event.step, event.entity, event.name) == (3, "amf", "fast_fallback")
-    assert event.fields is fields
+    assert event.fields == {"reason": "lookup", "guti": "guti-1"}
+    assert event[3:] == values
     assert event.line() == "   3 amf fast_fallback reason=lookup guti=guti-1"
-    assert Event(3, "amf", "fast_fallback", fields) == event
-    assert ch.events.emit("ue", "power_on", {}).line() == "   3 ue power_on"
+    assert Event(3, "amf", "fast_fallback", values) == event
+    assert ch.events.emit("ue", "power_on", ()).line() == "   3 ue power_on"
+
+
+def test_an_event_never_shows_its_values_under_the_wrong_names():
+    short = Event(1, "amf", "fast_fallback", ("lookup",))
+    long = Event(1, "ue", "power_on", ("extra",))
+    for event in (short, long):
+        with pytest.raises(ValueError):
+            event.fields
+        with pytest.raises(ValueError):
+            event.line()
+    with pytest.raises(KeyError):
+        Event(1, "ue", "undeclared", ()).line()
+
+
+def test_every_emit_site_uses_a_declared_name_and_arity():
+    # Walks the source, so paths the scenario corpus never takes count too.
+    sites = 0
+    for module in (channel, equipment, network):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="ascii"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("emit", "_emit")):
+                continue
+            *_, name, values = node.args
+            if not isinstance(name, ast.Constant):
+                continue  # an `_emit` wrapper passing its arguments on
+            assert isinstance(values, ast.Tuple), ast.dump(node)
+            assert len(values.elts) == len(EVENT_FIELDS[name.value]), name.value
+            sites += 1
+    assert sites >= len(EVENT_FIELDS) == 30
+
+
+def test_field_hex_hands_back_the_same_string_for_equal_bytes():
+    ies = bytes.fromhex("00066775746931")
+    assert field_hex(ies) == ies.hex()
+    assert field_hex(bytes(ies)) is field_hex(ies)
+    assert field_hex.cache_info().maxsize == 8
 
 
 def test_inject_replays_identical_frame_at_new_step():

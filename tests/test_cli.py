@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from fastreg import cli
@@ -222,11 +224,25 @@ def test_downstream_attacks_take_no_variant(tmp_path, capsys):
         ("card", lambda t: t.replace("retries=3", "retries=x"), "line 5: bad pin line"),
         ("card", lambda t: t.replace("retries=3", "retries=-1"), "line 5: bad pin line"),
         ("card", lambda t: t.replace("supi ", "supi \u00e9"), "line 2: non-ASCII byte 0xc3"),
+        ("card", lambda t: re.sub("(?m)^supi .*$", "supi hello", t), "line 2: bad supi line: wants 1-15 ASCII digits"),
+        ("card", lambda t: re.sub("(?m)^iccid .*$", "iccid zz", t), "line 1: bad iccid line: wants ASCII digits"),
+        ("card", lambda t: t.replace("seq 0", "seq -5"), "line 4: bad seq line: wants 0 or more"),
         ("run", lambda t: "[scenario]\n# caf\u00e9\n", "line 2: non-ASCII byte 0xc3"),
         ("card", None, "Is a directory"),
         ("run", None, "Is a directory"),
     ],
-    ids=("short-pin", "retries-not-an-integer", "retries-negative", "card-non-ascii", "config-non-ascii", "card-directory", "config-directory"),
+    ids=(
+        "short-pin",
+        "retries-not-an-integer",
+        "retries-negative",
+        "card-non-ascii",
+        "supi-not-digits",
+        "iccid-not-digits",
+        "seq-negative",
+        "config-non-ascii",
+        "card-directory",
+        "config-directory",
+    ),
 )
 def test_bad_input_files_exit_two_with_a_line_number(tmp_path, capsys, command, edit, fragment):
     image = tmp_path / "card.txt"

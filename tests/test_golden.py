@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fastreg.attacks import PrerequisiteFailed
+from fastreg.channel import EVENT_FIELDS
 from regen_golden import CORPUS, cases, corpus_lines, run_case
 
 
@@ -19,7 +20,7 @@ def test_every_case_matches_the_golden_digest():
 
 
 def test_every_event_field_is_a_str_across_the_corpus():
-    # EventLog.emit stores the fields it is given without converting them.
+    # EventLog.emit stores the values it is given without converting them.
     checked = 0
     for case in cases():
         try:
@@ -27,6 +28,7 @@ def test_every_event_field_is_a_str_across_the_corpus():
         except PrerequisiteFailed:
             continue
         for event in report.env.events.entries:
+            assert len(event) - 3 == len(EVENT_FIELDS[event.name]), "%s: %r" % (" ".join(map(str, case)), event)
             odd = {k: v for k, v in event.fields.items() if type(k) is not str or type(v) is not str}
             assert not odd, "%s: %s %r" % (" ".join(map(str, case)), event.name, odd)
             checked += 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from fastreg import crypto
@@ -132,6 +134,32 @@ def test_new_aka_purges_every_alias():
     rows = [k for k, e in env.amf.table.items() if e.supi == SUPI]
     assert len(rows) == 1
     assert not (set(old_rows) & set(rows))
+
+
+def test_a_new_aka_leaves_other_subscribers_aliases_alone():
+    env = SimEnv(get_profile("OP-I"), 77)
+    other = "460110987654321"
+    _, card = env.provision_subscriber(SUPI)
+    _, other_card = env.provision_subscriber(other)
+    me = env.add_me("ue")
+    me.insert_card(card)
+    me.power_on()
+    assert me.register("5G").accepted
+    for _ in range(20):
+        fast_round(me)
+    record = env.amf.subscribers[SUPI]
+    rows = {k: e for k, e in env.amf.table.items() if e is record}
+    assert len(rows) == 21
+    bystander = env.add_me("bystander")
+    bystander.insert_card(other_card)
+    bystander.power_on()
+    assert bystander.register("5G").aka_ran
+    assert {k: e for k, e in env.amf.table.items() if e is record} == rows
+    # Its own next AKA purges all 21 of them.
+    me.insert_card(me.remove_card())
+    assert me.register("5G").aka_ran
+    assert [k for k, e in env.amf.table.items() if e is record] == [me.current_guti]
+    assert len(env.amf.table) == 2
 
 
 def test_guti_allocations_never_repeat():
@@ -521,6 +549,25 @@ def test_nas_keys_are_derived_once_per_context(monkeypatch, generation):
     for _ in range(200):
         fast_round(me, generation)
         assert calls == []
+
+
+def test_a_fast_round_retains_at_most_3_kb():
+    # Every round keeps its events, envelopes and one alias row; the
+    # events are flat tuples whose AMF hex strings are the handset's.
+    env, me, _, _ = fast_ready()
+    fast_round(me)
+    rounds = 300
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(rounds):
+            fast_round(me)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / rounds <= 3000, "%d bytes per round" % (retained / rounds)
+    ue_init, amf_verify = env.events.named("ue_init")[-1], env.events.named("amf_verify")[-1]
+    assert all(a is b for a, b in zip(ue_init[3:], amf_verify[3:], strict=True))
 
 
 class NoScanTable(dict):

@@ -19,6 +19,11 @@ met when the change wins at least nine pairs in ten and the medians
 differ by more than the parent's interquartile range.  With
 `--traced-seconds T` each tree also runs once with `--trace 1`, and the
 per-layer metrics of both runs are recorded under `traced`.
+
+Exits 0 when every pair printed one `output_sha256` for both trees, every
+run was correct with no failed operation, every metric was within its
+bound, and a `--claim` was met; otherwise it still writes the file, says
+on stderr what went wrong, and exits 1.
 """
 
 from __future__ import annotations
@@ -178,7 +183,26 @@ def main(argv: list[str] | None = None) -> int:
                 s["change_wins"], s["parent_iqr"], s["within_bound"]))
     if "claim" in out:
         print("claim:", out["claim"])
-    return 0
+    problems = [
+        "%s: %s" % (workload, what)
+        for workload in args.workload
+        for what, ok in (
+            ("output_sha256 differs within a pair", results[workload]["sha_equal_every_pair"]),
+            ("a run was incorrect or had failed operations", results[workload]["all_correct"]),
+        )
+        if not ok
+    ]
+    problems += [
+        "%s: %s is beyond its bound" % (workload, metric)
+        for workload in args.workload
+        for metric, s in results[workload]["metrics"].items()
+        if not s["within_bound"]
+    ]
+    if args.claim is not None and not out["claim_met"]:
+        problems.append("claim not met")
+    for problem in problems:
+        print("bench_pairs:", problem, file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
