@@ -17,8 +17,13 @@ stands.  `run_scenario` runs the steps one by one; a step that returns
 False ends its row.  The attacker's registration (the `attack` step) is
 then evaluated, and `then` runs only after a successful impersonation.
 
-On top of a successful base attack the harness evaluates the one-tap
-login bypass and the location-spoofing effect, and a per-profile matrix
+An impersonation succeeds when the attacker's request was accepted
+without AKA, the accept violates injective agreement with the victim's
+handsets, and the victim sent nothing in the attack window.  What the
+accepted session then shows (the SUPI a one-tap token would carry, the
+base station the network pages) is noted as evidence, not judged: the
+one-tap login bypass and the location-spoofing effect are downstream
+scenarios on top of a successful base attack, and a per-profile matrix
 runs everything for the three operator presets.
 """
 
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 from .channel import IdentityResponse, RegistrationRequestInitial
 from .equipment import PowerState, SecurityContext
-from .network import OneTapToken
 from .profiles import DEFAULT_PIN, Countermeasures, get_profile
 from .sim import SimEnv
 from .usim import (
@@ -61,7 +65,7 @@ class UnknownScenario(Exception):
 
 
 class AttackReport:
-    __slots__ = ("scenario", "profile", "seed", "variant", "succeeded", "evidence", "window", "env", "token", "location")
+    __slots__ = ("scenario", "profile", "seed", "variant", "succeeded", "evidence", "window", "env")
 
     def __init__(
         self,
@@ -80,10 +84,6 @@ class AttackReport:
         self.evidence: dict[str, str] = {}
         self.window = window
         self.env = env
-        # What a successful impersonation left behind for the downstream
-        # scenarios: the one-tap token and the network's paging location.
-        self.token: OneTapToken | None = None
-        self.location: str | None = None
 
     def note(self, key: str, value) -> None:
         if isinstance(value, bool):
@@ -209,17 +209,13 @@ def _evaluate_impersonation(report: AttackReport, env: ScenarioEnv, outcome) -> 
     quiet = not victim_traffic
     report.note("victim_quiet_in_window", quiet)
 
-    token_ok = location_ok = False
     if clean_fast:
-        session = env.amf.sessions.get(VICTIM_SUPI)
-        if session is not None and session.state == "Registered":
-            report.token = env.amf.one_tap_token(session)
-            token_ok = report.token.supi == VICTIM_SUPI
-            report.note("token_supi", report.token.supi)
-            report.location = env.amf.locate(VICTIM_SUPI)
-            location_ok = report.location == ATTACKER_BS and report.location != VICTIM_BS
-            report.note("network_location", report.location)
-    report.succeeded = clean_fast and witness and quiet and token_ok and location_ok
+        # The session the accept opened: whose number an app login sees,
+        # and where the network pages that subscriber.
+        session = next(s for s in env.amf.sessions.values() if s.flow == outcome.flow)
+        report.note("token_supi", session.supi)
+        report.note("network_location", session.serving_bs)
+    report.succeeded = clean_fast and witness and quiet
 
 
 # --- scenarios as rows of steps ----------------------------------------
@@ -382,7 +378,7 @@ def scenario_one_tap_bypass(base: AttackReport) -> AttackReport:
     if session is None or session.state != "Registered":
         report.note("session", "absent")
         return report
-    token = base.token
+    token = env.amf.one_tap_token(session)
     holder = session.flow.split("#")[0]
     attacker_holds = holder in env.custody_of("attacker")
     report.note("token_supi", token.supi)
@@ -396,9 +392,10 @@ def scenario_one_tap_bypass(base: AttackReport) -> AttackReport:
 def scenario_location_spoof(base: AttackReport) -> AttackReport:
     """The network now pages the victim at the attacker's base station."""
     report = _downstream_report("location-spoofing", base)
-    report.note("network_view", base.location)
+    location = base.evidence["network_location"]
+    report.note("network_view", location)
     report.note("victim_actual_bs", VICTIM_BS)
-    report.succeeded = base.location == ATTACKER_BS and base.location != VICTIM_BS
+    report.succeeded = location == ATTACKER_BS
     return report
 
 

@@ -130,7 +130,7 @@ def _cmd_card_load(args: argparse.Namespace) -> int:
         "pin enabled=%s retries=%d/%d locked=%s"
         % (card.pin.enabled, card.pin.retries_left, card.pin.retry_limit, card.pin.locked)
     )
-    print("supports_5g %s  programmable %s" % (card.supports_5g_context, card.programmable))
+    print("supports_5g %s  programmable %s" % (card.holds_context("5G"), card.programmable))
     for fid in sorted(card.files):
         rule, body = card.files[fid]
         print(

@@ -1,16 +1,19 @@
 """Mobile equipment: power states, card slot, baseband context store.
 
-The security context produced by a registration lives in exactly one of
-three places, and the register() path searches them in order:
+The security context produced by a registration has one home per
+generation, as in TS 24.301, TS 24.501 and TS 31.102:
 
-  1. the inserted card's context files for the requested generation
-     (always present for 4G, only on 5G-capable cards for 5G), read and
-     written with READ/UPDATE on the handset's baseband session, so the
-     card's access conditions apply to the handset as to any reader; a
-     refused read, or a context that does not parse, counts as absent,
-  2. the baseband chip's own entry (how 5G contexts are kept on ordinary
-     cards), guarded by an identity comparison against the inserted card,
-  3. nowhere, which forces the initial registration with full AKA.
+  1. the inserted card, iff it carries that generation's NSC file
+     (CardImage.holds_context: every standard card for 4G, only cards
+     issued with 4F01/4F03 for 5G); its context files are read and written
+     with READ/UPDATE on the handset's baseband session, so the card's
+     access conditions apply to the handset as to any reader,
+  2. otherwise the baseband chip's own entry, guarded by an identity
+     comparison against the inserted card.
+
+The two homes are exclusive: an empty or refused read, or a context that
+does not parse, finds no context, and register() then runs the initial
+registration with full AKA.
 
 The baseband entry is cleared when (1) the card is removed while the
 phone is powered on, (2) the phone enters powered-on with an empty slot,
@@ -213,7 +216,7 @@ class MobileEquipment:
     def __init__(
         self,
         name: str,
-        env=None,
+        env,
         bs: str = "BS-A",
         *,
         user_pin: str | None = None,
@@ -243,8 +246,7 @@ class MobileEquipment:
     # --- plumbing ------------------------------------------------------
 
     def _emit(self, event: str, values: tuple[str, ...]) -> None:
-        if self.env is not None:
-            self.env.events.emit(self.name, event, values)
+        self.env.events.emit(self.name, event, values)
 
     def _send(self, flow: str, msg) -> None:
         self.env.channel.send(self.name, self.env.amf.name, self.bs, flow, msg)
@@ -349,7 +351,7 @@ class MobileEquipment:
             return
         loci = self.current_guti.encode("ascii")
         blob = self._ctx.to_bytes()
-        if self.generation == "4G" or card.supports_5g_context:
+        if card.holds_context(self.generation):
             status = store_context_files(card, self._card_session, loci, blob, self.generation)
             if status is ApduStatus.OK:
                 self._emit("context_stored", ("card", self.generation))
@@ -368,14 +370,15 @@ class MobileEquipment:
     # --- registration -------------------------------------------------
 
     def _select_context(self, card: CardImage, generation: str):
-        """Context source order: card files, then baseband entry, then none."""
-        if generation == "4G" or card.supports_5g_context:
+        """The context from its one home: the card's files if it holds the generation's, else the baseband entry."""
+        if card.holds_context(generation):
             loci, nsc = load_context_files(card, self._card_session, generation)
             if loci and nsc:
                 try:
                     return SecurityContext.from_bytes(nsc), loci.decode("ascii"), "card"
                 except ValueError as err:  # UnicodeDecodeError included
                     self._emit("context_unparsable", ("card", str(err).replace(" ", "-")))
+            return None, None, "none"
         entry = self.baseband
         if (
             entry is not None

@@ -9,6 +9,10 @@ touches:
     4F01  5GS3GPPLOCI     5G location info (only on 5G-capable cards)
     4F03  5GS3GPPNSC      5G NAS security context (only on 5G-capable cards)
 
+A card holds a generation's context iff it carries that generation's NSC
+file (TS 31.102); the handset then keeps the context there and nowhere
+else.  Whether 4F01/4F03 exist is decided once, when the card is issued.
+
 Each file carries one read and one update condition (ALW / PIN / ADM /
 NEV).  Every file access, the handset's context reads and writes
 included, is a READ or UPDATE through apdu_execute on a session, so the
@@ -99,7 +103,7 @@ class CardImage:
     instantiated it enforces its access conditions like any other card.
     """
 
-    __slots__ = ("iccid", "supi", "k_permanent", "files", "pin", "seq", "supports_5g_context", "programmable")
+    __slots__ = ("iccid", "supi", "k_permanent", "files", "pin", "seq", "programmable")
 
     def __init__(
         self,
@@ -109,24 +113,23 @@ class CardImage:
         files: dict[int, tuple[AccessRule, bytes]],
         pin: PinState,
         seq: int = 0,
-        supports_5g_context: bool = False,
         programmable: bool = False,
     ) -> None:
         if k_permanent.kind is not KeyKind.K_PERMANENT:
             raise ValueError("card key must be K_permanent kind")
-        if supports_5g_context:
-            if EF_5GLOCI not in files or EF_5GNSC not in files:
-                raise ValueError("5G-capable card must carry 4F01 and 4F03")
         self.iccid = iccid
         self.supi = supi
         self.k_permanent = k_permanent
         self.files = files
         self.pin = pin
         self.seq = seq
-        self.supports_5g_context = supports_5g_context
         self.programmable = programmable
 
     __eq__ = fields_equal
+
+    def holds_context(self, generation: str) -> bool:
+        """True iff the card carries the generation's NSC file, so the context lives here."""
+        return NSC_FILES[generation] in self.files
 
     def open_session(self) -> CardSession:
         """Reader session: never holds the ADM credential."""
@@ -157,7 +160,8 @@ def standard_card(
 
     hardened raises the read condition of the security-context files from
     PIN to ADM, which is the card-side countermeasure against reader
-    extraction.
+    extraction.  supports_5g_context is the issuance policy: it writes
+    4F01/4F03, and so makes the card the home of a 5G context.
     """
     iccid = "8986" + "".join(str(rng.randrange(10)) for _ in range(15))
     nsc_read = AccessLevel.ADM if hardened else AccessLevel.PIN
@@ -175,7 +179,6 @@ def standard_card(
         k_permanent=k_permanent,
         files=files,
         pin=PinState(pin_value, pin_enabled, DEFAULT_RETRY_LIMIT, DEFAULT_RETRY_LIMIT),
-        supports_5g_context=supports_5g_context,
     )
 
 
@@ -324,7 +327,7 @@ def card_to_text(card: CardImage) -> str:
             card.pin.locked,
         ),
         "flags supports_5g=%d programmable=%d"
-        % (card.supports_5g_context, card.programmable),
+        % (card.holds_context("5G"), card.programmable),
     ]
     for fid in sorted(card.files):
         rule, body = card.files[fid]
@@ -427,16 +430,10 @@ def card_from_text(text: str) -> CardImage:
     seq = parsed("seq", seq_value)
     pin = parsed("pin", pin_state, 5)
     supports_5g, programmable = parsed("flags", flags, 2)
-    try:
-        return CardImage(
-            iccid=iccid,
-            supi=supi,
-            k_permanent=key,
-            files=files,
-            pin=pin,
-            seq=seq,
-            supports_5g_context=supports_5g,
-            programmable=programmable,
+    card = CardImage(iccid=iccid, supi=supi, k_permanent=key, files=files, pin=pin, seq=seq, programmable=programmable)
+    if supports_5g != card.holds_context("5G"):
+        raise CardFormatError(
+            "line %d: bad flags line: supports_5g=%d, but 4F03 is %s"
+            % (header["flags"][0], supports_5g, "absent" if supports_5g else "present")
         )
-    except ValueError as err:
-        raise CardFormatError("line %d: %s" % (header["flags"][0], err)) from None
+    return card

@@ -26,7 +26,7 @@ from fastreg.attacks import (
 )
 from fastreg.channel import RegistrationRequestFast
 from fastreg.crypto import KEY_LEN, Key, KeyKind
-from fastreg.equipment import BasebandEntry, MobileEquipment, SecurityContext
+from fastreg.equipment import BasebandEntry, SecurityContext
 from fastreg.profiles import ALL_PROTECTIVE, Countermeasures, get_profile
 from fastreg.sim import SimEnv
 from fastreg.usim import (
@@ -237,11 +237,10 @@ def test_criterion_5_slot_power_shadow():
     }
     ctx = SecurityContext(Key(b"\x5a" * KEY_LEN, KeyKind.K_AMF), 1, ("EA2",), 3, 4)
     checked = 0
+    env = SimEnv(get_profile("OP-I"), 50)
     for binding, detect in ((False, False), (True, False), (False, True)):
         for _ in range(334):
-            me = MobileEquipment(
-                "walk", iccid_binding=binding, offline_swap_detection=detect
-            )
+            me = env.add_me("walk", iccid_binding=binding, offline_swap_detection=detect)
             state = ("OFF", None, False, False)
             for _ in range(rng.randrange(6, 15)):
                 power, slot, pending, entry = state

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from fastreg import attacks
 from fastreg.attacks import (
     ATTACKER_BS,
     PROFILE_ORDER,
@@ -23,6 +24,7 @@ from fastreg.attacks import (
     matrix_lines,
     run_scenario,
     run_table_matrix,
+    scenario_location_spoof,
     scenario_one_tap_bypass,
 )
 from fastreg.profiles import ALL_PROTECTIVE, TOGGLES, Countermeasures, countermeasures_from_pairs
@@ -209,6 +211,9 @@ def test_protective_set_defeats_every_scenario():
                 scenario_one_tap_bypass(base)
 
 
+IMPERSONATION_KEYS = ("accepted_without_aka", "agreement_violated", "victim_quiet_in_window")
+
+
 def test_no_single_protective_toggle_turns_a_failure_into_a_success():
     # Protective means on, except for fast registration, which protects off.
     toggles = TOGGLES
@@ -220,13 +225,31 @@ def test_no_single_protective_toggle_turns_a_failure_into_a_success():
             won = {}
             for guarded in sets:
                 pairs = {t: p[0] if g else p[1] for t, p, g in zip(toggles, protective, guarded)}
-                won[guarded] = run_scenario(attack, profile, 24, countermeasures_from_pairs(pairs)).succeeded
+                report = run_scenario(attack, profile, 24, countermeasures_from_pairs(pairs))
+                # The verdict is exactly the three impersonation keys, on every toggle set.
+                keys = all(report.evidence.get(k) == "true" for k in IMPERSONATION_KEYS)
+                assert report.succeeded == keys, (profile, attack, guarded)
+                won[guarded] = report.succeeded
             assert any(won.values()) and not all(won.values())  # not vacuous
             for guarded, i in itertools.product(sets, range(len(toggles))):
                 stricter = guarded[:i] + (True,) + guarded[i + 1 :]
                 if not won[guarded] and won[stricter]:
                     violations.append((profile, attack, guarded, toggles[i]))
     assert not violations
+
+
+def test_impersonation_from_the_victims_own_cell_is_not_a_location_spoof(monkeypatch):
+    def same_cell(*args):
+        env = build_environment(*args)
+        env.mes["attacker-me"].bs = VICTIM_BS
+        return env
+
+    monkeypatch.setattr(attacks, "build_environment", same_cell)
+    report = run_scenario("S1", "OP-I", seed=26)
+    assert report.succeeded
+    assert report.evidence["network_location"] == VICTIM_BS
+    assert not scenario_location_spoof(report).succeeded
+    assert scenario_one_tap_bypass(report).succeeded
 
 
 # --- variants --------------------------------------------------------------

@@ -31,12 +31,13 @@ def trees(tmp_path):
     return parent, change
 
 
-def stub(change_rss=30.0, change_ops=100.0, change_sha="aa", correct=True):
-    """A run_once whose change tree reads `change_rss` MB and `change_ops`/s; the parent 40 MB and 100/s."""
+def stub(change_rss=30.0, change_ops=100.0, change_sha="aa", correct=True, parent_ops_spread=0.0):
+    """A run_once whose change tree reads `change_rss` MB and `change_ops`/s; the parent 40 MB and 100/s,
+    plus `parent_ops_spread`/s on odd seeds."""
 
     def run_once(tree, workload, seed, seconds, trace):
         is_change = tree.name == "change"
-        rss, ops = (change_rss, change_ops) if is_change else (40.0, 100.0)
+        rss, ops = (change_rss, change_ops) if is_change else (40.0, 100.0 + parent_ops_spread * (seed % 2))
         return {
             "metrics": {"ops_per_s": {"value": ops + seed % 3}, "peak_rss_mb": {"value": rss + seed % 2 / 100}},
             "correct": correct or not is_change,
@@ -76,3 +77,18 @@ def test_exit_status_follows_digests_correctness_bounds_and_the_claim(
         assert "bench_pairs:" not in err
     else:
         assert "bench_pairs: " in err and says in err
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved_but_keeps_the_exit_status(
+    bench_pairs, monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setattr(bench_pairs, "run_once", stub(parent_ops_spread=60.0))
+    parent, change = trees(tmp_path)
+    out = tmp_path / "bench.json"
+    argv = [str(parent), str(change), "--workload", "w", "--pairs", "4", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    metrics = json.loads(out.read_text(encoding="ascii"))["end_to_end"]["w"]["metrics"]
+    assert metrics["ops_per_s"]["unresolved"] and metrics["ops_per_s"]["within_bound"]
+    assert not metrics["peak_rss_mb"]["unresolved"]
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed if line.endswith("unresolved")] == ["ops_per_s"]

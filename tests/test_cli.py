@@ -227,6 +227,8 @@ def test_downstream_attacks_take_no_variant(tmp_path, capsys):
         ("card", lambda t: re.sub("(?m)^supi .*$", "supi hello", t), "line 2: bad supi line: wants 1-15 ASCII digits"),
         ("card", lambda t: re.sub("(?m)^iccid .*$", "iccid zz", t), "line 1: bad iccid line: wants ASCII digits"),
         ("card", lambda t: t.replace("seq 0", "seq -5"), "line 4: bad seq line: wants 0 or more"),
+        ("card", lambda t: t + "4f01 PIN PIN\n4f03 PIN PIN\n", "line 6: bad flags line: supports_5g=0, but 4F03 is present"),
+        ("card", lambda t: t.replace("supports_5g=0", "supports_5g=1"), "line 6: bad flags line: supports_5g=1, but 4F03 is absent"),
         ("run", lambda t: "[scenario]\n# caf\u00e9\n", "line 2: non-ASCII byte 0xc3"),
         ("card", None, "Is a directory"),
         ("run", None, "Is a directory"),
@@ -239,6 +241,8 @@ def test_downstream_attacks_take_no_variant(tmp_path, capsys):
         "supi-not-digits",
         "iccid-not-digits",
         "seq-negative",
+        "5g-files-without-flag",
+        "5g-flag-without-files",
         "config-non-ascii",
         "card-directory",
         "config-directory",

@@ -13,7 +13,6 @@ from fastreg.crypto import KEY_LEN, Key, KeyKind
 from fastreg.equipment import (
     COUNT_LIMIT,
     BasebandEntry,
-    MobileEquipment,
     NoCard,
     NotRegistered,
     PinRequired,
@@ -26,7 +25,7 @@ from fastreg.equipment import (
 )
 from fastreg.profiles import NONDEFAULT_PIN, Countermeasures, get_profile
 from fastreg.sim import SimEnv
-from fastreg.usim import EF_5GLOCI, EF_5GNSC, EF_EPSLOCI, EF_EPSNSC, AccessLevel, standard_card
+from fastreg.usim import EF_5GLOCI, EF_5GNSC, EF_EPSLOCI, EF_EPSNSC, EF_IMSI, AccessLevel, programmable_card, standard_card
 
 SUPI = "460110123456789"
 
@@ -131,6 +130,47 @@ def test_5g_capable_card_keeps_its_own_context():
     assert card.files[EF_5GLOCI][1] and card.files[EF_5GNSC][1]
     again = me.register("5G")
     assert again.accepted and again.path == "fast" and again.context_source == "card"
+
+
+def programmed_copy(env, card, fids):
+    """A programmable card carrying `fids` of `card`, keyed with its key so that AKA passes."""
+    fake = programmable_card(env.rng, card.supi, {fid: card.files[fid][1] for fid in fids})
+    fake.k_permanent = card.k_permanent
+    return fake
+
+
+def stored_where(env):
+    return [(e.fields["where"], e.fields["generation"]) for e in env.events.named("context_stored")]
+
+
+def test_a_programmable_card_with_5g_files_keeps_the_5g_context():
+    env, me, card, _ = provisioned(profile_override={"usim_5g_context": True})
+    fake = programmed_copy(env, card, (EF_IMSI, EF_5GLOCI, EF_5GNSC))
+    bring_up(me, fake, "5G")
+    assert stored_where(env) == [("card", "5G")]
+    assert me.baseband is None and fake.files[EF_5GNSC][1]
+    again = me.register("5G")
+    assert again.accepted and again.path == "fast" and again.context_source == "card"
+
+
+def test_a_card_without_the_4g_files_leaves_the_4g_context_in_the_baseband():
+    env, me, card, _ = provisioned()
+    fake = programmed_copy(env, card, (EF_IMSI,))
+    bring_up(me, fake, "4G")
+    assert stored_where(env) == [("baseband", "4G")]
+    assert not env.events.named("context_store_refused")
+    again = me.register("4G")
+    assert again.accepted and again.path == "fast" and again.context_source == "baseband"
+
+
+def test_an_empty_home_card_never_falls_through_to_the_baseband():
+    env, me, card, _ = provisioned(profile_override={"usim_5g_context": True})
+    bring_up(me, card, "5G")
+    # A chip entry for this very card, beside a card that holds 5G itself.
+    me.baseband = BasebandEntry(SUPI, "guti-chip", make_ctx(), "5G", card.iccid)
+    write_file(card, EF_5GNSC, b"")
+    out = me.register("5G")
+    assert out.context_source == "none" and out.path == "initial"
 
 
 def test_power_off_keeps_baseband_entry_and_clears_live_state():
@@ -489,9 +529,10 @@ def test_random_slot_power_walk_matches_shadow_model():
     cards = {"A": card_a, "A2": card_a2, "B": card_b}
     seed_entry = lambda: BasebandEntry(SUPI, "guti-seed", make_ctx(), "5G", card_a.iccid)
 
+    env = SimEnv(get_profile("OP-I"), 1009)
     for binding, detect in ((False, False), (True, False), (False, True)):
         for _ in range(300):
-            me = MobileEquipment("walk", iccid_binding=binding, offline_swap_detection=detect)
+            me = env.add_me("walk", iccid_binding=binding, offline_swap_detection=detect)
             state = ("OFF", None, False, False)
             for _ in range(rng.randrange(6, 15)):
                 op = rng.choice(legal_ops(state))

@@ -450,7 +450,7 @@ def test_replayed_fast_requests_leave_one_pending_aka():
     assert env.amf.sessions[SUPI].via == "fast"
 
 
-def test_run_aka_network_refuses_a_wrong_key_card():
+def test_a_wrong_key_card_fails_aka_and_leaves_no_table_row():
     env = SimEnv(get_profile("OP-I"), 9)
     record, card = env.provision_subscriber(SUPI)
     imposter = env.add_me("imp")

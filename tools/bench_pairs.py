@@ -10,7 +10,9 @@ is written in the layout of the BENCH_*.json files: per metric the median
 and quartiles (inclusive method) of each side, `change_wins` (pairs in
 which the change did better), `median_change_pct`, `parent_iqr` and
 `within_bound` (the change's median no worse than the parent's by more
-than the metric's bound in the parent tree's BENCHMARK.json), plus
+than the metric's bound in the parent tree's BENCHMARK.json) and
+`unresolved` (the parent's IQR is wider than bound x parent median, so
+the runs cannot tell a move of the bound's size from noise), plus
 `sha_equal_every_pair` and the raw value of every run.  `--workload` may
 be repeated; an existing output file keeps its other workloads.
 
@@ -23,7 +25,8 @@ per-layer metrics of both runs are recorded under `traced`.
 Exits 0 when every pair printed one `output_sha256` for both trees, every
 run was correct with no failed operation, every metric was within its
 bound, and a `--claim` was met; otherwise it still writes the file, says
-on stderr what went wrong, and exits 1.
+on stderr what went wrong, and exits 1.  An unresolved metric does not
+change the exit status.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ def summarize(metric: str, spec: dict, pairs: list[dict]) -> dict:
     p, c = quartiles(parent), quartiles(change)
     direction, bound = spec["better"], spec["bound"]
     limit = p["median"] * (1 + bound if direction == "lower" else 1 - bound)
+    iqr = round(p["q3"] - p["q1"], 6)
     return {
         "better": direction,
         "bound": bound,
@@ -75,8 +79,9 @@ def summarize(metric: str, spec: dict, pairs: list[dict]) -> dict:
         "change": c,
         "change_wins": sum(better(cv, pv, direction) for pv, cv in zip(parent, change)),
         "median_change_pct": round((c["median"] - p["median"]) / p["median"] * 100, 1) if p["median"] else 0.0,
-        "parent_iqr": round(p["q3"] - p["q1"], 6),
+        "parent_iqr": iqr,
         "within_bound": c["median"] <= limit if direction == "lower" else c["median"] >= limit,
+        "unresolved": iqr > bound * p["median"],
     }
 
 
@@ -178,9 +183,9 @@ def main(argv: list[str] | None = None) -> int:
         print("== %s: %d pairs, sha equal %s, all correct %s" % (
             workload, entry["pairs"], entry["sha_equal_every_pair"], entry["all_correct"]))
         for m, s in entry["metrics"].items():
-            print("%-16s parent %12.6g  change %12.6g  %+6.1f%%  wins %2d  iqr %10.4g  within bound %s" % (
+            print("%-16s parent %12.6g  change %12.6g  %+6.1f%%  wins %2d  iqr %10.4g  within bound %s%s" % (
                 m, s["parent"]["median"], s["change"]["median"], s["median_change_pct"],
-                s["change_wins"], s["parent_iqr"], s["within_bound"]))
+                s["change_wins"], s["parent_iqr"], s["within_bound"], "  unresolved" if s["unresolved"] else ""))
     if "claim" in out:
         print("claim:", out["claim"])
     problems = [
