@@ -1,6 +1,6 @@
-"""Attack harness: impersonation scenarios, downstream effects, matrix.
+"""Attack harness: impersonation scenarios, evidence reports, matrix.
 
-Two base scenarios:
+Two scenarios:
 
   S1  card-context impersonation (4G): read the victim card's context
       files in an off-the-shelf reader, copy them onto a programmable
@@ -10,7 +10,7 @@ Two base scenarios:
       in airplane mode; the chip keeps the cached context and hands it to
       the fake card's owner.
 
-Each variant of a base scenario is data: a pair `(steps, then)` in
+Each variant of a scenario is data: a pair `(steps, then)` in
 `SCENARIOS`, both rows of plain string tuples such as
 `("insert", "victim-me", "victim")`, so a row prints and replays as it
 stands.  `run_scenario` runs the steps one by one; a step that returns
@@ -20,11 +20,10 @@ then evaluated, and `then` runs only after a successful impersonation.
 An impersonation succeeds when the attacker's request was accepted
 without AKA, the accept violates injective agreement with the victim's
 handsets, and the victim sent nothing in the attack window.  What the
-accepted session then shows (the SUPI a one-tap token would carry, the
-base station the network pages) is noted as evidence, not judged: the
-one-tap login bypass and the location-spoofing effect are downstream
-scenarios on top of a successful base attack, and a per-profile matrix
-runs everything for the three operator presets.
+session the accept opened then shows is noted as evidence, not judged:
+`token_supi`, the number a one-tap login sees, and `network_location`,
+the base station the network pages.  The per-profile matrix reads its
+one-tap bypass and location-spoofing columns from that evidence.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ class AccessDenied(Exception):
 
 
 class PrerequisiteFailed(Exception):
-    """A step ran before its input, or a downstream scenario built on a failed base attack."""
+    """A step ran before its input."""
 
 
 class UnknownScenario(Exception):
@@ -360,54 +359,7 @@ SCENARIOS = {
 }
 
 
-# --- downstream scenarios ----------------------------------------------
-
-
-def _downstream_report(scenario: str, base: AttackReport) -> AttackReport:
-    """An empty report for an effect of `base`, which must have succeeded."""
-    if not base.succeeded:
-        raise PrerequisiteFailed("base attack %s did not succeed" % base.scenario)
-    return AttackReport(scenario, base.profile, base.seed, base.variant, window=base.window, env=base.env)
-
-
-def scenario_one_tap_bypass(base: AttackReport) -> AttackReport:
-    """One-tap login: the number-bound token lands in attacker hands."""
-    report = _downstream_report("one-tap-bypass", base)
-    env = base.env
-    session = env.amf.sessions.get(VICTIM_SUPI)
-    if session is None or session.state != "Registered":
-        report.note("session", "absent")
-        return report
-    token = env.amf.one_tap_token(session)
-    holder = session.flow.split("#")[0]
-    attacker_holds = holder in env.custody_of("attacker")
-    report.note("token_supi", token.supi)
-    report.note("token_nonce", token.nonce)
-    report.note("session_holder", holder)
-    report.note("holder_custody", "attacker" if attacker_holds else "victim")
-    report.succeeded = token.supi == VICTIM_SUPI and attacker_holds
-    return report
-
-
-def scenario_location_spoof(base: AttackReport) -> AttackReport:
-    """The network now pages the victim at the attacker's base station."""
-    report = _downstream_report("location-spoofing", base)
-    location = base.evidence["network_location"]
-    report.note("network_view", location)
-    report.note("victim_actual_bs", VICTIM_BS)
-    report.succeeded = location == ATTACKER_BS
-    return report
-
-
 # --- dispatch and matrix -----------------------------------------------
-
-# Built on a default S2 run; they take no variant.
-DOWNSTREAM_SCENARIOS = {
-    "one-tap-bypass": scenario_one_tap_bypass,
-    "location-spoofing": scenario_location_spoof,
-}
-
-SCENARIO_NAMES = (*SCENARIOS, *DOWNSTREAM_SCENARIOS)
 
 
 def run_scenario(
@@ -417,14 +369,9 @@ def run_scenario(
     cm: Countermeasures | None = None,
     variant: str = "default",
 ) -> AttackReport:
-    """Run one base scenario's row, or a downstream effect of a default S2."""
-    effect = DOWNSTREAM_SCENARIOS.get(attack)
-    if effect is not None and variant != "default":
-        raise UnknownScenario("%s takes no variant, got %r" % (attack, variant))
-    if effect is not None:
-        return effect(run_scenario("S2", profile_name, seed, cm))
+    """Run one scenario's row and judge the attacker's registration."""
     if attack not in SCENARIOS:
-        raise UnknownScenario("unknown attack %r (have: %s)" % (attack, ", ".join(SCENARIO_NAMES)))
+        raise UnknownScenario("unknown attack %r (have: %s)" % (attack, ", ".join(SCENARIOS)))
     if (row := SCENARIOS[attack].get(variant)) is None:
         raise UnknownScenario("unknown %s variant %r (have: %s)" % (attack, variant, ", ".join(SCENARIOS[attack])))
     env = build_environment(profile_name, seed, cm)
@@ -452,14 +399,14 @@ MATRIX_COLUMNS = (
 
 
 def run_table_matrix(seed: int = 0) -> dict[str, dict[str, bool]]:
-    """Per-profile verdict matrix over both base attacks and both effects."""
+    """Per-profile verdict matrix: both attacks, then the effects the chosen base's evidence shows."""
     rows: dict[str, dict[str, bool]] = {}
     for i, name in enumerate(PROFILE_ORDER):
         s1 = run_scenario("S1", name, seed + 10 * i + 1)
         s2 = run_scenario("S2", name, seed + 10 * i + 2)
         base = s2 if s2.succeeded else s1
-        one_tap = base.succeeded and scenario_one_tap_bypass(base).succeeded
-        location = base.succeeded and scenario_location_spoof(base).succeeded
+        one_tap = base.succeeded and base.evidence["token_supi"] == VICTIM_SUPI
+        location = base.succeeded and base.evidence["network_location"] == ATTACKER_BS
         rows[name] = {
             "usim_context": s1.succeeded,
             "baseband_context": s2.succeeded,

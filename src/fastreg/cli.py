@@ -1,6 +1,6 @@
 """Command line front end.
 
-    fastreg run [config] [--attack S1|S2|one-tap-bypass|location-spoofing]
+    fastreg run [config] [--attack S1|S2]
                 [--profile OP-I] [--seed N] [--variant NAME]
                 [--countermeasure NAME=on|off ...]
                 [--trace-out FILE] [--report-out FILE]
@@ -12,23 +12,19 @@
 `profiles list` prints NAME toggle=on|off ..., in the names that
 `--countermeasure` takes.  An input error, such as a file that cannot be
 read or written, exits 2 with one `error:` line and nothing on stdout:
-output files are written before any result is printed.  Identical
-arguments always produce byte-identical trace and report files.
+output files are written before any result is printed.  A reader that
+closes stdout early (`fastreg run | head -1`) ends the run with exit 1
+and no message.  Identical arguments always produce byte-identical
+trace and report files.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .attacks import (
-    SCENARIO_NAMES,
-    PrerequisiteFailed,
-    UnknownScenario,
-    matrix_lines,
-    run_scenario,
-    run_table_matrix,
-)
+from .attacks import SCENARIOS, UnknownScenario, matrix_lines, run_scenario, run_table_matrix
 from .config import ConfigError, ScenarioConfig, parse_config
 from .profiles import (
     BUILTIN_PROFILES,
@@ -86,11 +82,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     pairs = dict(cfg.countermeasures)
     pairs.update(_parse_cm_flags(args.countermeasure))
     cm = countermeasures_from_pairs(pairs)
-    try:
-        report = run_scenario(cfg.attack, cfg.profile, cfg.seed, cm, cfg.variant)
-    except PrerequisiteFailed as err:
-        print("prerequisite failed: %s" % err)
-        return 1
+    report = run_scenario(cfg.attack, cfg.profile, cfg.seed, cm, cfg.variant)
     lines = report.to_lines()
     trace = report.env.trace_lines()
     if args.trace_out:
@@ -165,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one attack scenario")
     run_p.add_argument("config", nargs="?", help="scenario config file")
-    run_p.add_argument("--attack", choices=SCENARIO_NAMES)
+    run_p.add_argument("--attack", choices=tuple(SCENARIOS))
     run_p.add_argument("--profile", choices=tuple(BUILTIN_PROFILES))
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--variant")
@@ -210,7 +202,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader went away (`fastreg run | head -1`): not an input
+        # error.  Point stdout at the null device so the flush at exit
+        # stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, CardFormatError, UnknownCountermeasure, UnknownScenario, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

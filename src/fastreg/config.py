@@ -17,7 +17,7 @@ all hard errors carrying the offending line number.
 
 from __future__ import annotations
 
-from .attacks import SCENARIO_NAMES
+from .attacks import SCENARIOS
 from .profiles import (
     UnknownCountermeasure,
     UnknownProfile,
@@ -87,10 +87,10 @@ def parse_config(text: str) -> ScenarioConfig:
                 except ValueError:
                     raise ConfigError("line %d: seed wants an integer, got %r" % (n, value)) from None
             elif key == "attack":
-                if value not in SCENARIO_NAMES:
+                if value not in SCENARIOS:
                     raise ConfigError(
                         "line %d: unknown attack %r (have: %s)"
-                        % (n, value, ", ".join(SCENARIO_NAMES))
+                        % (n, value, ", ".join(SCENARIOS))
                     )
                 cfg.attack = value
             elif key == "profile":

@@ -42,9 +42,8 @@ from .channel import (
     field_hex,
 )
 from .crypto import Key
-from .equipment import COUNT_LIMIT, NGKSI_MAX, NotRegistered, SecurityContext
+from .equipment import COUNT_LIMIT, NGKSI_MAX, SecurityContext
 from .profiles import PERIODIC_AKA_INTERVAL, OperatorProfile
-from .record import Frozen, set_field
 
 
 class UnknownSubscriber(Exception):
@@ -75,16 +74,6 @@ class Session:
         self.state = state  # "Registered" | "Deregistered"
         self.via = via  # "fast" | "aka"
         self.flow = flow
-
-
-class OneTapToken(Frozen):
-    """App-layer login token minted against the registered session."""
-
-    __slots__ = ("supi", "nonce")
-
-    def __init__(self, supi: str, nonce: str) -> None:
-        set_field(self, "supi", supi)
-        set_field(self, "nonce", nonce)
 
 
 class _PendingAka:
@@ -315,18 +304,3 @@ class Amf:
             self._emit("stray_message", (envelope.msg.mtype,))
             return
         getattr(self, handler)(envelope)
-
-    # --- downstream service surface -----------------------------------
-
-    def one_tap_token(self, session: Session) -> OneTapToken:
-        """Mint an app login token for whoever holds the registered session."""
-        if session.state != "Registered":
-            raise NotRegistered("session for %s is %s" % (session.supi, session.state))
-        return OneTapToken(supi=session.supi, nonce="%08x" % self.rng.getrandbits(32))
-
-    def locate(self, supi: str) -> str:
-        """Network-side paging view: the base station serving the subscriber."""
-        session = self.sessions.get(supi)
-        if session is None or session.state != "Registered":
-            raise NotRegistered("%s has no registered session" % supi)
-        return session.serving_bs

@@ -350,6 +350,13 @@ def _parse_kv(token: str, want: str) -> str:
     return val
 
 
+def _parse_flag(token: str, want: str) -> bool:
+    val = _parse_kv(token, want)
+    if val not in ("0", "1"):
+        raise CardFormatError("%s wants 0 or 1, got %r" % (want, val))
+    return val == "1"
+
+
 def card_from_text(text: str) -> CardImage:
     """Parse the text format; strict, errors carry the line number."""
     header: dict[str, tuple[int, list[str]]] = {}
@@ -399,14 +406,14 @@ def card_from_text(text: str) -> CardImage:
     def pin_state(value, enabled, retries, limit, locked) -> PinState:
         return PinState(
             value=value,
-            enabled=_parse_kv(enabled, "enabled") == "1",
+            enabled=_parse_flag(enabled, "enabled"),
             retries_left=int(_parse_kv(retries, "retries")),
             retry_limit=int(_parse_kv(limit, "limit")),
-            locked=_parse_kv(locked, "locked") == "1",
+            locked=_parse_flag(locked, "locked"),
         )
 
     def flags(supports_5g, programmable) -> tuple[bool, bool]:
-        return _parse_kv(supports_5g, "supports_5g") == "1", _parse_kv(programmable, "programmable") == "1"
+        return _parse_flag(supports_5g, "supports_5g"), _parse_flag(programmable, "programmable")
 
     def iccid_value(value: str) -> str:
         if not (value.isascii() and value.isdigit()):

@@ -5,8 +5,7 @@ countermeasure column is `none` or one toggle switched on alone; for
 `fast_registration`, `on` is every built-in profile's own setting, so
 those cases repeat the `none` runs.  A case's digest covers the report
 lines, the monitor trace lines and the event lines, each followed by a
-newline.  When a downstream scenario refuses a failed base attack, the
-digest covers the error text instead.
+newline.
 
 Regenerate after an intended behaviour change, from the repository root:
 
@@ -21,16 +20,13 @@ import hashlib
 import sys
 from pathlib import Path
 
-from fastreg.attacks import PROFILE_ORDER, SCENARIOS, PrerequisiteFailed, run_scenario
+from fastreg.attacks import PROFILE_ORDER, SCENARIOS, run_scenario
 from fastreg.profiles import countermeasures_from_pairs
 
 CORPUS = Path(__file__).resolve().parent / "golden_digests.txt"
 
-# Every row of the scenario table, then the two downstream effects.
-ATTACKS = [(attack, variant) for attack, rows in SCENARIOS.items() for variant in rows] + [
-    ("one-tap-bypass", "default"),
-    ("location-spoofing", "default"),
-]
+# Every row of the scenario table.
+ATTACKS = [(attack, variant) for attack, rows in SCENARIOS.items() for variant in rows]
 
 TOGGLES = (
     "usim_hardening",
@@ -55,17 +51,14 @@ def cases():
 
 
 def run_case(attack: str, variant: str, profile: str, cm: str, seed: int):
-    """The case's report; raises PrerequisiteFailed as run_scenario does."""
+    """The case's report."""
     pairs = {} if cm == "none" else {cm: "on"}
     return run_scenario(attack, profile, seed, countermeasures_from_pairs(pairs), variant)
 
 
 def case_lines(attack: str, variant: str, profile: str, cm: str, seed: int) -> list[str]:
     """Every output line of one case: report, trace and events."""
-    try:
-        report = run_case(attack, variant, profile, cm, seed)
-    except PrerequisiteFailed as err:
-        return ["prerequisite failed: %s" % err]
+    report = run_case(attack, variant, profile, cm, seed)
     return report.to_lines() + report.env.trace_lines() + report.env.event_lines()
 
 

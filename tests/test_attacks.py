@@ -24,8 +24,6 @@ from fastreg.attacks import (
     matrix_lines,
     run_scenario,
     run_table_matrix,
-    scenario_location_spoof,
-    scenario_one_tap_bypass,
 )
 from fastreg.profiles import ALL_PROTECTIVE, TOGGLES, Countermeasures, countermeasures_from_pairs
 
@@ -206,9 +204,6 @@ def test_protective_set_defeats_every_scenario():
         s1 = run_scenario("S1", profile, seed=11, cm=cm)
         s2 = run_scenario("S2", profile, seed=11, cm=cm)
         assert not s1.succeeded and not s2.succeeded
-        for base in (s1, s2):
-            with pytest.raises(PrerequisiteFailed):
-                scenario_one_tap_bypass(base)
 
 
 IMPERSONATION_KEYS = ("accepted_without_aka", "agreement_violated", "victim_quiet_in_window")
@@ -229,6 +224,10 @@ def test_no_single_protective_toggle_turns_a_failure_into_a_success():
                 # The verdict is exactly the three impersonation keys, on every toggle set.
                 keys = all(report.evidence.get(k) == "true" for k in IMPERSONATION_KEYS)
                 assert report.succeeded == keys, (profile, attack, guarded)
+                if report.succeeded:
+                    # The matrix's effect columns read these two keys.
+                    assert report.evidence["token_supi"] == VICTIM_SUPI, (profile, attack, guarded)
+                    assert report.evidence["network_location"] == ATTACKER_BS, (profile, attack, guarded)
                 won[guarded] = report.succeeded
             assert any(won.values()) and not all(won.values())  # not vacuous
             for guarded, i in itertools.product(sets, range(len(toggles))):
@@ -239,8 +238,10 @@ def test_no_single_protective_toggle_turns_a_failure_into_a_success():
 
 
 def test_impersonation_from_the_victims_own_cell_is_not_a_location_spoof(monkeypatch):
-    def same_cell(*args):
-        env = build_environment(*args)
+    def same_cell(profile_name, seed, cm=None):
+        # ICCID binding stops S2, whose hand-over moves the shared handset
+        # to the attacker's cell, so the matrix reads the S1 report.
+        env = build_environment(profile_name, seed, Countermeasures(iccid_binding=True))
         env.mes["attacker-me"].bs = VICTIM_BS
         return env
 
@@ -248,8 +249,10 @@ def test_impersonation_from_the_victims_own_cell_is_not_a_location_spoof(monkeyp
     report = run_scenario("S1", "OP-I", seed=26)
     assert report.succeeded
     assert report.evidence["network_location"] == VICTIM_BS
-    assert not scenario_location_spoof(report).succeeded
-    assert scenario_one_tap_bypass(report).succeeded
+    row = run_table_matrix(seed=26)["OP-I"]
+    assert not row["baseband_context"]
+    assert row["impersonation"] and row["one_tap_bypass"]
+    assert not row["location_spoofing"]
 
 
 # --- variants --------------------------------------------------------------
@@ -297,9 +300,10 @@ def test_unknown_scenarios_and_variants_are_rejected():
         run_scenario("S1", "OP-I", variant="nope")
     with pytest.raises(UnknownScenario):
         run_scenario("S2", "OP-I", variant="stale")
-    for downstream in ("one-tap-bypass", "location-spoofing"):
+    # The effects are read from a base report's evidence, not run.
+    for effect in ("one-tap-bypass", "location-spoofing"):
         with pytest.raises(UnknownScenario):
-            run_scenario(downstream, variant="reconnect")
+            run_scenario(effect)
 
 
 def test_a_row_with_an_unknown_step_is_rejected(monkeypatch):
@@ -326,27 +330,32 @@ def test_a_step_run_before_its_input_is_rejected(monkeypatch, step, lacks):
         run_scenario("S1", "OP-I", variant="early")
 
 
-# --- downstream consequences -----------------------------------------------
+# --- effects: evidence of the session the accept opened --------------------
 
 
-def test_one_tap_token_lands_in_attacker_custody():
-    report = run_scenario("one-tap-bypass", "OP-I", seed=16)
+def test_one_tap_login_lands_in_attacker_custody():
+    report = run_scenario("S2", "OP-I", seed=16)
     assert report.succeeded
+    # A login bound to the session sees the victim's number, and the only
+    # handsets behind the accepted request are in the attacker's hands.
     assert report.evidence["token_supi"] == VICTIM_SUPI
-    assert report.evidence["holder_custody"] == "attacker"
+    emitters = report.evidence["ue_init_emitters"].split(",")
+    assert set(emitters) <= set(report.env.custody_of("attacker"))
 
 
 def test_network_pages_the_wrong_base_station():
-    report = run_scenario("location-spoofing", "OP-I", seed=16)
+    report = run_scenario("S2", "OP-I", seed=16)
     assert report.succeeded
-    assert report.evidence["network_view"] == ATTACKER_BS
-    assert report.evidence["victim_actual_bs"] == VICTIM_BS
+    assert report.evidence["network_location"] == ATTACKER_BS
+    assert {report.env.mes[me].bs for me in report.env.custody_of("victim")} == {VICTIM_BS}
 
 
 def test_downstream_scenarios_refuse_a_failed_base():
+    # A blocked attack opens no session, so there is no effect to read.
     base = run_scenario("S2", "OP-I", seed=17, cm=Countermeasures(iccid_binding=True))
-    with pytest.raises(PrerequisiteFailed):
-        scenario_one_tap_bypass(base)
+    assert not base.succeeded
+    assert "token_supi" not in base.evidence
+    assert "network_location" not in base.evidence
 
 
 # --- matrix and reporting --------------------------------------------------

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fastreg
 from fastreg import cli
 from fastreg.cli import main
 from fastreg.profiles import BUILTIN_PROFILES, TOGGLES, Countermeasures, OperatorProfile, countermeasures_from_pairs
@@ -90,19 +95,6 @@ def test_run_countermeasure_flag_blocks_the_attack(capsys):
     )
     assert code == 0
     assert "succeeded false" in out
-
-
-def test_prerequisite_failure_exits_one(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "run",
-        "--attack",
-        "one-tap-bypass",
-        "--countermeasure",
-        "iccid_binding=on",
-    )
-    assert code == 1
-    assert out.startswith("prerequisite failed:")
 
 
 def test_matrix_report(tmp_path, capsys):
@@ -208,13 +200,38 @@ def test_unknown_variant_exits_two(capsys):
     assert code == 2 and "variant" in err
 
 
-def test_downstream_attacks_take_no_variant(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "run", "--attack", "one-tap-bypass", "--variant", "bogus")
-    assert code == 2 and not out and "takes no variant" in err
-    cfg = tmp_path / "scenario.cfg"
-    cfg.write_text("[scenario]\nattack = location-spoofing\nvariant = reconnect\n", encoding="ascii")
-    code, out, err = run_cli(capsys, "run", str(cfg))
-    assert code == 2 and not out and "takes no variant" in err
+def test_removed_downstream_attack_names_exit_two(tmp_path, capsys):
+    # The effects are matrix columns read from a base report, not attacks.
+    for name in ("one-tap-bypass", "location-spoofing"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--attack", name])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "--attack: invalid choice" in err and name in err
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("[scenario]\nseed = 1\nattack = %s\n" % name, encoding="ascii")
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == 2 and not out
+        assert err.startswith("error: line 3: unknown attack %r (have: S1, S2)" % name)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=("buffered", "unbuffered"))
+def test_a_closed_stdout_exits_one_with_nothing_on_stderr(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    src = Path(fastreg.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "fastreg.cli", "run", "--attack", "S2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (1, b"")
 
 
 @pytest.mark.parametrize(
@@ -229,6 +246,10 @@ def test_downstream_attacks_take_no_variant(tmp_path, capsys):
         ("card", lambda t: t.replace("seq 0", "seq -5"), "line 4: bad seq line: wants 0 or more"),
         ("card", lambda t: t + "4f01 PIN PIN\n4f03 PIN PIN\n", "line 6: bad flags line: supports_5g=0, but 4F03 is present"),
         ("card", lambda t: t.replace("supports_5g=0", "supports_5g=1"), "line 6: bad flags line: supports_5g=1, but 4F03 is absent"),
+        ("card", lambda t: t.replace("enabled=0", "enabled=7"), "line 5: bad pin line: enabled wants 0 or 1, got '7'"),
+        ("card", lambda t: t.replace("locked=0", "locked=2"), "line 5: bad pin line: locked wants 0 or 1, got '2'"),
+        ("card", lambda t: t.replace("supports_5g=0", "supports_5g=no"), "line 6: bad flags line: supports_5g wants 0 or 1, got 'no'"),
+        ("card", lambda t: t.replace("programmable=0", "programmable=yes"), "line 6: bad flags line: programmable wants 0 or 1, got 'yes'"),
         ("run", lambda t: "[scenario]\n# caf\u00e9\n", "line 2: non-ASCII byte 0xc3"),
         ("card", None, "Is a directory"),
         ("run", None, "Is a directory"),
@@ -243,6 +264,10 @@ def test_downstream_attacks_take_no_variant(tmp_path, capsys):
         "seq-negative",
         "5g-files-without-flag",
         "5g-flag-without-files",
+        "pin-enabled-not-a-flag",
+        "pin-locked-not-a-flag",
+        "supports-5g-not-a-flag",
+        "programmable-not-a-flag",
         "config-non-ascii",
         "card-directory",
         "config-directory",

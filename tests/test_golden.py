@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fastreg.attacks import PrerequisiteFailed
 from fastreg.channel import EVENT_FIELDS
 from regen_golden import CORPUS, cases, corpus_lines, run_case
 
@@ -14,7 +13,7 @@ def test_every_case_matches_the_golden_digest():
         if line and not line.startswith("#")
     ]
     current = corpus_lines()
-    assert len(current) == len(pinned) == 729
+    assert len(current) == len(pinned) == 567
     changed = [was.rpartition(" ")[0] for was, now in zip(pinned, current) if was != now]
     assert not changed, "%d case(s) changed, first: %s" % (len(changed), changed[0])
 
@@ -23,10 +22,7 @@ def test_every_event_field_is_a_str_across_the_corpus():
     # EventLog.emit stores the values it is given without converting them.
     checked = 0
     for case in cases():
-        try:
-            report = run_case(*case)
-        except PrerequisiteFailed:
-            continue
+        report = run_case(*case)
         for event in report.env.events.entries:
             assert len(event) - 3 == len(EVENT_FIELDS[event.name]), "%s: %r" % (" ".join(map(str, case)), event)
             odd = {k: v for k, v in event.fields.items() if type(k) is not str or type(v) is not str}

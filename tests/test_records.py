@@ -35,7 +35,6 @@ FROZEN = [
     (KEY, "octets"),
     (crypto.AuthVector(b"r", b"a", b"x", KEY, KEY), "xres"),
     (crypto.AkaResult(b"r", KEY, KEY), "ck"),
-    (network.OneTapToken("supi", "nonce"), "supi"),
     (profiles.OperatorProfile("OP-X"), "usim_hardening"),
     (profiles.Countermeasures(), "periodic_aka"),
 ]
