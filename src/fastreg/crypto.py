@@ -7,32 +7,51 @@ challenge/response vectors used by the AKA exchange.  These are stand-ins
 for MILENAGE/SNOW/AES; the registration and attack logic depends only on
 key possession and key separation, never on the concrete algorithms.
 
-`prf` is HMAC-SHA-256 computed per RFC 2104 over `hashlib`: the SHA-256
-states after the K xor ipad and K xor opad blocks are computed once per key
-and kept in a bounded memo of the 64 most recent keys, so a key reused
-across a session (the NAS keys of a stored context) skips that setup.
+`prf` is HMAC-SHA-256 computed per RFC 2104 over the interpreter's own
+SHA-256 (`_sha2` on Python 3.12+, `_sha256` before), so the package never
+loads OpenSSL's libcrypto; a build without those built-in hashes falls
+back to `hashlib`.  The SHA-256 states after the K xor ipad and K xor opad
+blocks are computed once per key and kept in a bounded memo of the 64 most
+recent keys, so a key reused across a session (the NAS keys of a stored
+context) skips that setup.
 
-The NAS helpers are pure functions of their arguments, and the two ends of
-a fast registration evaluate them on equal arguments: the receiver's
-`sdec` needs the keystream and SIV the sender's `senc` just computed, and
-`mac_verify` the MAC that `mac_compute` just produced.  So the private
-helpers `_keystream`, `_siv` and `_mac` are memoised in LRUs of a few
-entries, keyed by every input (the key octets included); the public
-functions stay plain functions that call them.  Only values are shared:
-every tag comparison still runs, and a failed check raises or returns
-False each time it is made.  The AKA chain (`derive_k_amf`,
-`_aka_outputs`) is not memoised: each AKA run draws a fresh challenge, so
-a memo would hit only when the same inputs are replayed, and there it
-would hide real work (a traced replay of a benchmark unit would count no
-KDF calls for the AKA runs it made).
+Every value is a pure function of its arguments, and the two ends of an
+exchange evaluate the same functions on equal arguments: the card checks
+the AUTN MAC and derives RES/CK/IK the network just derived, the handset
+runs the K_AMF chain the network just ran, the receiver's `sdec` needs the
+keystream and SIV the sender's `senc` just computed, and `mac_verify` the
+MAC that `mac_compute` just produced.  So each such value is derived once,
+in a private memo of a few entries keyed by every input octet (`_autn_mac`,
+`_aka_outputs`, `_k_amf_chain`, `_nas_pair`, `_keystream`, `_siv`,
+`_mac`); the public functions stay plain functions that check key kinds and
+call them.  Only values are shared: every comparison still runs, a card
+with another K misses the memo, and a failed check raises or returns False
+each time it is made.
+
+Memos live for one environment: `sim.SimEnv` calls `clear_memos()` when it
+is built, which empties every memo listed in `_MEMOS`.  Within one
+environment a hit is the other end of an exchange; across environments it
+would only be a replay of old inputs, which would hide real work (a traced
+replay of a benchmark unit would count no KDF calls for the AKA runs it
+made).
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
-import hmac
+import sys
+from _operator import _compare_digest as compare_digest  # what hmac.compare_digest is without OpenSSL
 from enum import Enum
+
+# Chosen by version, not by trying _sha2 first: a failed import searches
+# every sys.path entry again each time the module is (re)imported.
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:  # builds without built-in hashes
+    from hashlib import sha256
 
 from .record import Frozen, set_field
 
@@ -86,9 +105,6 @@ class Key(Frozen):
             return NotImplemented
         return self.octets == other.octets and self.kind is other.kind
 
-    def __hash__(self) -> int:  # nas_keys memoises on the key
-        return hash((self.octets, self.kind))
-
 
 class AuthVector(Frozen):
     """Network-side authentication vector for one AKA round."""
@@ -120,12 +136,12 @@ _OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 @functools.lru_cache(maxsize=64)
-def _hmac_pads(key: bytes) -> tuple[hashlib._Hash, hashlib._Hash]:
+def _hmac_pads(key: bytes) -> tuple:
     """SHA-256 states that have absorbed K xor ipad and K xor opad; callers copy, never update."""
     if len(key) > _BLOCK:
-        key = hashlib.sha256(key).digest()
+        key = sha256(key).digest()
     key = key.ljust(_BLOCK, b"\x00")
-    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
+    return sha256(key.translate(_IPAD)), sha256(key.translate(_OPAD))
 
 
 def prf(key: bytes, data: bytes) -> bytes:
@@ -158,6 +174,20 @@ def kdf(parent: Key, label: bytes | str) -> Key:
     return Key(prf(parent.octets, raw), child_kind)
 
 
+# A receiver reads a value right after its sender computed it, so a few
+# entries are enough; a bigger memo would only serve replays of old inputs.
+_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _k_amf_chain(ck: bytes, ik: bytes) -> tuple[Key, Key, Key]:
+    root = Key(prf(ck, ik), KeyKind.CK)
+    k_ausf = kdf(root, b"AUSF")
+    k_seaf = kdf(k_ausf, b"SEAF")
+    k_amf = kdf(k_seaf, b"AMF")
+    return k_ausf, k_seaf, k_amf
+
+
 def derive_k_amf(ck: Key, ik: Key) -> tuple[Key, Key, Key]:
     """Run the serving-network chain CK||IK -> K_AUSF -> K_SEAF -> K_AMF.
 
@@ -166,26 +196,22 @@ def derive_k_amf(ck: Key, ik: Key) -> tuple[Key, Key, Key]:
     """
     if ck.kind is not KeyKind.CK or ik.kind is not KeyKind.IK:
         raise WrongKeyKind("derive_k_amf wants (CK, IK), got (%s, %s)" % (ck.kind.value, ik.kind.value))
-    root = Key(prf(ck.octets, ik.octets), KeyKind.CK)
-    k_ausf = kdf(root, b"AUSF")
-    k_seaf = kdf(k_ausf, b"SEAF")
-    k_amf = kdf(k_seaf, b"AMF")
-    return k_ausf, k_seaf, k_amf
+    return _k_amf_chain(ck.octets, ik.octets)
 
 
-# Memoised on the frozen key: a context rebuilt from stored bytes (the 4G
-# handset re-reads its context from the card) reuses the pair.
+# 64 entries: a context rebuilt from stored bytes (the 4G handset re-reads
+# its context from the card every round) reuses the pair of its K_AMF.
 @functools.lru_cache(maxsize=64)
+def _nas_pair(k_amf: bytes) -> tuple[Key, Key]:
+    parent = Key(k_amf, KeyKind.K_AMF)
+    return kdf(parent, b"NASenc"), kdf(parent, b"NASint")
+
+
 def nas_keys(k_amf: Key) -> tuple[Key, Key]:
     """Derive the (encryption, integrity) NAS key pair from K_AMF."""
     if k_amf.kind is not KeyKind.K_AMF:
         raise WrongKeyKind("nas_keys wants K_AMF, got %s" % k_amf.kind.value)
-    return kdf(k_amf, b"NASenc"), kdf(k_amf, b"NASint")
-
-
-# A receiver reads a value right after its sender computed it, so a few
-# entries are enough; a bigger memo would only serve replays of old inputs.
-_MEMO_SIZE = 8
+    return _nas_pair(k_amf.octets)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -230,7 +256,7 @@ def sdec(ciphertext: bytes, key: Key) -> bytes:
         raise DecryptFailure("ciphertext shorter than its tag")
     siv, body = ciphertext[:KEY_LEN], ciphertext[KEY_LEN:]
     plaintext = _xor(body, _keystream(key.octets, siv, len(body)))
-    if not hmac.compare_digest(_siv(key.octets, plaintext), siv):
+    if not compare_digest(_siv(key.octets, plaintext), siv):
         raise DecryptFailure("tag mismatch: wrong key or tampered ciphertext")
     return plaintext
 
@@ -243,15 +269,21 @@ def mac_compute(ies: bytes, container: bytes, key: Key) -> bytes:
 
 
 def mac_verify(ies: bytes, container: bytes, key: Key, tag: bytes) -> bool:
-    return hmac.compare_digest(mac_compute(ies, container, key), tag)
+    return compare_digest(mac_compute(ies, container, key), tag)
 
 
-def _aka_outputs(k: Key, rand: bytes) -> AkaResult:
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _autn_mac(k: bytes, rand: bytes, seq8: bytes) -> bytes:
+    return prf(k, b"AUTN" + rand + seq8)[:MAC_LEN]
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _aka_outputs(k: bytes, rand: bytes) -> AkaResult:
     """RES, CK and IK for one challenge; both sides of AKA derive them here."""
     return AkaResult(
-        res=prf(k.octets, b"RES" + rand)[:RES_LEN],
-        ck=Key(prf(k.octets, b"CK" + rand), KeyKind.CK),
-        ik=Key(prf(k.octets, b"IK" + rand), KeyKind.IK),
+        res=prf(k, b"RES" + rand)[:RES_LEN],
+        ck=Key(prf(k, b"CK" + rand), KeyKind.CK),
+        ik=Key(prf(k, b"IK" + rand), KeyKind.IK),
     )
 
 
@@ -264,8 +296,8 @@ def gen_auth_vector(k: Key, seq: int) -> AuthVector:
         raise WrongKeyKind("gen_auth_vector wants K_permanent, got %s" % k.kind.value)
     seq8 = seq.to_bytes(SEQ_LEN, "big")
     rand = prf(k.octets, b"RAND" + seq8)
-    autn = seq8 + prf(k.octets, b"AUTN" + rand + seq8)[:MAC_LEN]
-    out = _aka_outputs(k, rand)
+    autn = seq8 + _autn_mac(k.octets, rand, seq8)
+    out = _aka_outputs(k.octets, rand)
     return AuthVector(rand=rand, autn=autn, xres=out.res, ck=out.ck, ik=out.ik)
 
 
@@ -276,12 +308,22 @@ def check_autn(k: Key, rand: bytes, autn: bytes) -> AkaResult:
     if len(autn) != AUTN_LEN:
         raise MacFailure("malformed AUTN")
     seq8, tag = autn[:SEQ_LEN], autn[SEQ_LEN:]
-    expect = prf(k.octets, b"AUTN" + rand + seq8)[:MAC_LEN]
-    if not hmac.compare_digest(expect, tag):
+    if not compare_digest(_autn_mac(k.octets, rand, seq8), tag):
         raise MacFailure("AUTN does not verify under this K")
-    return _aka_outputs(k, rand)
+    return _aka_outputs(k.octets, rand)
 
 
 def autn_seq(autn: bytes) -> int:
     """Sequence number carried by an AUTN (cleartext in this simulator)."""
     return int.from_bytes(autn[:SEQ_LEN], "big")
+
+
+# Every memo of this module; `clear_memos` gives them the lifetime of one
+# environment (see the module docstring).
+_MEMOS = (_hmac_pads, _k_amf_chain, _nas_pair, _keystream, _siv, _mac, _autn_mac, _aka_outputs)
+
+
+def clear_memos() -> None:
+    """Forget every memoised value, so nothing derived before is reused."""
+    for memo in _MEMOS:
+        memo.cache_clear()

@@ -86,7 +86,7 @@ SEC_CAPS = ("EA2", "IA2")  # the handset's security capabilities
 class SecurityContext:
     """NAS security context: session key, key-set id, caps, counters."""
 
-    __slots__ = ("k_amf", "ngksi", "ue_sec_caps", "ul_count", "dl_count")
+    __slots__ = ("k_amf", "ngksi", "ue_sec_caps", "ul_count", "dl_count", "nas_keys")
 
     def __init__(self, k_amf: Key, ngksi: int, ue_sec_caps: tuple[str, ...], ul_count: int, dl_count: int) -> None:
         if k_amf.kind is not KeyKind.K_AMF:
@@ -100,12 +100,10 @@ class SecurityContext:
         self.ue_sec_caps = ue_sec_caps
         self.ul_count = ul_count
         self.dl_count = dl_count
+        # (K_NASenc, K_NASint): a function of k_amf, which never changes.
+        self.nas_keys = crypto.nas_keys(k_amf)
 
     __eq__ = fields_equal
-
-    @property  # crypto.nas_keys memoises the pair per K_AMF
-    def nas_keys(self) -> tuple[Key, Key]:
-        return crypto.nas_keys(self.k_amf)
 
     def to_bytes(self) -> bytes:
         caps = ",".join(self.ue_sec_caps).encode("ascii")
@@ -349,10 +347,9 @@ class MobileEquipment:
         card = self.slot
         if card is None:
             return
-        loci = self.current_guti.encode("ascii")
-        blob = self._ctx.to_bytes()
         if card.holds_context(self.generation):
-            status = store_context_files(card, self._card_session, loci, blob, self.generation)
+            loci = self.current_guti.encode("ascii")
+            status = store_context_files(card, self._card_session, loci, self._ctx.to_bytes(), self.generation)
             if status is ApduStatus.OK:
                 self._emit("context_stored", ("card", self.generation))
             else:

@@ -2,14 +2,17 @@
 
 Everything that draws randomness draws from the single seeded Random
 owned here, in construction order, so a run is reproducible byte for
-byte from (profile, countermeasures, seed).
+byte from (profile, countermeasures, seed).  Building a SimEnv also empties
+the crypto and channel memos, so that every memoised value is one this
+environment derived.
 """
 
 from __future__ import annotations
 
 from random import Random
 
-from .channel import Channel, ChannelTap, EventLog
+from . import crypto
+from .channel import Channel, ChannelTap, EventLog, field_hex
 from .crypto import KEY_LEN, Key, KeyKind
 from .equipment import MobileEquipment
 from .network import Amf, SubscriberRecord
@@ -23,6 +26,8 @@ class SimEnv:
     __slots__ = ("profile", "seed", "rng", "channel", "events", "amf", "monitor", "mes", "custody")
 
     def __init__(self, profile: OperatorProfile, seed: int) -> None:
+        crypto.clear_memos()
+        field_hex.cache_clear()
         self.profile = profile
         self.seed = seed
         self.rng = Random(seed)

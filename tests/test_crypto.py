@@ -8,12 +8,18 @@ the package under test.  Frozen hex vectors below were computed with it.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
-from fastreg import crypto
+import fastreg
+from fastreg import channel, crypto
+from fastreg.attacks import run_table_matrix
 from fastreg.crypto import (
     KEY_LEN,
     MAC_LEN,
@@ -31,11 +37,12 @@ from fastreg.crypto import (
     kdf,
     mac_compute,
     mac_verify,
-    nas_keys,
     prf,
     sdec,
     senc,
 )
+from fastreg.profiles import get_profile
+from fastreg.sim import SimEnv
 
 
 def scratch_hmac_sha256(key: bytes, msg: bytes) -> bytes:
@@ -291,10 +298,75 @@ def test_memos_cannot_hide_tampering():
     assert mac_verify(b"ies", m, ik, tag)
 
 
+def test_memos_cannot_hide_an_aka_failure():
+    rng = random.Random(7)
+    k = Key(rng.randbytes(16), KeyKind.K_PERMANENT)
+    other = Key(rng.randbytes(16), KeyKind.K_PERMANENT)
+    v = gen_auth_vector(k, 3)
+    assert check_autn(k, v.rand, v.autn).res == v.xres  # fills the AUTN and output memos
+    for _ in range(2):  # a card with another K misses them every time
+        with pytest.raises(MacFailure):
+            check_autn(other, v.rand, v.autn)
+    for i in range(len(v.autn) * 8):
+        bad = bytearray(v.autn)
+        bad[i // 8] ^= 1 << (i % 8)
+        with pytest.raises(MacFailure):
+            check_autn(k, v.rand, bytes(bad))
+    assert check_autn(k, v.rand, v.autn).ck == v.ck
+
+    derive_k_amf(v.ck, v.ik)  # fills the chain memo for these octets
+    for ck, ik in ((v.ik, v.ik), (v.ck, v.ck), (Key(v.ck.octets, KeyKind.K_AMF), v.ik)):
+        with pytest.raises(WrongKeyKind):
+            derive_k_amf(ck, ik)
+    with pytest.raises(WrongKeyKind):
+        crypto.nas_keys(Key(v.ck.octets, KeyKind.K_SEAF))
+
+
 def test_memos_are_bounded():
-    for memo in (crypto._keystream, crypto._siv, crypto._mac, crypto._hmac_pads, nas_keys):
+    for memo in crypto._MEMOS:
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 1024, memo
+    # The registry is complete: clear_memos reaches every memo of the module.
+    memos = {name for name, obj in vars(crypto).items() if hasattr(obj, "cache_info")}
+    assert memos == {memo.__name__ for memo in crypto._MEMOS}
+
+
+def test_building_an_environment_empties_every_memo():
+    k = Key(bytes(16), KeyKind.K_PERMANENT)
+    v = gen_auth_vector(k, 1)
+    nas = crypto.nas_keys(derive_k_amf(v.ck, v.ik)[2])
+    senc(b"ies", nas[0])
+    mac_compute(b"ies", b"c", nas[1])
+    channel.field_hex(b"ies")
+    assert all(memo.cache_info().currsize for memo in crypto._MEMOS)
+    SimEnv(get_profile("OP-I"), 0)
+    assert [memo.__name__ for memo in crypto._MEMOS if memo.cache_info().currsize] == []
+    assert channel.field_hex.cache_info().currsize == 0
+
+
+def test_a_warm_process_counts_the_same_prf_work(monkeypatch):
+    calls = []
+    inner = crypto.prf
+    monkeypatch.setattr(crypto, "prf", lambda key, data: calls.append(1) or inner(key, data))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        run_table_matrix(5)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_without_builtin_sha256_crypto_falls_back_to_hashlib():
+    src = Path(fastreg.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from fastreg import crypto\n"
+        "print(crypto.sha256 is sys.modules['hashlib'].sha256)\n"
+        "print(crypto.prf(bytes(range(70)), b'data').hex())"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", scratch_prf(bytes(range(70)), b"data").hex()]
 
 
 # perfbench/tracer.py times a function by wrapping it, and it wraps only

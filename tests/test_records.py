@@ -71,3 +71,16 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
     code = "import fastreg.cli, sys; print(' '.join(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules))))"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+def test_running_the_matrix_loads_no_openssl_hashes():
+    # crypto hashes with the interpreter's built-in SHA-256, not OpenSSL's.
+    src = Path(fastreg.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import fastreg.cli, sys; fastreg.cli.main(['matrix']); "
+        "print(' '.join(sorted({'hashlib', '_hashlib', 'hmac'} & set(sys.modules))))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1].strip() == ""
+    assert out.stdout.startswith("profile")
