@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .channel import IdentityResponse, RegistrationRequestInitial
 from .equipment import PowerState, SecurityContext
-from .profiles import DEFAULT_PIN, Countermeasures, get_profile
+from .profiles import DEFAULT_PIN, Countermeasures, effective_profile, get_profile
 from .sim import SimEnv
 from .usim import (
     EF_EPSLOCI,
@@ -116,7 +116,7 @@ class ScenarioEnv(SimEnv):
 
 def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: Countermeasures | None = None) -> ScenarioEnv:
     """Victim subscriber and its two handsets at BS-A, attacker handset at BS-B."""
-    profile = (cm or Countermeasures()).apply(get_profile(profile_name))
+    profile = effective_profile(get_profile(profile_name), cm)
     env = ScenarioEnv(profile, seed)
     env.cards = {"victim": env.provision_subscriber(VICTIM_SUPI)[1]}
     env.files, env.supi, env.outcome = {}, None, None
@@ -226,8 +226,15 @@ def _require(step: tuple[str, ...], have, what: str) -> None:
 
 
 def _step(report: AttackReport, step: tuple[str, ...]) -> bool:
-    """Run one step of a row on the report's env; False ends the row."""
+    """Run one step of a row on the report's env; False ends the row.
+
+    The second word of a step, when it has one, names a handset.  A step
+    that cannot run raises before it changes anything: UnknownScenario for
+    an unknown step or handset, PrerequisiteFailed for a missing input.
+    """
     env = report.env
+    if len(step) > 1 and step[1] not in env.mes:
+        raise UnknownScenario("step %r names no handset (have: %s)" % (" ".join(step), ", ".join(env.mes)))
     match step:
         case ("insert", me, card):
             _require(step, card in env.cards, "the %s card" % card)

@@ -25,6 +25,7 @@ the sender's strings.
 from __future__ import annotations
 
 import functools
+from _weakref import proxy
 from collections import deque
 from collections.abc import Callable
 from operator import itemgetter
@@ -332,7 +333,7 @@ class EventLog:
     __slots__ = ("_clock", "entries")
 
     def __init__(self, clock: "Channel") -> None:
-        self._clock = clock
+        self._clock = proxy(clock)  # the channel owns its log
         self.entries: list[Event] = []
 
     def emit(self, entity: str, name: str, values: tuple[str, ...]) -> Event:
@@ -351,7 +352,7 @@ class EventLog:
 class Channel:
     """FIFO radio link with a step clock; single ordered delivery."""
 
-    __slots__ = ("step", "taps", "events", "drop_filter", "_queue", "_handlers")
+    __slots__ = ("step", "taps", "events", "drop_filter", "_queue", "_handlers", "__weakref__")
 
     def __init__(self) -> None:
         self.step = 0

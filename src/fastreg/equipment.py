@@ -24,6 +24,7 @@ offline-swap detection is switched on.
 
 from __future__ import annotations
 
+from _weakref import proxy
 from enum import Enum
 
 from . import crypto
@@ -45,7 +46,7 @@ from .channel import (
 )
 from .crypto import Key, KeyKind
 from .record import fields_equal
-from .usim import ApduStatus, CardImage, load_context_files, store_context_files, verify_pin
+from .usim import NSC_FILES, ApduStatus, CardImage, load_context_files, store_context_files, verify_pin
 
 
 class SlotEmpty(Exception):
@@ -69,6 +70,10 @@ class PowerStateError(Exception):
 
 
 class PinRequired(Exception):
+    pass
+
+
+class UnknownGeneration(Exception):
     pass
 
 
@@ -189,7 +194,11 @@ class _InFlight:
 
 
 class MobileEquipment:
-    """One handset: slot, power switch, baseband store, NAS endpoint."""
+    """One handset: slot, power switch, baseband store, NAS endpoint.
+
+    The handset holds its environment weakly (see `fastreg.sim`): used
+    after the environment is gone, it raises ReferenceError.
+    """
 
     __slots__ = (
         "name",
@@ -222,7 +231,7 @@ class MobileEquipment:
         offline_swap_detection: bool = False,
     ) -> None:
         self.name = name
-        self.env = env
+        self.env = proxy(env)  # the environment owns its handsets
         self.bs = bs
         self.user_pin = user_pin
         self.iccid_binding = iccid_binding
@@ -392,6 +401,8 @@ class MobileEquipment:
         return card.supi
 
     def register(self, generation: str = "5G") -> RegistrationOutcome:
+        if generation not in NSC_FILES:
+            raise UnknownGeneration("unknown generation %r (have: %s)" % (generation, ", ".join(NSC_FILES)))
         if self.power is not PowerState.POWERED_ON:
             raise PowerStateError("cannot register while %s" % self.power.value)
         card = self.slot

@@ -22,6 +22,7 @@ older one, and a late answer to that older one is a stray.
 
 from __future__ import annotations
 
+from _weakref import proxy
 from random import Random
 
 from . import crypto
@@ -104,7 +105,7 @@ class Amf:
     )
 
     def __init__(self, env) -> None:
-        self.env = env
+        self.env = proxy(env)  # the environment owns its AMF
         self.profile: OperatorProfile = env.profile
         self.rng: Random = env.rng
         self.subscribers: dict[str, SubscriberRecord] = {}

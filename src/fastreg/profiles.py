@@ -2,9 +2,15 @@
 
 A profile is a name plus the eight toggles; a toggle set (`Countermeasures`)
 is the same eight fields, where None keeps the profile's value.
+`effective_profile` is `Countermeasures.apply` with a bounded memo keyed
+by the field values of both inputs, so a sweep that runs the same toggle
+set on a profile many times builds the profile once.
 """
 
 from __future__ import annotations
+
+import functools
+from operator import attrgetter
 
 from .record import Frozen, fields_equal, set_field
 
@@ -122,6 +128,28 @@ class Countermeasures(Frozen):
         if not changes:
             return profile
         return OperatorProfile(profile.name, **{t: changes.get(t, getattr(profile, t)) for t in TOGGLES})
+
+
+_profile_values = attrgetter("name", *TOGGLES)
+_toggle_values = attrgetter(*TOGGLES)
+
+
+def effective_profile(profile: OperatorProfile, cm: Countermeasures | None) -> OperatorProfile:
+    """`cm.apply(profile)`, or `profile` when there is no toggle set.
+
+    Both inputs are frozen, and the memo is keyed by their field values,
+    not their identity: equal inputs share one equal result, and an input
+    that differs in any field is a different key, so no result is stale.
+    """
+    if cm is None:
+        return profile
+    return _applied(_profile_values(profile), _toggle_values(cm))
+
+
+# 256 on/off toggle sets x the three built-in profiles fit.
+@functools.lru_cache(maxsize=1024)
+def _applied(profile_values: tuple, toggle_values: tuple) -> OperatorProfile:
+    return Countermeasures(*toggle_values).apply(OperatorProfile(*profile_values))
 
 
 def countermeasures_from_pairs(pairs: dict[str, str]) -> Countermeasures:

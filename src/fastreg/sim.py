@@ -5,6 +5,17 @@ owned here, in construction order, so a run is reproducible byte for
 byte from (profile, countermeasures, seed).  Building a SimEnv also empties
 the crypto and channel memos, so that every memoised value is one this
 environment derived.
+
+Ownership runs one way.  A SimEnv owns its channel, AMF, handsets and
+monitor tap; the channel owns its event log and holds each endpoint's
+handler.  Nothing an environment owns holds a strong reference back to
+it: `MobileEquipment.env` and `Amf.env` are weak proxies of the
+environment, and `EventLog`'s clock is a weak proxy of the channel.  An
+environment is therefore freed by reference counting the moment its
+last reference (usually an `AttackReport`) goes, with no work left for
+the cyclic collector.  A handset or AMF used after its environment is
+gone raises `ReferenceError`; an event log read after its channel is
+gone still reads, but cannot emit.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from .usim import CardImage, standard_card
 class SimEnv:
     """Container wiring the channel, the network and any handsets."""
 
-    __slots__ = ("profile", "seed", "rng", "channel", "events", "amf", "monitor", "mes", "custody")
+    __slots__ = ("profile", "seed", "rng", "channel", "events", "amf", "monitor", "mes", "custody", "__weakref__")
 
     def __init__(self, profile: OperatorProfile, seed: int) -> None:
         crypto.clear_memos()

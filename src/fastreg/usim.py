@@ -146,6 +146,22 @@ class CardImage:
         return result
 
 
+def _digits(rng: Random, n: int) -> str:
+    """n decimal digits, drawn as n calls of `rng.randrange(10)` draw them.
+
+    That is CPython's `_randbelow_with_getrandbits(10)`: take 4 bits and
+    draw again while they are 10 or more.  Calling `getrandbits` directly
+    skips randrange's argument handling and makes the same draws.
+    """
+    getrandbits = rng.getrandbits
+    digits = []
+    while len(digits) < n:
+        d = getrandbits(4)
+        if d < 10:
+            digits.append("0123456789"[d])
+    return "".join(digits)
+
+
 def standard_card(
     rng: Random,
     supi: str,
@@ -163,7 +179,7 @@ def standard_card(
     extraction.  supports_5g_context is the issuance policy: it writes
     4F01/4F03, and so makes the card the home of a 5G context.
     """
-    iccid = "8986" + "".join(str(rng.randrange(10)) for _ in range(15))
+    iccid = "8986" + _digits(rng, 15)
     nsc_read = AccessLevel.ADM if hardened else AccessLevel.PIN
     files: dict[int, tuple[AccessRule, bytes]] = {
         EF_IMSI: (AccessRule(AccessLevel.PIN, AccessLevel.ADM), supi.encode("ascii")),
@@ -184,7 +200,7 @@ def standard_card(
 
 def programmable_card(rng: Random, supi: str, files: dict[int, bytes]) -> CardImage:
     """Writable blank card: the given files are installed with ALW conditions."""
-    iccid = "8999" + "".join(str(rng.randrange(10)) for _ in range(15))
+    iccid = "8999" + _digits(rng, 15)
     k = Key(rng.randbytes(crypto.KEY_LEN), KeyKind.K_PERMANENT)
     table = {
         fid: (AccessRule(AccessLevel.ALW, AccessLevel.ALW), bytes(body))

@@ -25,7 +25,14 @@ from fastreg.attacks import (
     run_scenario,
     run_table_matrix,
 )
-from fastreg.profiles import ALL_PROTECTIVE, TOGGLES, Countermeasures, countermeasures_from_pairs
+from fastreg.profiles import (
+    ALL_PROTECTIVE,
+    BUILTIN_PROFILES,
+    TOGGLES,
+    Countermeasures,
+    countermeasures_from_pairs,
+    effective_profile,
+)
 
 EXPECTED_MATRIX = {
     "OP-I": {
@@ -206,6 +213,14 @@ def test_protective_set_defeats_every_scenario():
         assert not s1.succeeded and not s2.succeeded
 
 
+def test_effective_profile_equals_apply_for_every_toggle_set():
+    for values in itertools.product((None, True, False), repeat=len(TOGGLES)):
+        cm = Countermeasures(*values)
+        for profile in BUILTIN_PROFILES.values():
+            assert effective_profile(profile, cm) == cm.apply(profile)
+    assert effective_profile(BUILTIN_PROFILES["OP-II"], None) is BUILTIN_PROFILES["OP-II"]
+
+
 IMPERSONATION_KEYS = ("accepted_without_aka", "agreement_violated", "victim_quiet_in_window")
 
 
@@ -328,6 +343,16 @@ def test_a_step_run_before_its_input_is_rejected(monkeypatch, step, lacks):
     monkeypatch.setitem(SCENARIOS["S1"], "early", ((step,), ()))
     with pytest.raises(PrerequisiteFailed, match=re.escape("step %r needs %s" % (" ".join(step), lacks))):
         run_scenario("S1", "OP-I", variant="early")
+
+
+@pytest.mark.parametrize("step", [("online", "nobody"), ("hand-over", "nobody"), ("register", "nobody", "5G")])
+def test_a_step_naming_no_handset_is_rejected_before_it_runs(step):
+    env = build_environment("OP-I", 3)
+    report = AttackReport("S1", "OP-I", 3, env=env)
+    before = (env.event_lines(), dict(env.custody), env.channel.step)
+    with pytest.raises(UnknownScenario, match="names no handset"):
+        attacks._step(report, step)
+    assert (env.event_lines(), dict(env.custody), env.channel.step) == before
 
 
 # --- effects: evidence of the session the accept opened --------------------

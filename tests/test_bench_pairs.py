@@ -92,3 +92,14 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved_but_keeps_the_exit_s
     assert not metrics["peak_rss_mb"]["unresolved"]
     printed = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in printed if line.endswith("unresolved")] == ["ops_per_s"]
+
+
+def test_interleaved_units_of_the_checkout_against_itself_agree(bench_pairs, tmp_path):
+    root = TOOL.parent.parent
+    out = tmp_path / "bench.json"
+    bench_pairs.main([str(root), str(root), "--workload", "cm-sweep", "--units", "2", "--out", str(out)])
+    entry = json.loads(out.read_text(encoding="ascii"))["interleaved"]["cm-sweep"]
+    assert entry["all_correct"] and entry["sha_equal_every_pair"]
+    assert len(entry["output_sha256"]) == 1
+    assert [run["unit"] for run in entry["runs"]] == [1, 2]
+    assert set(entry["metrics"]) == set(bench_pairs.UNIT_METRICS)

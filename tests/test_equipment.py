@@ -22,6 +22,7 @@ from fastreg.equipment import (
     SecurityContext,
     SlotEmpty,
     SlotOccupied,
+    UnknownGeneration,
 )
 from fastreg.profiles import NONDEFAULT_PIN, Countermeasures, get_profile
 from fastreg.sim import SimEnv
@@ -293,6 +294,18 @@ def test_register_requires_power_and_card():
     me.insert_card(card)
     out = me.register("5G")
     assert out.accepted
+
+
+def test_an_unknown_generation_is_refused_before_anything_happens():
+    env, me, card, _ = provisioned()
+    bring_up(me, card, "5G")
+    name, n = me.register("5G").flow.split("#")
+    events, step = len(env.events.entries), env.channel.step
+    with pytest.raises(UnknownGeneration, match="'3G'"):
+        me.register("3G")
+    assert (len(env.events.entries), env.channel.step) == (events, step)
+    # No flow number was used: the next request takes the one after the last.
+    assert me.register("5G").flow == "%s#%d" % (name, int(n) + 1)
 
 
 def test_register_requires_verified_pin():

@@ -280,6 +280,17 @@ def test_fake_card_enforces_conditions_once_built():
     assert read(fake, session, EF_IMSI).status is ApduStatus.SECURITY_NOT_SATISFIED
 
 
+def test_iccid_digits_are_drawn_as_randrange_draws_them():
+    for seed in range(1000):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        standard = standard_card(rng, "460001112223333", K)
+        fake = programmable_card(rng, "1", {})
+        assert standard.iccid == "8986" + "".join(str(oracle.randrange(10)) for _ in range(15))
+        assert fake.iccid == "8999" + "".join(str(oracle.randrange(10)) for _ in range(15))
+        # The draws after the digits are the oracle's too.
+        assert fake.k_permanent.octets == oracle.randbytes(crypto.KEY_LEN)
+
+
 # --- card image text format --------------------------------------------
 
 
