@@ -24,6 +24,7 @@ offline-swap detection is switched on.
 
 from __future__ import annotations
 
+from _struct import Struct
 from _weakref import proxy
 from enum import Enum
 
@@ -87,6 +88,12 @@ NGKSI_MAX = 6
 COUNT_LIMIT = 2**32
 SEC_CAPS = ("EA2", "IA2")  # the handset's security capabilities
 
+# SecurityContext.to_bytes layout: K_AMF, ngksi, caps length, caps, UL count, DL count.
+_CTX_HEAD = Struct(">%dsBH" % crypto.KEY_LEN)
+_CTX_COUNTS = Struct(">II")
+_CTX_HEAD_LEN = _CTX_HEAD.size
+_CTX_MIN_LEN = _CTX_HEAD_LEN + _CTX_COUNTS.size
+
 
 class SecurityContext:
     """NAS security context: session key, key-set id, caps, counters."""
@@ -113,30 +120,23 @@ class SecurityContext:
     def to_bytes(self) -> bytes:
         caps = ",".join(self.ue_sec_caps).encode("ascii")
         return (
-            self.k_amf.octets
-            + bytes([self.ngksi])
-            + len(caps).to_bytes(2, "big")
+            _CTX_HEAD.pack(self.k_amf.octets, self.ngksi, len(caps))
             + caps
-            + self.ul_count.to_bytes(4, "big")
-            + self.dl_count.to_bytes(4, "big")
+            + _CTX_COUNTS.pack(self.ul_count, self.dl_count)
         )
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SecurityContext":
-        if len(blob) < crypto.KEY_LEN + 1 + 2 + 8:
+        if len(blob) < _CTX_MIN_LEN:
             raise ValueError("context blob too short")
-        k = Key(blob[: crypto.KEY_LEN], KeyKind.K_AMF)
-        ngksi = blob[crypto.KEY_LEN]
-        off = crypto.KEY_LEN + 1
-        clen = int.from_bytes(blob[off : off + 2], "big")
-        off += 2
-        caps_raw = blob[off : off + clen].decode("ascii")
+        octets, ngksi, clen = _CTX_HEAD.unpack_from(blob)
+        k = Key(octets, KeyKind.K_AMF)
+        off = _CTX_HEAD_LEN + clen
+        caps_raw = blob[_CTX_HEAD_LEN:off].decode("ascii")
         caps = tuple(caps_raw.split(",")) if caps_raw else ()
-        off += clen
         if len(blob) != off + 8:
             raise ValueError("context blob has trailing bytes")
-        ul = int.from_bytes(blob[off : off + 4], "big")
-        dl = int.from_bytes(blob[off + 4 : off + 8], "big")
+        ul, dl = _CTX_COUNTS.unpack_from(blob, off)
         return cls(k, ngksi, caps, ul, dl)
 
 

@@ -15,9 +15,12 @@ else.  Whether 4F01/4F03 exist is decided once, when the card is issued.
 
 Each file carries one read and one update condition (ALW / PIN / ADM /
 NEV).  Every file access, the handset's context reads and writes
-included, is a READ or UPDATE through apdu_execute on a session, so the
-table alone decides who may read a context.  A baseband session carries
-ADM for the one card it was opened on; a reader session never does.
+included, is a READ or UPDATE on a session decided by `_refusal`, so the
+table alone decides who may read a context.  apdu_execute is the command
+interface for readers; load_context_files and store_context_files apply
+the same decision without building a command.  A baseband session
+carries ADM for the one card it was opened on; a reader session never
+does.
 """
 
 from __future__ import annotations
@@ -247,16 +250,9 @@ class ApduResponse:
         self.payload = payload
 
 
-def _access_granted(card: CardImage, session: CardSession, level: AccessLevel) -> bool:
-    if level is AccessLevel.ALW:
-        return True
-    if level is AccessLevel.PIN:
-        if not card.pin.enabled:
-            return True
-        return session.pin_verified and not card.pin.locked
-    if level is AccessLevel.ADM:
-        return session.adm_card is card
-    return False  # NEV
+# Bound once for the access path: looking up an Enum member costs more than comparing it.
+_READ, _UPDATE = ApduCommand.READ, ApduCommand.UPDATE
+_ALW, _PIN, _ADM = AccessLevel.ALW, AccessLevel.PIN, AccessLevel.ADM
 
 
 def verify_pin(card: CardImage, session: CardSession, candidate: str) -> ApduResponse:
@@ -276,55 +272,72 @@ def verify_pin(card: CardImage, session: CardSession, candidate: str) -> ApduRes
     return ApduResponse(ApduStatus.SECURITY_NOT_SATISFIED)
 
 
-def _refusal(card: CardImage, session: CardSession, cmd: ApduCommand, file_id: int) -> ApduStatus | None:
-    """The status that refuses cmd on file_id in this session, or None if it may run."""
-    entry = card.files.get(file_id)
+def _refusal(
+    card: CardImage, session: CardSession, entry: tuple[AccessRule, bytes] | None, cmd: ApduCommand
+) -> ApduStatus | None:
+    """The status that refuses cmd on the file entry `entry` in this session, or None if it may run.
+
+    The one access decision: every file command, the handset's context
+    reads and writes included, runs only where this returns None.
+    """
     if entry is None:
         return ApduStatus.FILE_NOT_FOUND
-    level = entry[0].read if cmd is ApduCommand.READ else entry[0].update
-    if _access_granted(card, session, level):
+    level = entry[0].read if cmd is _READ else entry[0].update
+    if level is _ALW:
         return None
-    if card.pin.locked and level is AccessLevel.PIN:
-        return ApduStatus.PIN_BLOCKED
-    return ApduStatus.SECURITY_NOT_SATISFIED
+    if level is _PIN:
+        pin = card.pin
+        if not pin.enabled or (session.pin_verified and not pin.locked):
+            return None
+        return ApduStatus.PIN_BLOCKED if pin.locked else ApduStatus.SECURITY_NOT_SATISFIED
+    if level is _ADM and session.adm_card is card:
+        return None
+    return ApduStatus.SECURITY_NOT_SATISFIED  # NEV, or ADM from another session
 
 
 def apdu_execute(card: CardImage, session: CardSession, apdu: Apdu) -> ApduResponse:
-    """Single dispatch point for file commands; `_refusal` decides every access."""
-    refused = _refusal(card, session, apdu.cmd, apdu.file_id)
+    """The command interface for readers and tests; `_refusal` decides the access."""
+    entry = card.files.get(apdu.file_id)
+    refused = _refusal(card, session, entry, apdu.cmd)
     if refused is not None:
         return ApduResponse(refused)
-    rule, body = card.files[apdu.file_id]
-    if apdu.cmd is ApduCommand.READ:
-        return ApduResponse(ApduStatus.OK, body)
-    card.files[apdu.file_id] = (rule, bytes(apdu.payload))
+    if apdu.cmd is _READ:
+        return ApduResponse(ApduStatus.OK, entry[1])
+    card.files[apdu.file_id] = (entry[0], bytes(apdu.payload))
     return ApduResponse(ApduStatus.OK)
 
 
 def store_context_files(
     card: CardImage, session: CardSession, loci: bytes, nsc: bytes, generation: str
 ) -> ApduStatus:
-    """Write (loci, nsc) with UPDATEs, or neither.
+    """Write (loci, nsc) as two UPDATEs would, or neither.
 
-    Both files' update conditions are checked before either is written, so
+    Both files' update conditions are decided before either is written, so
     a refused NSC never leaves a new GUTI beside the old context.  Returns
     OK, or the first refused or missing file's status.
     """
-    writes = ((LOCI_FILES[generation], loci), (NSC_FILES[generation], nsc))
-    for file_id, _ in writes:
-        refused = _refusal(card, session, ApduCommand.UPDATE, file_id)
-        if refused is not None:
-            return refused
-    for file_id, body in writes:
-        apdu_execute(card, session, Apdu(ApduCommand.UPDATE, file_id, body))
+    files = card.files
+    loci_id, nsc_id = LOCI_FILES[generation], NSC_FILES[generation]
+    loci_entry, nsc_entry = files.get(loci_id), files.get(nsc_id)
+    refused = _refusal(card, session, loci_entry, _UPDATE)
+    if refused is None:
+        refused = _refusal(card, session, nsc_entry, _UPDATE)
+    if refused is not None:
+        return refused
+    files[loci_id] = (loci_entry[0], bytes(loci))
+    files[nsc_id] = (nsc_entry[0], bytes(nsc))
     return ApduStatus.OK
 
 
 def load_context_files(card: CardImage, session: CardSession, generation: str) -> tuple[bytes, bytes]:
-    """Read (loci, nsc) with READs; a refused or missing file reads as empty."""
-    loci = apdu_execute(card, session, Apdu(ApduCommand.READ, LOCI_FILES[generation])).payload
-    nsc = apdu_execute(card, session, Apdu(ApduCommand.READ, NSC_FILES[generation])).payload
-    return loci, nsc
+    """Read (loci, nsc) as two READs would; a refused or missing file reads as empty."""
+    files = card.files
+    loci = files.get(LOCI_FILES[generation])
+    nsc = files.get(NSC_FILES[generation])
+    return (
+        loci[1] if _refusal(card, session, loci, _READ) is None else b"",
+        nsc[1] if _refusal(card, session, nsc, _READ) is None else b"",
+    )
 
 
 def card_to_text(card: CardImage) -> str:

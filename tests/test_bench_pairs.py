@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,24 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved_but_keeps_the_exit_s
     assert [line.split()[0] for line in printed if line.endswith("unresolved")] == ["ops_per_s"]
 
 
+def test_each_metric_carries_the_quartiles_of_its_paired_ratios(bench_pairs, monkeypatch, tmp_path, capsys):
+    # Change 30 MB against parent 40 MB, plus 0.01 MB on odd seeds on both sides.
+    monkeypatch.setattr(bench_pairs, "run_once", stub(change_rss=30.0, change_ops=110.0))
+    parent, change = trees(tmp_path)
+    out = tmp_path / "bench.json"
+    argv = [str(parent), str(change), "--workload", "w", "--pairs", "4", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    metrics = json.loads(out.read_text(encoding="ascii"))["end_to_end"]["w"]["metrics"]
+    rss = metrics["peak_rss_mb"]["ratio"]
+    assert rss["q1"] == pytest.approx(30.0 / 40.0, abs=1e-4) and rss["q3"] == pytest.approx(30.01 / 40.01, abs=1e-4)
+    assert rss["q1"] <= rss["median"] <= rss["q3"]
+    # Both sides add seed % 3 ops/s, seeds 900..903.
+    ops = [(110 + seed % 3) / (100 + seed % 3) for seed in range(900, 904)]
+    assert metrics["ops_per_s"]["ratio"]["median"] == pytest.approx(statistics.median(ops), abs=1e-6)
+    printed = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert "ratio 0.750 [0.750, 0.750]" in printed["peak_rss_mb"]
+
+
 def test_interleaved_units_of_the_checkout_against_itself_agree(bench_pairs, tmp_path):
     root = TOOL.parent.parent
     out = tmp_path / "bench.json"
@@ -103,3 +122,5 @@ def test_interleaved_units_of_the_checkout_against_itself_agree(bench_pairs, tmp
     assert len(entry["output_sha256"]) == 1
     assert [run["unit"] for run in entry["runs"]] == [1, 2]
     assert set(entry["metrics"]) == set(bench_pairs.UNIT_METRICS)
+    for m in entry["metrics"].values():
+        assert m["ratio"]["q1"] <= m["ratio"]["median"] <= m["ratio"]["q3"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -93,6 +94,80 @@ def test_security_context_field_validation():
         SecurityContext(
             Key(b"\x01" * KEY_LEN, KeyKind.K_NASENC), 0, ("EA2",), 0, 0
         )
+
+
+def oracle_to_bytes(ctx):
+    """SecurityContext.to_bytes as it was written field by field: the layout's reference."""
+    caps = ",".join(ctx.ue_sec_caps).encode("ascii")
+    return (
+        ctx.k_amf.octets
+        + bytes([ctx.ngksi])
+        + len(caps).to_bytes(2, "big")
+        + caps
+        + ctx.ul_count.to_bytes(4, "big")
+        + ctx.dl_count.to_bytes(4, "big")
+    )
+
+
+def oracle_from_bytes(blob):
+    """SecurityContext.from_bytes as it was written field by field: the checks' reference."""
+    if len(blob) < KEY_LEN + 1 + 2 + 8:
+        raise ValueError("context blob too short")
+    k = Key(blob[:KEY_LEN], KeyKind.K_AMF)
+    ngksi = blob[KEY_LEN]
+    off = KEY_LEN + 1
+    clen = int.from_bytes(blob[off : off + 2], "big")
+    off += 2
+    caps_raw = blob[off : off + clen].decode("ascii")
+    caps = tuple(caps_raw.split(",")) if caps_raw else ()
+    off += clen
+    if len(blob) != off + 8:
+        raise ValueError("context blob has trailing bytes")
+    ul = int.from_bytes(blob[off : off + 4], "big")
+    dl = int.from_bytes(blob[off + 4 : off + 8], "big")
+    return SecurityContext(k, ngksi, caps, ul, dl)
+
+
+def decoded(decode, blob):
+    """The context `decode` makes of `blob`, or the type and message of what it raised."""
+    try:
+        return decode(blob)
+    except Exception as err:  # the message becomes a context_unparsable reason
+        return type(err), str(err)
+
+
+def test_the_codec_writes_and_reads_the_reference_bytes_at_the_edges():
+    edges = itertools.product((0, 6), (0, COUNT_LIMIT - 1), (0, COUNT_LIMIT - 1), ((), ("EA2",), ("EA2", "IA2")))
+    for ngksi, ul, dl, caps in edges:
+        ctx = SecurityContext(k_amf_fixed(), ngksi, caps, ul, dl)
+        blob = ctx.to_bytes()
+        assert blob == oracle_to_bytes(ctx), (ngksi, ul, dl, caps)
+        assert SecurityContext.from_bytes(blob) == oracle_from_bytes(blob) == ctx
+
+
+def context_blob(key, ngksi, caps, skew, tail):
+    """A context's layout with the caps length off by `skew` and any tail for the counts."""
+    return key + bytes([ngksi]) + max(0, len(caps) + skew).to_bytes(2, "big") + caps + tail
+
+
+# Blobs shaped like a context reach every check in from_bytes; plain bytes add the rest.
+CONTEXT_BLOBS = st.builds(
+    context_blob,
+    st.binary(min_size=KEY_LEN, max_size=KEY_LEN),
+    st.integers(0, 7) | st.integers(0, 255),
+    st.sampled_from([b"", b"EA2", b"EA2,IA2", b",", b"EA2\xe9"]) | st.binary(max_size=10),
+    st.sampled_from([0, 0, 0, -1, 1, 9]),
+    st.binary(min_size=8, max_size=8) | st.binary(max_size=10),
+) | st.binary(max_size=80)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(blob=CONTEXT_BLOBS)
+def test_the_codec_decodes_any_blob_as_the_reference_does(blob):
+    ours = decoded(SecurityContext.from_bytes, blob)
+    assert ours == decoded(oracle_from_bytes, blob)
+    if isinstance(ours, SecurityContext):
+        assert ours.to_bytes() == oracle_to_bytes(ours) == blob
 
 
 # --- where the context lives -----------------------------------------------

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 from fastreg.channel import EVENT_FIELDS
 from regen_golden import CORPUS, cases, corpus_lines, run_case
 
@@ -29,3 +33,33 @@ def test_every_event_field_is_a_str_across_the_corpus():
             assert not odd, "%s: %s %r" % (" ".join(map(str, case)), event.name, odd)
             checked += 1
     assert checked > 10_000
+
+
+# The output digests perfbench prints for seed 0 (`perfbench/run.py --all`):
+# each workload's first unit, recorded.  long-session's 3,000 rounds mix
+# card-home (4G) and baseband-home (5G) contexts, which no case above does.
+PERFBENCH_DIGESTS = {
+    "cm-sweep": "a2c64291780c0926fec2f0b76bf09254321fb422ae256292355f95c75294c2fa",
+    "long-session": "4cff07322774096f6f4a7f1a5c67906b93add5788ebdd14501b991611a6f2df4",
+    "cli-cold": "e04171f62ab6079699878185c8cf267b9c5e3cfdc8fd25cc7794e67083e9e5f7",
+}
+PERFBENCH_UNITS = """\
+import sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
+from workloads import WORKLOADS
+for name in ("cm-sweep", "long-session", "cli-cold"):
+    wl = WORKLOADS[name]()
+    wl.setup(0)
+    res = wl.traceable_unit(0, None, record=True)
+    print(name, res.output_sha256, res.failed)
+"""
+
+
+def test_the_perfbench_units_print_the_pinned_digests():
+    # A child process, because each workload's setup imports fastreg afresh;
+    # -B, so that reading perfbench/ writes nothing there.
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", PERFBENCH_UNITS, str(root)], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["%s %s 0" % item for item in PERFBENCH_DIGESTS.items()]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -9,9 +10,13 @@ import pytest
 from fastreg import crypto
 from fastreg.crypto import Key, KeyKind
 from fastreg.usim import (
+    EF_5GLOCI,
+    EF_5GNSC,
     EF_EPSLOCI,
     EF_EPSNSC,
     EF_IMSI,
+    LOCI_FILES,
+    NSC_FILES,
     AccessLevel,
     AccessRule,
     Apdu,
@@ -245,6 +250,105 @@ def test_5g_context_requires_capable_card():
     session = capable.open_baseband_session()
     assert store_context_files(capable, session, b"g", b"c", "5G") is ApduStatus.OK
     assert load_context_files(capable, session, "5G") == (b"g", b"c")
+
+
+# --- context I/O decides as apdu_execute decides -----------------------
+
+PIN_STATES = {
+    "disabled": ("1234", False, 3, 3, False),
+    "enabled": ("1234", True, 3, 3, False),
+    "locked": ("1234", True, 0, 3, True),  # a session may have verified before another locked it
+}
+OTHER_CARD = standard_card(random.Random(12), "460001112223334", K)
+
+
+def twin_cards(loci_rule, nsc_rule, pin_state):
+    """Two equal cards whose 4G context files carry the given rules and an old context."""
+    cards = []
+    for _ in range(2):
+        card = make_card()
+        card.pin = PinState(*PIN_STATES[pin_state])
+        card.files[EF_EPSLOCI] = (loci_rule, b"guti-old")
+        card.files[EF_EPSNSC] = (nsc_rule, b"ctx-old")
+        cards.append(card)
+    assert cards[0] == cards[1]
+    return cards
+
+
+def session_on(card, kind, verified):
+    """A reader session, the card's own baseband session, or another card's baseband session."""
+    opener = {
+        "reader": card.open_session,
+        "baseband": card.open_baseband_session,
+        "other-baseband": OTHER_CARD.open_baseband_session,
+    }[kind]
+    session = opener()
+    session.pin_verified = verified
+    return session
+
+
+def apdu_load(card, session, generation):
+    """What load_context_files must return: one READ per file, a refusal reading as empty."""
+    return tuple(read(card, session, fid).payload for fid in (LOCI_FILES[generation], NSC_FILES[generation]))
+
+
+def apdu_updates(card, session, loci, nsc, generation):
+    """One UPDATE per file through apdu_execute; the card keeps whatever each wrote."""
+    return (
+        update(card, session, LOCI_FILES[generation], loci).status,
+        update(card, session, NSC_FILES[generation], nsc).status,
+    )
+
+
+def check_context_io_against_apdus(card, twin, session, twin_session, generation):
+    """Context I/O on `card` against per-file APDUs on its equal `twin`; returns the per-file UPDATE statuses."""
+    assert load_context_files(card, session, generation) == apdu_load(twin, twin_session, generation)
+    before = dict(card.files)
+    status = store_context_files(card, session, b"guti-new", b"ctx-new", generation)
+    statuses = apdu_updates(twin, twin_session, b"guti-new", b"ctx-new", generation)
+    refused = [s for s in statuses if s is not ApduStatus.OK]
+    # The first refusal in file order, and then nothing written; else both written.
+    assert status is (refused[0] if refused else ApduStatus.OK)
+    assert card.files == (before if refused else twin.files)
+    for fid, (rule, _) in before.items():
+        assert card.files[fid][0] is rule
+    assert load_context_files(card, session, generation) == apdu_load(card, session, generation)
+    return statuses
+
+
+def test_context_io_decides_as_apdu_execute_decides():
+    # Every read and update condition on each context file x PIN state x
+    # verified x session kind.
+    levels = list(AccessLevel)
+    sessions = ("reader", "baseband", "other-baseband")
+    allowed = set()  # (LOCI UPDATE allowed, NSC UPDATE allowed) pairs met
+    for loci_read, loci_update, nsc_read, nsc_update in itertools.product(levels, repeat=4):
+        loci_rule, nsc_rule = AccessRule(loci_read, loci_update), AccessRule(nsc_read, nsc_update)
+        for pin_state, verified, kind in itertools.product(PIN_STATES, (False, True), sessions):
+            case = (loci_read, loci_update, nsc_read, nsc_update, pin_state, verified, kind)
+            card, twin = twin_cards(loci_rule, nsc_rule, pin_state)
+            session, twin_session = session_on(card, kind, verified), session_on(twin, kind, verified)
+            try:
+                statuses = check_context_io_against_apdus(card, twin, session, twin_session, "4G")
+            except AssertionError as err:
+                raise AssertionError(case) from err
+            allowed.add(tuple(s is ApduStatus.OK for s in statuses))
+    # Among them: one file allowed and the other refused, in either order,
+    # and then neither is written.
+    assert allowed == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("missing", [(EF_5GLOCI, EF_5GNSC), (EF_5GNSC,), (EF_5GLOCI,)], ids=("both", "nsc", "loci"))
+def test_a_missing_5g_context_file_is_file_not_found_and_nothing_is_written(missing):
+    card, twin = make_card(supports_5g_context=True), make_card(supports_5g_context=True)
+    for c in (card, twin):
+        for fid in missing:
+            del c.files[fid]
+    before = dict(card.files)
+    session, twin_session = card.open_baseband_session(), twin.open_baseband_session()
+    statuses = check_context_io_against_apdus(card, twin, session, twin_session, "5G")
+    assert ApduStatus.FILE_NOT_FOUND in statuses
+    assert card.files == before
 
 
 # --- programmable (fake) cards -----------------------------------------

@@ -10,9 +10,11 @@ is written in the layout of the BENCH_*.json files: per metric the median
 and quartiles (inclusive method) of each side, `change_wins` (pairs in
 which the change did better), `median_change_pct`, `parent_iqr` and
 `within_bound` (the change's median no worse than the parent's by more
-than the metric's bound in the parent tree's BENCHMARK.json) and
+than the metric's bound in the parent tree's BENCHMARK.json),
 `unresolved` (the parent's IQR is wider than bound x parent median, so
-the runs cannot tell a move of the bound's size from noise), plus
+the runs cannot tell a move of the bound's size from noise) and `ratio`
+(median and quartiles of the per-pair change/parent ratio, a paired
+statistic that drift common to both sides of a pair cancels out of), plus
 `sha_equal_every_pair` and the raw value of every run.  `--workload` may
 be repeated; an existing output file keeps its other workloads.
 
@@ -85,6 +87,8 @@ def summarize(metric: str, spec: dict, pairs: list[dict]) -> dict:
     parent = [p["parent"][metric] for p in pairs]
     change = [p["change"][metric] for p in pairs]
     p, c = quartiles(parent), quartiles(change)
+    # Paired: each pair's (or unit's) change/parent ratio, so drift shared by the two sides cancels.
+    ratios = [cv / pv for pv, cv in zip(parent, change) if pv]
     direction, bound = spec["better"], spec["bound"]
     limit = p["median"] * (1 + bound if direction == "lower" else 1 - bound)
     iqr = round(p["q3"] - p["q1"], 6)
@@ -95,6 +99,7 @@ def summarize(metric: str, spec: dict, pairs: list[dict]) -> dict:
         "change": c,
         "change_wins": sum(better(cv, pv, direction) for pv, cv in zip(parent, change)),
         "median_change_pct": round((c["median"] - p["median"]) / p["median"] * 100, 1) if p["median"] else 0.0,
+        "ratio": quartiles(ratios) if len(ratios) >= 2 else None,
         "parent_iqr": iqr,
         "within_bound": c["median"] <= limit if direction == "lower" else c["median"] >= limit,
         "unresolved": iqr > bound * p["median"],
@@ -305,9 +310,12 @@ def main(argv: list[str] | None = None) -> int:
         print("== %s: %d %s, sha equal %s, all correct %s" % (
             workload, n, "units" if args.units else "pairs", entry["sha_equal_every_pair"], entry["all_correct"]))
         for m, s in entry["metrics"].items():
-            print("%-16s parent %12.6g  change %12.6g  %+6.1f%%  wins %2d  iqr %10.4g  within bound %s%s" % (
-                m, s["parent"]["median"], s["change"]["median"], s["median_change_pct"],
-                s["change_wins"], s["parent_iqr"], s["within_bound"], "  unresolved" if s["unresolved"] else ""))
+            r = s["ratio"] or dict.fromkeys(("median", "q1", "q3"), float("nan"))
+            print("%-16s parent %12.6g  change %12.6g  %+6.1f%%  ratio %.3f [%.3f, %.3f]  wins %2d  iqr %10.4g"
+                  "  within bound %s%s" % (
+                      m, s["parent"]["median"], s["change"]["median"], s["median_change_pct"], r["median"], r["q1"],
+                      r["q3"], s["change_wins"], s["parent_iqr"], s["within_bound"],
+                      "  unresolved" if s["unresolved"] else ""))
     if "claim" in out:
         print("claim:", out["claim"])
     problems = [
