@@ -19,18 +19,21 @@ then evaluated, and `then` runs only after a successful impersonation.
 
 An impersonation succeeds when the attacker's request was accepted
 without AKA, the accept violates injective agreement with the victim's
-handsets, and the victim sent nothing in the attack window.  What the
-session the accept opened then shows is noted as evidence, not judged:
-`token_supi`, the number a one-tap login sees, and `network_location`,
-the base station the network pages.  The per-profile matrix reads its
-one-tap bypass and location-spoofing columns from that evidence.
+handsets, and the victim sent nothing in the attack window.  What that
+accept then shows is noted as evidence, not judged, and read from the
+run's records alone: `token_supi`, the number a one-tap login sees (the
+SUPI of the `registration_accept` event for the attacker's new GUTI),
+and `network_location`, the base station the network pages (the one
+the attacker's request crossed, in the monitor).  The per-profile
+matrix reads its one-tap bypass and location-spoofing columns from that
+evidence.
 """
 
 from __future__ import annotations
 
 from .channel import IdentityResponse, RegistrationRequestInitial
 from .equipment import PowerState, SecurityContext
-from .profiles import DEFAULT_PIN, Countermeasures, effective_profile, get_profile
+from .profiles import DEFAULT_PIN, Countermeasures, get_profile
 from .sim import SimEnv
 from .usim import (
     EF_EPSLOCI,
@@ -116,7 +119,9 @@ class ScenarioEnv(SimEnv):
 
 def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: Countermeasures | None = None) -> ScenarioEnv:
     """Victim subscriber and its two handsets at BS-A, attacker handset at BS-B."""
-    profile = effective_profile(get_profile(profile_name), cm)
+    profile = get_profile(profile_name)
+    if cm is not None:
+        profile = cm.apply(profile)
     env = ScenarioEnv(profile, seed)
     env.cards = {"victim": env.provision_subscriber(VICTIM_SUPI)[1]}
     env.files, env.supi, env.outcome = {}, None, None
@@ -164,16 +169,13 @@ def fast_agreement_pairs(events):
     Agreement is keyed on the (ies, container, mac) triple, so a verify
     with no matching handset event, or one matched only by an attacker
     handset, is an injective-agreement violation against the victim.
+    Both events declare those fields in that order, so the triple is
+    each event's value tuple.
     """
-    inits: dict[tuple[str, str, str], list] = {}
+    inits: dict[tuple[str, ...], list] = {}
     for e in events.named("ue_init"):
-        key = (e.fields["ies"], e.fields["container"], e.fields["mac"])
-        inits.setdefault(key, []).append(e)
-    pairs = []
-    for v in events.named("amf_verify"):
-        key = (v.fields["ies"], v.fields["container"], v.fields["mac"])
-        pairs.append((v, inits.get(key, [])))
-    return pairs
+        inits.setdefault(e[3:], []).append(e)
+    return [(v, inits.get(v[3:], [])) for v in events.named("amf_verify")]
 
 
 def _summarize(outcome) -> str:
@@ -209,11 +211,11 @@ def _evaluate_impersonation(report: AttackReport, env: ScenarioEnv, outcome) -> 
     report.note("victim_quiet_in_window", quiet)
 
     if clean_fast:
-        # The session the accept opened: whose number an app login sees,
-        # and where the network pages that subscriber.
-        session = next(s for s in env.amf.sessions.values() if s.flow == outcome.flow)
-        report.note("token_supi", session.supi)
-        report.note("network_location", session.serving_bs)
+        # What the accept shows: whose number an app login sees, and where
+        # the network pages that subscriber.
+        accepts = [e.fields for e in env.events.named("registration_accept")]
+        report.note("token_supi", next(f["supi"] for f in accepts if f["guti"] == outcome.guti))
+        report.note("network_location", next(t.bs for t in env.monitor.entries if t.flow == outcome.flow))
     report.succeeded = clean_fast and witness and quiet
 
 

@@ -1,12 +1,12 @@
-"""Radio link: NAS message shapes, deterministic delivery, taps, events.
+"""Radio link: NAS message shapes, deterministic delivery, one monitor tap, events.
 
 Messages are immutable; the channel stamps a monotonically increasing step
 on every send and delivers FIFO, so a run is a pure function of the
-scenario and seed.  A tap keeps the envelopes themselves, one record of
-the air: replay re-sends them whole, and a trace line renders only the
-visible projection an over-the-air sniffer reads (cleartext fields;
-ciphered containers and MACs never).  The environment's monitor tap is
-both the exported trace and everything the attacker reads.
+scenario and seed.  The channel's one tap, its monitor, keeps every
+envelope sent, the one record of the air: replay re-sends them whole,
+and a trace line renders only the visible projection an over-the-air
+sniffer reads (cleartext fields; ciphered containers and MACs never).
+The monitor is both the exported trace and everything the attacker reads.
 
 An event is one flat tuple (step, entity, name, *values) with named
 read-only accessors.  Its field names are not stored: `EVENT_FIELDS`
@@ -201,7 +201,7 @@ def decode_accept_payload(blob: bytes) -> tuple[str, int]:
     return guti.decode("ascii"), int.from_bytes(blob[2 + glen :], "big")
 
 
-# --- envelopes, taps, events -------------------------------------------
+# --- envelopes, the monitor tap, events --------------------------------
 
 
 class Envelope(Frozen):
@@ -350,13 +350,17 @@ class EventLog:
 
 
 class Channel:
-    """FIFO radio link with a step clock; single ordered delivery."""
+    """FIFO radio link with a step clock; single ordered delivery.
 
-    __slots__ = ("step", "taps", "events", "drop_filter", "_queue", "_handlers", "__weakref__")
+    It owns its monitor tap, which records every envelope sent, dropped
+    ones included, and its event log.
+    """
+
+    __slots__ = ("step", "monitor", "events", "drop_filter", "_queue", "_handlers", "__weakref__")
 
     def __init__(self) -> None:
         self.step = 0
-        self.taps: list[ChannelTap] = []
+        self.monitor = ChannelTap()
         self.events = EventLog(self)
         self.drop_filter: Callable[[Envelope], bool] | None = None
         self._queue: deque[Envelope] = deque()
@@ -372,8 +376,7 @@ class Channel:
             raise UnknownEndpoint("unknown receiver %r" % dst)
         self.step += 1
         envelope = Envelope(self.step, src, dst, bs, flow, msg)
-        for tap in self.taps:
-            tap.record(envelope)
+        self.monitor.record(envelope)
         if self.drop_filter is not None and self.drop_filter(envelope):
             self.events.emit("channel", "dropped", (dst, msg.mtype))
             return envelope

@@ -166,10 +166,9 @@ class RegistrationOutcome:
         "guti",
         "reject_cause",
         "end_step",
-        "context_source",
     )
 
-    def __init__(self, path: str, generation: str, flow: str, start_step: int, context_source: str) -> None:
+    def __init__(self, path: str, generation: str, flow: str, start_step: int) -> None:
         self.path = path  # "fast" | "initial"
         self.generation = generation
         self.flow = flow
@@ -179,14 +178,12 @@ class RegistrationOutcome:
         self.guti: str | None = None
         self.reject_cause: str | None = None
         self.end_step = 0
-        self.context_source = context_source  # "card" | "baseband" | "none"
 
 
 class _InFlight:
-    __slots__ = ("flow", "outcome", "ctx", "source", "aka")
+    __slots__ = ("outcome", "ctx", "source", "aka")
 
-    def __init__(self, flow: str, outcome: RegistrationOutcome) -> None:
-        self.flow = flow
+    def __init__(self, outcome: RegistrationOutcome) -> None:
         self.outcome = outcome
         self.ctx: SecurityContext | None = None
         self.source = "none"
@@ -423,9 +420,8 @@ class MobileEquipment:
             generation=generation,
             flow=flow,
             start_step=self.env.channel.step + 1,
-            context_source=source,
         )
-        state = _InFlight(flow=flow, outcome=outcome)
+        state = _InFlight(outcome)
         self._active = state
         if ctx is not None:
             state.ctx, state.source = ctx, source
@@ -464,7 +460,7 @@ class MobileEquipment:
     def handle(self, envelope) -> None:
         state = self._active
         handler = self._HANDLERS.get(type(envelope.msg))
-        if state is None or envelope.flow != state.flow or handler is None:
+        if state is None or envelope.flow != state.outcome.flow or handler is None:
             self._emit("stray_message", (envelope.msg.mtype,))
             return
         getattr(self, handler)(state, envelope)
@@ -479,10 +475,10 @@ class MobileEquipment:
         except crypto.MacFailure:
             self._emit("card_rejected_autn", ())
             res = b""
-        self._send(state.flow, AuthResponse(res))
+        self._send(state.outcome.flow, AuthResponse(res))
 
     def _on_identity_request(self, state: _InFlight, envelope) -> None:
-        self._send(state.flow, IdentityResponse(self._identity(self.slot), SEC_CAPS))
+        self._send(state.outcome.flow, IdentityResponse(self._identity(self.slot), SEC_CAPS))
 
     def _on_security_mode(self, state: _InFlight, envelope) -> None:
         msg: SecurityModeCommand = envelope.msg
@@ -499,7 +495,7 @@ class MobileEquipment:
         )
         state.ctx, state.source = ctx, "ram"
         mac = crypto.mac_compute(b"security-mode-complete", b"", ctx.nas_keys[1])
-        self._send(state.flow, SecurityModeComplete(mac))
+        self._send(state.outcome.flow, SecurityModeComplete(mac))
 
     def _on_accept(self, state: _InFlight, envelope) -> None:
         msg: RegistrationAccept = envelope.msg

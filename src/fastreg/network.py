@@ -13,9 +13,12 @@ another alias and the old alias stays valid, so byte-identical replays
 die on the count check rather than the lookup.  Only a new AKA purges a
 subscriber's old rows and installs a fresh context.  Deregistration is
 one lookup by construction: the table is keyed by GUTI alone.
-The model's Deregistration carries no NAS MAC, so any live alias sniffed
-off the air, however old, ends that subscriber's session.  A pending AKA
-belongs to the (sender, flow) that started it; others' frames are strays.
+The AMF keeps no session table: an accept is its `registration_accept`
+event and the reply on the air, and a deregistration its `deregistered`
+event.  The model's Deregistration carries no NAS MAC, so any live alias
+sniffed off the air, however old, deregisters that subscriber.  A
+pending AKA belongs to the (sender, flow) that started it; others'
+frames are strays.
 A subscriber has at most one pending AKA: a new challenge replaces the
 older one, and a late answer to that older one is a stray.
 """
@@ -23,7 +26,6 @@ older one, and a late answer to that older one is a stray.
 from __future__ import annotations
 
 from _weakref import proxy
-from random import Random
 
 from . import crypto
 from .channel import (
@@ -65,18 +67,6 @@ class SubscriberRecord:
         self.last_aka_step = 0
 
 
-class Session:
-    __slots__ = ("supi", "serving_bs", "guti", "state", "via", "flow")
-
-    def __init__(self, supi: str, serving_bs: str, guti: str, state: str, via: str, flow: str) -> None:
-        self.supi = supi
-        self.serving_bs = serving_bs
-        self.guti = guti
-        self.state = state  # "Registered" | "Deregistered"
-        self.via = via  # "fast" | "aka"
-        self.flow = flow
-
-
 class _PendingAka:
     __slots__ = ("supi", "vector", "caps", "context")
 
@@ -88,16 +78,14 @@ class _PendingAka:
 
 
 class Amf:
-    """Core-network endpoint owning subscribers, contexts and sessions."""
+    """Core-network endpoint owning subscribers, contexts and pending AKAs."""
 
     name = "amf"
     __slots__ = (
         "profile",
-        "rng",
         "env",
         "subscribers",
         "table",
-        "sessions",
         "pending",
         "_guti_n",
         "_guti_salt",
@@ -107,14 +95,12 @@ class Amf:
     def __init__(self, env) -> None:
         self.env = proxy(env)  # the environment owns its AMF
         self.profile: OperatorProfile = env.profile
-        self.rng: Random = env.rng
         self.subscribers: dict[str, SubscriberRecord] = {}
         self.table: dict[str, SubscriberRecord] = {}
-        self.sessions: dict[str, Session] = {}
         self.pending: dict[tuple[str, str], _PendingAka] = {}
         self._guti_n = 0
-        self._guti_salt = "%06x" % self.rng.getrandbits(24)
-        self._conceal_key = self.rng.randbytes(crypto.KEY_LEN)
+        self._guti_salt = "%06x" % env.rng.getrandbits(24)
+        self._conceal_key = env.rng.randbytes(crypto.KEY_LEN)
 
     # --- plumbing ------------------------------------------------------
 
@@ -270,8 +256,7 @@ class Amf:
         self._accept(envelope, supi, guti, "aka", ctx)
 
     def _accept(self, envelope, supi: str, guti: str, via: str, ctx: SecurityContext) -> None:
-        """Open the subscriber's session and send it the ciphered accept."""
-        self.sessions[supi] = Session(supi, envelope.bs, guti, "Registered", via, envelope.flow)
+        """Log the accept and send the subscriber the ciphered accept."""
         self._emit("registration_accept", (supi, guti, via))
         payload = crypto.senc(encode_accept_payload(guti, ctx.dl_count), ctx.nas_keys[0])
         self._reply(envelope, RegistrationAccept(payload))
@@ -282,9 +267,6 @@ class Amf:
         if entry is None:
             self._emit("stray_message", (msg.mtype,))
             return
-        session = self.sessions.get(entry.supi)
-        if session is not None:
-            session.state = "Deregistered"
         self._emit("deregistered", (entry.supi,))
 
     # --- channel entry point ------------------------------------------

@@ -6,10 +6,11 @@ byte from (profile, countermeasures, seed).  Building a SimEnv also empties
 the crypto and channel memos, so that every memoised value is one this
 environment derived.
 
-Ownership runs one way.  A SimEnv owns its channel, AMF, handsets and
-monitor tap; the channel owns its event log and holds each endpoint's
-handler.  Nothing an environment owns holds a strong reference back to
-it: `MobileEquipment.env` and `Amf.env` are weak proxies of the
+Ownership runs one way.  A SimEnv owns its channel, AMF and handsets;
+the channel owns its monitor tap and event log, which the environment
+names `monitor` and `events`, and holds each endpoint's handler.
+Nothing an environment owns holds a strong reference back to it:
+`MobileEquipment.env` and `Amf.env` are weak proxies of the
 environment, and `EventLog`'s clock is a weak proxy of the channel.  An
 environment is therefore freed by reference counting the moment its
 last reference (usually an `AttackReport`) goes, with no work left for
@@ -34,20 +35,18 @@ from .usim import CardImage, standard_card
 class SimEnv:
     """Container wiring the channel, the network and any handsets."""
 
-    __slots__ = ("profile", "seed", "rng", "channel", "events", "amf", "monitor", "mes", "custody", "__weakref__")
+    __slots__ = ("profile", "rng", "channel", "events", "monitor", "amf", "mes", "custody", "__weakref__")
 
     def __init__(self, profile: OperatorProfile, seed: int) -> None:
         crypto.clear_memos()
         field_hex.cache_clear()
         self.profile = profile
-        self.seed = seed
         self.rng = Random(seed)
         self.channel = Channel()
         self.events: EventLog = self.channel.events
+        self.monitor: ChannelTap = self.channel.monitor
         self.amf = Amf(self)
         self.channel.register(self.amf.name, self.amf.handle)
-        self.monitor = ChannelTap()
-        self.channel.taps.append(self.monitor)
         self.mes: dict[str, MobileEquipment] = {}
         self.custody: dict[str, str | None] = {}
 

@@ -21,23 +21,12 @@ import sys
 from pathlib import Path
 
 from fastreg.attacks import PROFILE_ORDER, SCENARIOS, run_scenario
-from fastreg.profiles import countermeasures_from_pairs
+from fastreg.profiles import TOGGLES, countermeasures_from_pairs
 
 CORPUS = Path(__file__).resolve().parent / "golden_digests.txt"
 
 # Every row of the scenario table.
 ATTACKS = [(attack, variant) for attack, rows in SCENARIOS.items() for variant in rows]
-
-TOGGLES = (
-    "usim_hardening",
-    "nondefault_pin",
-    "iccid_binding",
-    "fast_registration",
-    "periodic_aka",
-    "supi_concealment",
-    "usim_5g_context",
-    "offline_swap_detection",
-)
 
 SEEDS = (0, 1, 2)
 

@@ -27,11 +27,9 @@ from fastreg.attacks import (
 )
 from fastreg.profiles import (
     ALL_PROTECTIVE,
-    BUILTIN_PROFILES,
     TOGGLES,
     Countermeasures,
     countermeasures_from_pairs,
-    effective_profile,
 )
 
 EXPECTED_MATRIX = {
@@ -213,14 +211,6 @@ def test_protective_set_defeats_every_scenario():
         assert not s1.succeeded and not s2.succeeded
 
 
-def test_effective_profile_equals_apply_for_every_toggle_set():
-    for values in itertools.product((None, True, False), repeat=len(TOGGLES)):
-        cm = Countermeasures(*values)
-        for profile in BUILTIN_PROFILES.values():
-            assert effective_profile(profile, cm) == cm.apply(profile)
-    assert effective_profile(BUILTIN_PROFILES["OP-II"], None) is BUILTIN_PROFILES["OP-II"]
-
-
 IMPERSONATION_KEYS = ("accepted_without_aka", "agreement_violated", "victim_quiet_in_window")
 
 
@@ -252,15 +242,19 @@ def test_no_single_protective_toggle_turns_a_failure_into_a_success():
     assert not violations
 
 
-def test_impersonation_from_the_victims_own_cell_is_not_a_location_spoof(monkeypatch):
-    def same_cell(profile_name, seed, cm=None):
+def _attacker_handset_in(monkeypatch, cell: str) -> None:
+    def build(profile_name, seed, cm=None):
         # ICCID binding stops S2, whose hand-over moves the shared handset
         # to the attacker's cell, so the matrix reads the S1 report.
         env = build_environment(profile_name, seed, Countermeasures(iccid_binding=True))
-        env.mes["attacker-me"].bs = VICTIM_BS
+        env.mes["attacker-me"].bs = cell
         return env
 
-    monkeypatch.setattr(attacks, "build_environment", same_cell)
+    monkeypatch.setattr(attacks, "build_environment", build)
+
+
+def test_impersonation_from_the_victims_own_cell_is_not_a_location_spoof(monkeypatch):
+    _attacker_handset_in(monkeypatch, VICTIM_BS)
     report = run_scenario("S1", "OP-I", seed=26)
     assert report.succeeded
     assert report.evidence["network_location"] == VICTIM_BS
@@ -268,6 +262,14 @@ def test_impersonation_from_the_victims_own_cell_is_not_a_location_spoof(monkeyp
     assert not row["baseband_context"]
     assert row["impersonation"] and row["one_tap_bypass"]
     assert not row["location_spoofing"]
+
+
+def test_network_location_is_the_cell_the_attackers_request_crossed(monkeypatch):
+    _attacker_handset_in(monkeypatch, "BS-C")
+    report = run_scenario("S1", "OP-I", seed=26)
+    assert report.succeeded
+    assert report.evidence["network_location"] == "BS-C"
+    assert report.evidence["token_supi"] == VICTIM_SUPI
 
 
 # --- variants --------------------------------------------------------------

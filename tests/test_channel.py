@@ -1,4 +1,4 @@
-"""Radio-link tests: ordering, taps, codecs, replay injection, opacity."""
+"""Radio-link tests: ordering, the monitor tap, codecs, replay injection, opacity."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from fastreg.channel import (
     EVENT_FIELDS,
     AuthRequest,
     Channel,
-    ChannelTap,
     Event,
     MalformedPayload,
     NasMessage,
@@ -78,8 +77,7 @@ def test_tick_never_reverses():
 
 def test_drop_filter_suppresses_delivery_but_not_capture():
     ch, seen = make_channel()
-    tap = ChannelTap()
-    ch.taps.append(tap)
+    tap = ch.monitor
     ch.drop_filter = lambda env: isinstance(env.msg, AuthRequest)
     ch.send("a", "b", "BS-A", "a#0", AuthRequest(b"\x01" * 16, b"\x02" * 16))
     ch.send("a", "b", "BS-A", "a#0", fast_msg())
@@ -131,6 +129,8 @@ def test_every_emit_site_uses_a_declared_name_and_arity():
             assert len(values.elts) == len(EVENT_FIELDS[name.value]), name.value
             sites += 1
     assert sites >= len(EVENT_FIELDS) == 30
+    # `attacks.fast_agreement_pairs` keys both events on their value tuples.
+    assert EVENT_FIELDS["ue_init"] == EVENT_FIELDS["amf_verify"] == ("ies", "container", "mac")
 
 
 def test_field_hex_hands_back_the_same_string_for_equal_bytes():
@@ -142,8 +142,7 @@ def test_field_hex_hands_back_the_same_string_for_equal_bytes():
 
 def test_inject_replays_identical_frame_at_new_step():
     ch, seen = make_channel()
-    tap = ChannelTap()
-    ch.taps.append(tap)
+    tap = ch.monitor
     ch.send("a", "b", "BS-A", "a#0", fast_msg())
     ch.pump()
     captured = tap.entries[0]
@@ -155,14 +154,13 @@ def test_inject_replays_identical_frame_at_new_step():
     assert len(seen["b"]) == 2
 
 
-def test_observable_fields_hide_container_and_mac():
+def test_visible_fields_hide_container_and_mac():
     msg = fast_msg()
     fields = msg.visible()
     assert fields == {"guti": "guti-1", "ngksi": "2", "count": "1"}
     # Serialized tap line never shows the ciphered bytes either.
     ch, _ = make_channel()
-    tap = ChannelTap()
-    ch.taps.append(tap)
+    tap = ch.monitor
     ch.send("a", "b", "BS-A", "a#0", msg)
     line = tap.export_lines()[0]
     assert msg.container.hex() not in line
@@ -212,8 +210,7 @@ def test_accept_payload_decoder_is_total(blob):
 
 def test_sniff_latest_guti_tracks_queried_sender():
     ch, _ = make_channel(("v1", "v2", "amf"))
-    tap = ChannelTap()
-    ch.taps.append(tap)
+    tap = ch.monitor
     # Two subscribers interleaved; the sniffer keys on the sender.
     ch.send("v1", "amf", "BS-A", "v1#0", RegistrationRequestFast("guti-v1-old", 0, 1, b"x", b"y"))
     ch.send("v2", "amf", "BS-A", "v2#0", RegistrationRequestFast("guti-v2", 0, 4, b"x", b"y"))
@@ -227,8 +224,7 @@ def test_sniff_latest_guti_tracks_queried_sender():
 def test_identical_runs_identical_tap_lines():
     def run():
         ch, _ = make_channel()
-        tap = ChannelTap()
-        ch.taps.append(tap)
+        tap = ch.monitor
         rng = random.Random(7)
         for i in range(20):
             src, dst = ("a", "b") if rng.random() < 0.5 else ("b", "a")

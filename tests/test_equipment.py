@@ -173,6 +173,11 @@ def test_the_codec_decodes_any_blob_as_the_reference_does(blob):
 # --- where the context lives -----------------------------------------------
 
 
+def stored_by(env, out):
+    """Where one round's accept stored the context: the `where` of its `context_stored` events."""
+    return [e.fields["where"] for e in env.events.named("context_stored") if out.start_step <= e.step <= out.end_step]
+
+
 def test_4g_context_lands_on_the_card():
     env, me, card, _ = provisioned()
     bring_up(me, card, "4G")
@@ -181,7 +186,7 @@ def test_4g_context_lands_on_the_card():
     stored = SecurityContext.from_bytes(card.files[EF_EPSNSC][1])
     assert stored.k_amf.kind is KeyKind.K_AMF
     again = me.register("4G")
-    assert again.accepted and again.path == "fast" and again.context_source == "card"
+    assert again.accepted and again.path == "fast" and stored_by(env, again) == ["card"]
     assert not again.aka_ran
 
 
@@ -194,7 +199,7 @@ def test_5g_context_lands_in_the_baseband_for_plain_cards():
     assert EF_5GLOCI not in card.files  # plain card has nowhere to put it
     again = me.register("5G")
     assert again.accepted and again.path == "fast"
-    assert again.context_source == "baseband" and not again.aka_ran
+    assert stored_by(env, again) == ["baseband"] and not again.aka_ran
 
 
 def test_5g_capable_card_keeps_its_own_context():
@@ -205,7 +210,7 @@ def test_5g_capable_card_keeps_its_own_context():
     assert me.baseband is None
     assert card.files[EF_5GLOCI][1] and card.files[EF_5GNSC][1]
     again = me.register("5G")
-    assert again.accepted and again.path == "fast" and again.context_source == "card"
+    assert again.accepted and again.path == "fast" and stored_by(env, again) == ["card"]
 
 
 def programmed_copy(env, card, fids):
@@ -226,7 +231,7 @@ def test_a_programmable_card_with_5g_files_keeps_the_5g_context():
     assert stored_where(env) == [("card", "5G")]
     assert me.baseband is None and fake.files[EF_5GNSC][1]
     again = me.register("5G")
-    assert again.accepted and again.path == "fast" and again.context_source == "card"
+    assert again.accepted and again.path == "fast" and stored_by(env, again) == ["card"]
 
 
 def test_a_card_without_the_4g_files_leaves_the_4g_context_in_the_baseband():
@@ -236,7 +241,7 @@ def test_a_card_without_the_4g_files_leaves_the_4g_context_in_the_baseband():
     assert stored_where(env) == [("baseband", "4G")]
     assert not env.events.named("context_store_refused")
     again = me.register("4G")
-    assert again.accepted and again.path == "fast" and again.context_source == "baseband"
+    assert again.accepted and again.path == "fast" and stored_by(env, again) == ["baseband"]
 
 
 def test_an_empty_home_card_never_falls_through_to_the_baseband():
@@ -246,7 +251,7 @@ def test_an_empty_home_card_never_falls_through_to_the_baseband():
     me.baseband = BasebandEntry(SUPI, "guti-chip", make_ctx(), "5G", card.iccid)
     write_file(card, EF_5GNSC, b"")
     out = me.register("5G")
-    assert out.context_source == "none" and out.path == "initial"
+    assert out.path == "initial"
 
 
 def test_power_off_keeps_baseband_entry_and_clears_live_state():
@@ -258,7 +263,7 @@ def test_power_off_keeps_baseband_entry_and_clears_live_state():
     assert not me.registered
     me.power_on()
     again = me.register("5G")
-    assert again.path == "fast" and again.context_source == "baseband"
+    assert again.path == "fast" and stored_by(env, again) == ["baseband"]
 
 
 # --- deletion triggers -----------------------------------------------------
@@ -314,7 +319,7 @@ def test_same_identity_swap_survives_airplane_mode():
     me.set_airplane(False)
     assert me.baseband is not None
     again = me.register("5G")
-    assert again.path == "fast" and again.context_source == "baseband"
+    assert again.path == "fast" and stored_by(env, again) == ["baseband"]
     assert again.accepted
 
 
@@ -496,7 +501,6 @@ def test_truncated_card_context_falls_back_to_aka():
     me.power_on()
     out = me.register("4G")
     assert out.accepted and out.path == "initial" and out.aka_ran
-    assert out.context_source == "none"
     assert unparsable_reasons(env) == ["context-blob-too-short"]
     assert env.events.named("context_unparsable")[0].fields["where"] == "card"
 
@@ -516,7 +520,7 @@ def test_unreadable_card_context_is_not_used():
     bring_up(me, card, "4G")
     assert card.files[EF_EPSNSC][1]  # stored, but the handset may not read it back
     out = me.register("4G")
-    assert out.accepted and out.path == "initial" and out.context_source == "none"
+    assert out.accepted and out.path == "initial"
 
 
 def test_refused_context_store_is_logged_and_leaves_nsc_unchanged():

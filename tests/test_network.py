@@ -78,6 +78,13 @@ def fallback_reasons(env):
     return [e.fields["reason"] for e in env.events.named("fast_fallback")]
 
 
+def last_amf_word(env, supi):
+    """The AMF's last word on a subscriber: `registration_accept`, `deregistered` or None."""
+    names = ("registration_accept", "deregistered")
+    said = [e.name for e in env.events.entries if e.name in names and e.fields["supi"] == supi]
+    return said[-1] if said else None
+
+
 # --- happy paths -----------------------------------------------------------
 
 
@@ -90,8 +97,8 @@ def test_initial_registration_runs_aka_and_installs_context():
     assert me.register("5G").accepted
     assert [e.fields.get("via") for e in env.events.named("registration_accept")] == ["aka"]
     assert env.events.named("aka_started") and env.events.named("aka_established")
-    session = env.amf.sessions[SUPI]
-    assert (session.state, session.via) == ("Registered", "aka")
+    assert last_amf_word(env, SUPI) == "registration_accept"
+    assert env.events.named("registration_accept")[-1].fields["supi"] == SUPI
     rows = [k for k, e in env.amf.table.items() if e.supi == SUPI]
     assert len(rows) == 1
 
@@ -103,8 +110,9 @@ def test_fast_path_skips_aka_and_verifies():
     assert out.accepted and out.path == "fast" and not out.aka_ran
     assert len(env.events.named("aka_started")) == before
     assert env.events.named("amf_verify")
-    session = env.amf.sessions[SUPI]
-    assert (session.state, session.via, session.serving_bs) == ("Registered", "fast", "BS-A")
+    assert last_amf_word(env, SUPI) == "registration_accept"
+    assert env.events.named("registration_accept")[-1].fields == {"supi": SUPI, "guti": out.guti, "via": "fast"}
+    assert [t.bs for t in env.monitor.entries if t.flow == out.flow] == ["BS-A", "BS-A"]
 
 
 def test_fast_accept_aliases_new_guti_onto_the_same_entry():
@@ -320,13 +328,13 @@ def test_replayed_capture_dies_on_the_count_check():
         for t in env.monitor.entries
         if isinstance(t.msg, RegistrationRequestFast)
     ][-1]
-    sessions_before = dict(env.amf.sessions)
+    accepts_before = len(env.events.named("registration_accept"))
     env.channel.inject(captured)
     env.pump()
     assert fallback_reasons(env)[-1] == "count"
     # The fallback challenge lands on the idle victim and is ignored.
     assert env.events.named("stray_message")
-    assert env.amf.sessions == sessions_before
+    assert len(env.events.named("registration_accept")) == accepts_before
     assert len(env.events.named("amf_verify")) == 1  # no second verify
 
 
@@ -336,7 +344,7 @@ def test_replayed_capture_dies_on_the_count_check():
 def test_concealed_identities_resolve_and_hide_the_supi():
     env, me, card, _ = fast_ready(profile_override={"supi_concealment": True})
     assert me.register("5G").accepted
-    assert env.amf.sessions[SUPI].state == "Registered"
+    assert last_amf_word(env, SUPI) == "registration_accept"
     initial = [
         t
         for t in env.monitor.entries
@@ -425,7 +433,7 @@ def test_pending_aka_is_bound_to_its_sender():
     env.channel.inject(held)
     env.pump()
     assert out.accepted
-    assert env.amf.sessions[SUPI].state == "Registered"
+    assert last_amf_word(env, SUPI) == "registration_accept"
 
 
 def test_replayed_fast_requests_leave_one_pending_aka():
@@ -448,7 +456,7 @@ def test_replayed_fast_requests_leave_one_pending_aka():
     env.channel.send("ue", "amf", me.bs, first.flow, AuthResponse(res))
     env.pump()
     assert env.events.named("stray_message")[-1].fields == {"mtype": "authentication-response"}
-    assert env.amf.sessions[SUPI].via == "fast"
+    assert env.events.named("registration_accept")[-1].fields["via"] == "fast"
 
 
 def test_a_wrong_key_card_fails_aka_and_leaves_no_table_row():
@@ -479,7 +487,7 @@ def test_deregistration_keeps_table_rows_but_ends_the_session():
     me.register("5G")
     rows_before = [k for k, e in env.amf.table.items() if e.supi == SUPI]
     me.deregister()
-    assert env.amf.sessions[SUPI].state == "Deregistered"
+    assert last_amf_word(env, SUPI) == "deregistered"
     rows_after = [k for k, e in env.amf.table.items() if e.supi == SUPI]
     assert rows_after == rows_before  # contexts survive for the next fast pass
 
@@ -577,7 +585,7 @@ def test_deregistration_never_scans_the_context_table():
     me.deregister()
     # fast_ready leaves the handset idle, so the first round has nothing to end.
     assert len(env.events.named("deregistered")) == before + 200
-    assert env.amf.sessions[SUPI].state == "Deregistered"
+    assert last_amf_word(env, SUPI) == "deregistered"
     assert len(env.amf.table) == 201
 
 
@@ -605,8 +613,8 @@ def test_older_alias_guti_deregisters_the_right_subscriber():
     probe = Probe(env)
     probe.send(Deregistration(gutis[1]))
     assert env.events.named("deregistered")[-1].fields == {"supi": SUPI}
-    assert env.amf.sessions[SUPI].state == "Deregistered"
-    assert env.amf.sessions[other].state == "Registered"
+    assert last_amf_word(env, SUPI) == "deregistered"
+    assert last_amf_word(env, other) == "registration_accept"
     strays = len(env.events.named("stray_message"))
     probe.send(Deregistration(purged))
     assert len(env.events.named("stray_message")) == strays + 1
