@@ -415,7 +415,7 @@ def run_table_matrix(seed: int = 0) -> dict[str, dict[str, bool]]:
         s2 = run_scenario("S2", name, seed + 10 * i + 2)
         base = s2 if s2.succeeded else s1
         one_tap = base.succeeded and base.evidence["token_supi"] == VICTIM_SUPI
-        location = base.succeeded and base.evidence["network_location"] == ATTACKER_BS
+        location = base.succeeded and base.evidence["network_location"] != VICTIM_BS
         rows[name] = {
             "usim_context": s1.succeeded,
             "baseband_context": s2.succeeded,

@@ -3,9 +3,9 @@
 Messages are immutable; the channel stamps a monotonically increasing step
 on every send and delivers FIFO, so a run is a pure function of the
 scenario and seed.  The channel's one tap, its monitor, keeps every
-envelope sent, the one record of the air: replay re-sends them whole,
-and a trace line renders only the visible projection an over-the-air
-sniffer reads (cleartext fields; ciphered containers and MACs never).
+envelope sent, the one record of the air, and a trace line renders only
+the visible projection an over-the-air sniffer reads (cleartext fields;
+ciphered containers and MACs never).
 The monitor is both the exported trace and everything the attacker reads.
 
 An event is one flat tuple (step, entity, name, *values) with named
@@ -51,8 +51,7 @@ class MalformedPayload(ValueError):
 class NasMessage(Frozen):
     """One NAS message: its wire name and what a passive sniffer reads.
 
-    Ciphered containers and MAC tags never appear in `visible()`; replay
-    works from the captured envelope, not from this projection.
+    Ciphered containers and MAC tags never appear in `visible()`.
     """
 
     __slots__ = ()
@@ -255,7 +254,6 @@ class ChannelTap:
 # Every event the package emits, by name: its field names, in order.
 # Emit sites pass bare value tuples; this table is what names them.
 EVENT_FIELDS: dict[str, tuple[str, ...]] = {
-    "dropped": ("dst", "mtype"),
     "stray_message": ("mtype",),
     # handset
     "power_on": (),
@@ -352,17 +350,16 @@ class EventLog:
 class Channel:
     """FIFO radio link with a step clock; single ordered delivery.
 
-    It owns its monitor tap, which records every envelope sent, dropped
-    ones included, and its event log.
+    It owns its monitor tap, which records every envelope sent, and its
+    event log.
     """
 
-    __slots__ = ("step", "monitor", "events", "drop_filter", "_queue", "_handlers", "__weakref__")
+    __slots__ = ("step", "monitor", "events", "_queue", "_handlers", "__weakref__")
 
     def __init__(self) -> None:
         self.step = 0
         self.monitor = ChannelTap()
         self.events = EventLog(self)
-        self.drop_filter: Callable[[Envelope], bool] | None = None
         self._queue: deque[Envelope] = deque()
         self._handlers: dict[str, Callable[[Envelope], None]] = {}
 
@@ -377,25 +374,8 @@ class Channel:
         self.step += 1
         envelope = Envelope(self.step, src, dst, bs, flow, msg)
         self.monitor.record(envelope)
-        if self.drop_filter is not None and self.drop_filter(envelope):
-            self.events.emit("channel", "dropped", (dst, msg.mtype))
-            return envelope
         self._queue.append(envelope)
         return envelope
-
-    def inject(self, captured: Envelope) -> Envelope:
-        """Replay a captured envelope byte-for-byte, at a fresh step.
-
-        The attacker model allows recording and re-sending whole frames;
-        src stays spoofed as the original sender.
-        """
-        return self.send(captured.src, captured.dst, captured.bs, captured.flow, captured.msg)
-
-    def tick(self, steps: int = 1) -> None:
-        """Advance the clock without traffic (idle air time)."""
-        if steps < 0:
-            raise ValueError("clock only moves forward")
-        self.step += steps
 
     def pump(self) -> int:
         """Deliver until quiescent; returns the number of deliveries."""

@@ -165,13 +165,12 @@ _CHAIN: dict[tuple[KeyKind, bytes], KeyKind] = {
 }
 
 
-def kdf(parent: Key, label: bytes | str) -> Key:
+def kdf(parent: Key, label: bytes) -> Key:
     """Derive a child key; the (parent kind, label) pair must be on the chain."""
-    raw = label.encode("ascii") if isinstance(label, str) else label
-    child_kind = _CHAIN.get((parent.kind, raw))
+    child_kind = _CHAIN.get((parent.kind, label))
     if child_kind is None:
-        raise ChainViolation("no %s child under label %r" % (parent.kind.value, raw))
-    return Key(prf(parent.octets, raw), child_kind)
+        raise ChainViolation("no %s child under label %r" % (parent.kind.value, label))
+    return Key(prf(parent.octets, label), child_kind)
 
 
 # A receiver reads a value right after its sender computed it, so a few

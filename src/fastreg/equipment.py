@@ -181,12 +181,11 @@ class RegistrationOutcome:
 
 
 class _InFlight:
-    __slots__ = ("outcome", "ctx", "source", "aka")
+    __slots__ = ("outcome", "ctx", "aka")
 
     def __init__(self, outcome: RegistrationOutcome) -> None:
         self.outcome = outcome
         self.ctx: SecurityContext | None = None
-        self.source = "none"
         self.aka: crypto.AkaResult | None = None
 
 
@@ -373,15 +372,20 @@ class MobileEquipment:
     # --- registration -------------------------------------------------
 
     def _select_context(self, card: CardImage, generation: str):
-        """The context from its one home: the card's files if it holds the generation's, else the baseband entry."""
+        """The stored (context, GUTI), else (None, None).
+
+        It comes from the card's files if the card holds the generation's,
+        else from the baseband entry.  Which home is not returned: a round
+        that runs no AKA used this context, and `_on_accept` reads that.
+        """
         if card.holds_context(generation):
             loci, nsc = load_context_files(card, self._card_session, generation)
             if loci and nsc:
                 try:
-                    return SecurityContext.from_bytes(nsc), loci.decode("ascii"), "card"
+                    return SecurityContext.from_bytes(nsc), loci.decode("ascii")
                 except ValueError as err:  # UnicodeDecodeError included
                     self._emit("context_unparsable", ("card", str(err).replace(" ", "-")))
-            return None, None, "none"
+            return None, None
         entry = self.baseband
         if (
             entry is not None
@@ -389,8 +393,8 @@ class MobileEquipment:
             and entry.supi == card.supi
             and (not self.iccid_binding or entry.iccid == card.iccid)
         ):
-            return entry.context, entry.guti, "baseband"
-        return None, None, "none"
+            return entry.context, entry.guti
+        return None, None
 
     def _identity(self, card: CardImage) -> str:
         if self.env.profile.supi_concealment:
@@ -410,11 +414,11 @@ class MobileEquipment:
         ):
             raise PinRequired("card PIN not verified")
         flow = self._next_flow()
-        ctx, guti, source = self._select_context(card, generation)
+        ctx, guti = self._select_context(card, generation)
         if ctx is not None and ctx.ul_count + 1 >= COUNT_LIMIT:
             # The uplink COUNT would wrap: re-key with a fresh AKA instead.
             self._emit("count_exhausted", (guti,))
-            ctx, source = None, "none"
+            ctx = None
         outcome = RegistrationOutcome(
             path="fast" if ctx is not None else "initial",
             generation=generation,
@@ -424,7 +428,7 @@ class MobileEquipment:
         state = _InFlight(outcome)
         self._active = state
         if ctx is not None:
-            state.ctx, state.source = ctx, source
+            state.ctx = ctx
             ctx.ul_count += 1
             k_enc, k_int = ctx.nas_keys
             ies = encode_ies(guti, ctx.ngksi, ctx.ul_count)
@@ -493,7 +497,7 @@ class MobileEquipment:
             ul_count=0,
             dl_count=0,
         )
-        state.ctx, state.source = ctx, "ram"
+        state.ctx = ctx
         mac = crypto.mac_compute(b"security-mode-complete", b"", ctx.nas_keys[1])
         self._send(state.outcome.flow, SecurityModeComplete(mac))
 
@@ -522,8 +526,8 @@ class MobileEquipment:
         outcome.guti = new_guti
         outcome.end_step = envelope.step
         self._emit("ue_registered", (new_guti, outcome.path))
-        if state.source in ("card", "baseband"):
-            # Fast-path accept refreshes the stored context in place.
+        if not outcome.aka_ran:
+            # No AKA, so the context came from its home: refresh it in place.
             self._persist_context()
         self._active = None
 

@@ -81,9 +81,6 @@ class SimEnv:
         )
         return record, card
 
-    def pump(self) -> int:
-        return self.channel.pump()
-
     def trace_lines(self) -> list[str]:
         return self.monitor.export_lines()
 

@@ -176,8 +176,8 @@ def test_criterion_4_replay_rejection():
             if isinstance(t.msg, RegistrationRequestFast)
         ][-1]
         accepts_before = len(env.events.named("registration_accept"))
-        env.channel.inject(captured)
-        env.pump()
+        env.channel.send(captured.src, captured.dst, captured.bs, captured.flow, captured.msg)
+        env.channel.pump()
         reasons = [e.fields["reason"] for e in env.events.named("fast_fallback")]
         assert reasons[-1] == "count", (seed, reasons)
         assert len(env.events.named("amf_verify")) == 1  # replay never verified
@@ -364,7 +364,7 @@ def test_criterion_7_countermeasure_coverage():
     report = run_scenario("S2", "OP-I", seed=22, cm=cm)
     assert report.succeeded  # theft inside the window still lands
     env = report.env
-    env.channel.tick(25)
+    env.channel.step += 25
     retry = env.mes["shared-me"].register("5G")
     assert not retry.accepted and retry.aka_ran
     assert [e.fields["reason"] for e in env.events.named("fast_fallback")][-1] == "periodic"

@@ -196,7 +196,7 @@ def test_periodic_aka_bounds_the_stolen_context_lifetime():
     report = run_scenario("S2", "OP-I", seed=10, cm=cm)
     assert report.succeeded  # inside the window the theft still works
     env = report.env
-    env.channel.tick(25)
+    env.channel.step += 25
     retry = env.mes["shared-me"].register("5G")
     assert not retry.accepted and retry.aka_ran
     reasons = [e.fields["reason"] for e in env.events.named("fast_fallback")]
@@ -270,6 +270,8 @@ def test_network_location_is_the_cell_the_attackers_request_crossed(monkeypatch)
     assert report.succeeded
     assert report.evidence["network_location"] == "BS-C"
     assert report.evidence["token_supi"] == VICTIM_SUPI
+    # Any cell but the victim's is a spoofed location, not only ATTACKER_BS.
+    assert run_table_matrix(seed=26)["OP-I"]["location_spoofing"]
 
 
 # --- variants --------------------------------------------------------------

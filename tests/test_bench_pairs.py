@@ -112,15 +112,3 @@ def test_each_metric_carries_the_quartiles_of_its_paired_ratios(bench_pairs, mon
     printed = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
     assert "ratio 0.750 [0.750, 0.750]" in printed["peak_rss_mb"]
 
-
-def test_interleaved_units_of_the_checkout_against_itself_agree(bench_pairs, tmp_path):
-    root = TOOL.parent.parent
-    out = tmp_path / "bench.json"
-    bench_pairs.main([str(root), str(root), "--workload", "cm-sweep", "--units", "2", "--out", str(out)])
-    entry = json.loads(out.read_text(encoding="ascii"))["interleaved"]["cm-sweep"]
-    assert entry["all_correct"] and entry["sha_equal_every_pair"]
-    assert len(entry["output_sha256"]) == 1
-    assert [run["unit"] for run in entry["runs"]] == [1, 2]
-    assert set(entry["metrics"]) == set(bench_pairs.UNIT_METRICS)
-    for m in entry["metrics"].values():
-        assert m["ratio"]["q1"] <= m["ratio"]["median"] <= m["ratio"]["q3"]

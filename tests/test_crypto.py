@@ -91,25 +91,25 @@ def test_prf_matches_scratch_oracle():
 
 def test_kdf_frozen_vectors():
     k_amf = Key(K_AMF_RAW, KeyKind.K_AMF)
-    assert kdf(k_amf, "NASenc").octets.hex() == VEC_NASENC
-    assert kdf(k_amf, "NASint").octets.hex() == VEC_NASINT
+    assert kdf(k_amf, b"NASenc").octets.hex() == VEC_NASENC
+    assert kdf(k_amf, b"NASint").octets.hex() == VEC_NASINT
     assert kdf(k_amf, b"NASenc").kind is KeyKind.K_NASENC
     assert kdf(k_amf, b"NASint").kind is KeyKind.K_NASINT
 
 
 def test_kdf_deterministic_and_separated():
     k_amf = Key(K_AMF_RAW, KeyKind.K_AMF)
-    assert kdf(k_amf, "NASenc") == kdf(k_amf, "NASenc")
-    assert kdf(k_amf, "NASenc").octets != kdf(k_amf, "NASint").octets
+    assert kdf(k_amf, b"NASenc") == kdf(k_amf, b"NASenc")
+    assert kdf(k_amf, b"NASenc").octets != kdf(k_amf, b"NASint").octets
 
 
 def test_chain_gate():
     k_amf = Key(K_AMF_RAW, KeyKind.K_AMF)
     with pytest.raises(ChainViolation):
-        kdf(k_amf, "AUSF")
+        kdf(k_amf, b"AUSF")
     perm = Key(b"\x01" * 16, KeyKind.K_PERMANENT)
     # K_permanent has no kdf children at all.
-    for label in ("AUSF", "SEAF", "AMF", "NASenc", "NASint", "CK"):
+    for label in (b"AUSF", b"SEAF", b"AMF", b"NASenc", b"NASint", b"CK"):
         with pytest.raises(ChainViolation):
             kdf(perm, label)
 

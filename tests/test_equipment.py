@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastreg.channel import Envelope, RegistrationAccept
+from fastreg.channel import RegistrationAccept
 from fastreg.crypto import KEY_LEN, Key, KeyKind
 from fastreg.equipment import (
     COUNT_LIMIT,
@@ -30,6 +31,17 @@ from fastreg.sim import SimEnv
 from fastreg.usim import EF_5GLOCI, EF_5GNSC, EF_EPSLOCI, EF_EPSNSC, EF_IMSI, AccessLevel, programmable_card, standard_card
 
 SUPI = "460110123456789"
+
+
+@contextmanager
+def held_back(channel, name, handler, kind):
+    """Keep frames of type `kind` sent to `name` in the yielded list; `handler` gets the rest and is registered again on exit."""
+    held = []
+    channel.register(name, lambda e: held.append(e) if isinstance(e.msg, kind) else handler(e))
+    try:
+        yield held
+    finally:
+        channel.register(name, handler)
 
 
 def provisioned(seed=11, me_kwargs=None, profile_override=None):
@@ -350,6 +362,26 @@ def test_offline_swap_detection_flags_any_slot_event():
     assert deletion_reasons(env) == ["offline-slot-event"]
 
 
+@pytest.mark.parametrize("reason", ["different-card-identity", "iccid-mismatch", "offline-slot-event"])
+def test_with_both_extras_on_the_first_matching_rule_names_the_deletion(reason):
+    # Identity first, then the ICCID, then any slot event: a different
+    # subscriber's card also has another ICCID, and every card here was
+    # inserted while powered off.
+    env, me, card, record = provisioned(me_kwargs={"iccid_binding": True, "offline_swap_detection": True})
+    swap_in = {
+        "different-card-identity": lambda: standard_card(env.rng, "460119999999999", Key(b"\x09" * KEY_LEN, KeyKind.K_PERMANENT)),
+        "iccid-mismatch": lambda: standard_card(env.rng, SUPI, record.k_permanent),
+        "offline-slot-event": lambda: card,
+    }[reason]()
+    bring_up(me, card, "5G")
+    me.power_off()
+    me.remove_card()
+    me.insert_card(swap_in)
+    me.power_on()
+    assert me.baseband is None
+    assert deletion_reasons(env) == [reason]
+
+
 def test_powered_off_swap_also_survives_without_extras():
     env, me, card, record = provisioned()
     clone = standard_card(env.rng, SUPI, record.k_permanent)
@@ -436,26 +468,19 @@ def test_stale_accept_replay_is_discarded():
     stale = accepts[-1]  # the accept that closed the first fast cycle
     # Hold back the next accept so its flow stays open, then slip the
     # stale frame in; the counter it carries is no longer fresh.
-    env.channel.drop_filter = lambda e: isinstance(e.msg, RegistrationAccept)
-    out = me.register("5G")
+    with held_back(env.channel, me.name, me.handle, RegistrationAccept) as held:
+        out = me.register("5G")
     assert not out.accepted
-    env.channel.drop_filter = None
-    env.channel.inject(Envelope(stale.step, stale.src, stale.dst, stale.bs, out.flow, stale.msg))
-    env.pump()
+    env.channel.send(stale.src, stale.dst, stale.bs, out.flow, stale.msg)
+    env.channel.pump()
     assert not out.accepted
     [discarded] = env.events.named("dl_replay_discarded")
     assert discarded.fields == {"count": "2"}  # event values are strings
     # The genuine accept still lands afterwards.
-    held = [
-        t
-        for t in env.monitor.entries
-        if isinstance(t.msg, RegistrationAccept)
-        and t.flow == out.flow
-        and t.msg is not stale.msg
-    ]
-    assert len(held) == 1
-    env.channel.inject(held[0])
-    env.pump()
+    (genuine,) = held
+    assert genuine.flow == out.flow and genuine.msg is not stale.msg
+    env.channel.send(genuine.src, genuine.dst, genuine.bs, genuine.flow, genuine.msg)
+    env.channel.pump()
     assert out.accepted
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 
@@ -62,11 +63,22 @@ class Probe:
         flow = "%s#%d" % (self.name, self._n)
         self._n += 1
         self.env.channel.send(self.name, "amf", self.bs, flow, msg)
-        self.env.pump()
+        self.env.channel.pump()
         return flow
 
     def last_types(self):
         return [type(e.msg).__name__ for e in self.inbox]
+
+
+@contextmanager
+def held_back(channel, name, handler, kind):
+    """Keep frames of type `kind` sent to `name` in the yielded list; `handler` gets the rest and is registered again on exit."""
+    held = []
+    channel.register(name, lambda e: held.append(e) if isinstance(e.msg, kind) else handler(e))
+    try:
+        yield held
+    finally:
+        channel.register(name, handler)
 
 
 def table_key(env):
@@ -260,6 +272,21 @@ def test_container_cleartext_mismatch_is_rejected():
     assert fallback_reasons(env)[-1] == "container"
 
 
+def test_a_stale_and_forged_request_is_logged_as_a_mac_failure():
+    # The MAC is checked before freshness, so a forgery is logged as one
+    # whatever COUNT it carries.
+    env, me, card, _ = fast_ready()
+    (guti, ngksi) = table_key(env)
+    ctx = env.amf.table[guti].context
+    k_enc, k_int = crypto.nas_keys(ctx.k_amf)
+    ies = encode_ies(guti, ngksi, ctx.ul_count)  # the stored COUNT: stale
+    container = crypto.senc(ies, k_enc)
+    mac = bytearray(crypto.mac_compute(ies, container, k_int))
+    mac[0] ^= 1
+    Probe(env).send(RegistrationRequestFast(guti, ngksi, ctx.ul_count, container, bytes(mac)))
+    assert env.events.named("fast_fallback")[-1].fields == {"reason": "mac", "guti": guti}
+
+
 def test_stale_count_is_rejected():
     env, me, card, _ = fast_ready()
     out = me.register("5G")
@@ -313,7 +340,7 @@ def test_periodic_aka_deadline_forces_reauthentication():
     env, me, card, _ = fast_ready(profile_override={"periodic_aka": True})
     out = me.register("5G")
     assert out.accepted and not out.aka_ran  # inside the window
-    env.channel.tick(PERIODIC_AKA_INTERVAL)
+    env.channel.step += PERIODIC_AKA_INTERVAL  # idle air time
     out = me.register("5G")
     assert out.accepted and out.aka_ran
     assert fallback_reasons(env)[-1] == "periodic"
@@ -329,8 +356,8 @@ def test_replayed_capture_dies_on_the_count_check():
         if isinstance(t.msg, RegistrationRequestFast)
     ][-1]
     accepts_before = len(env.events.named("registration_accept"))
-    env.channel.inject(captured)
-    env.pump()
+    env.channel.send(captured.src, captured.dst, captured.bs, captured.flow, captured.msg)
+    env.channel.pump()
     assert fallback_reasons(env)[-1] == "count"
     # The fallback challenge lands on the idle victim and is ignored.
     assert env.events.named("stray_message")
@@ -386,7 +413,7 @@ def test_wrong_res_gets_authentication_failure():
     probe.env.channel.send(
         probe.name, "amf", probe.bs, "probe#0", AuthResponse(b"\x00" * 8)
     )
-    env.pump()
+    env.channel.pump()
     rejects = [e for e in probe.inbox if isinstance(e.msg, RegistrationReject)]
     assert rejects and rejects[-1].msg.cause == "authentication-failure"
     assert env.events.named("aka_reject")
@@ -399,12 +426,12 @@ def test_bad_security_mode_mac_gets_rejected():
     challenge = probe.inbox[-1].msg
     res = card.run_aka(challenge.rand, challenge.autn).res
     env.channel.send(probe.name, "amf", probe.bs, flow, AuthResponse(res))
-    env.pump()
+    env.channel.pump()
     assert isinstance(probe.inbox[-1].msg, SecurityModeCommand)
     env.channel.send(
         probe.name, "amf", probe.bs, flow, SecurityModeComplete(b"\x00" * 8)
     )
-    env.pump()
+    env.channel.pump()
     assert isinstance(probe.inbox[-1].msg, RegistrationReject)
     assert probe.inbox[-1].msg.cause == "security-mode-failure"
     assert env.events.named("smc_failure")
@@ -417,21 +444,21 @@ def test_pending_aka_is_bound_to_its_sender():
     me.insert_card(card)
     me.power_on()
     # Hold the victim's answer back so its AKA stays pending.
-    env.channel.drop_filter = lambda e: isinstance(e.msg, AuthResponse)
-    out = me.register("5G")
+    with held_back(env.channel, env.amf.name, env.amf.handle, AuthResponse) as held:
+        out = me.register("5G")
     assert out.aka_ran and not out.accepted
-    env.channel.drop_filter = None
     intruder = Probe(env, name="intruder")
     env.channel.send(intruder.name, "amf", intruder.bs, out.flow, AuthResponse(b""))
-    env.pump()
+    env.channel.pump()
     # Another sender on the victim's flow is a stray: it cannot abort the AKA.
     assert env.events.named("stray_message")[-1].fields == {"mtype": "authentication-response"}
     assert not env.events.named("aka_reject")
     assert intruder.inbox == []
     # Replaying the victim's own answer, sender and all, still completes it.
-    (held,) = [t for t in env.monitor.entries if isinstance(t.msg, AuthResponse) and t.src == "ue"]
-    env.channel.inject(held)
-    env.pump()
+    (answer,) = held
+    assert answer.src == "ue"
+    env.channel.send(answer.src, answer.dst, answer.bs, answer.flow, answer.msg)
+    env.channel.pump()
     assert out.accepted
     assert last_amf_word(env, SUPI) == "registration_accept"
 
@@ -442,8 +469,8 @@ def test_replayed_fast_requests_leave_one_pending_aka():
     for _ in range(50):
         assert me.register("5G").accepted
         captured = [t for t in env.monitor.entries if isinstance(t.msg, RegistrationRequestFast)][-1]
-        env.channel.inject(captured)
-        env.pump()
+        env.channel.send(captured.src, captured.dst, captured.bs, captured.flow, captured.msg)
+        env.channel.pump()
         challenges.append(env.monitor.entries[-1])
         me.set_airplane(True)
         me.set_airplane(False)
@@ -454,7 +481,7 @@ def test_replayed_fast_requests_leave_one_pending_aka():
     first = challenges[0]
     res = card.run_aka(first.msg.rand, first.msg.autn).res
     env.channel.send("ue", "amf", me.bs, first.flow, AuthResponse(res))
-    env.pump()
+    env.channel.pump()
     assert env.events.named("stray_message")[-1].fields == {"mtype": "authentication-response"}
     assert env.events.named("registration_accept")[-1].fields["via"] == "fast"
 
