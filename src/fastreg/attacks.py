@@ -39,7 +39,6 @@ from .usim import (
     EF_EPSLOCI,
     EF_EPSNSC,
     EF_IMSI,
-    Apdu,
     ApduCommand,
     ApduStatus,
     CardImage,
@@ -69,22 +68,14 @@ class UnknownScenario(Exception):
 class AttackReport:
     __slots__ = ("scenario", "profile", "seed", "variant", "succeeded", "evidence", "window", "env")
 
-    def __init__(
-        self,
-        scenario: str,
-        profile: str,
-        seed: int,
-        variant: str = "default",
-        window: tuple[int, int] = (0, 0),
-        env: ScenarioEnv | None = None,
-    ) -> None:
+    def __init__(self, scenario: str, profile: str, seed: int, variant: str, env: ScenarioEnv) -> None:
         self.scenario = scenario
         self.profile = profile
         self.seed = seed
         self.variant = variant
         self.succeeded = False
         self.evidence: dict[str, str] = {}
-        self.window = window
+        self.window = (0, 0)
         self.env = env
 
     def note(self, key: str, value) -> None:
@@ -126,15 +117,8 @@ def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: Countermeas
     env.cards = {"victim": env.provision_subscriber(VICTIM_SUPI)[1]}
     env.files, env.supi, env.outcome = {}, None, None
     for name in ("victim-me", "shared-me"):
-        env.add_me(
-            name,
-            bs=VICTIM_BS,
-            custody="victim",
-            user_pin=profile.pin,
-            iccid_binding=profile.iccid_binding,
-            offline_swap_detection=profile.offline_swap_detection,
-        )
-    env.add_me("attacker-me", bs=ATTACKER_BS, custody="attacker", iccid_binding=profile.iccid_binding)
+        env.add_me(name, bs=VICTIM_BS, custody="victim", user_pin=profile.pin)
+    env.add_me("attacker-me", bs=ATTACKER_BS, custody="attacker")
     return env
 
 
@@ -153,7 +137,7 @@ def card_reader_extract(card: CardImage) -> dict[int, bytes]:
             raise AccessDenied("PIN gate: %s" % status.name)
     out: dict[int, bytes] = {}
     for fid in (EF_IMSI, EF_EPSLOCI, EF_EPSNSC):
-        resp = apdu_execute(card, session, Apdu(ApduCommand.READ, fid))
+        resp = apdu_execute(card, session, ApduCommand.READ, fid)
         if resp.status is not ApduStatus.OK:
             raise AccessDenied("read %04X: %s" % (fid, resp.status.name))
         out[fid] = resp.payload
@@ -272,7 +256,7 @@ def _step(report: AttackReport, step: tuple[str, ...]) -> bool:
             return bool(env.files)
         case ("copy-card",):
             _require(step, env.files, "an extracted card")
-            env.cards["fake"] = programmable_card(env.rng, env.files[EF_IMSI].decode("ascii"), env.files)
+            env.cards["fake"] = programmable_card(env.rng, env.files)
         case ("learn-supi",):
             # The first permanent identity seen in clear on the air.
             kinds = (RegistrationRequestInitial.mtype, IdentityResponse.mtype)
@@ -282,7 +266,7 @@ def _step(report: AttackReport, step: tuple[str, ...]) -> bool:
             return env.supi is not None
         case ("clone-identity",):
             _require(step, env.supi, "a learned SUPI")
-            env.cards["fake"] = programmable_card(env.rng, env.supi, {EF_IMSI: env.supi.encode("ascii")})
+            env.cards["fake"] = programmable_card(env.rng, {EF_IMSI: env.supi.encode("ascii")})
         case ("if-rejected",):
             _require(step, env.outcome, "an attack")
             return not env.outcome.accepted

@@ -37,19 +37,12 @@ SCENARIO_KEYS = ("attack", "profile", "seed", "variant")
 class ScenarioConfig:
     __slots__ = ("attack", "profile", "seed", "variant", "countermeasures")
 
-    def __init__(
-        self,
-        attack: str = "S2",
-        profile: str = "OP-I",
-        seed: int = 0,
-        variant: str = "default",
-        countermeasures: dict[str, str] | None = None,
-    ) -> None:
-        self.attack = attack
-        self.profile = profile
-        self.seed = seed
-        self.variant = variant
-        self.countermeasures = {} if countermeasures is None else countermeasures
+    def __init__(self) -> None:
+        self.attack = "S2"
+        self.profile = "OP-I"
+        self.seed = 0
+        self.variant = "default"
+        self.countermeasures: dict[str, str] = {}
 
     __eq__ = fields_equal
 
@@ -99,6 +92,10 @@ def parse_config(text: str) -> ScenarioConfig:
                 except UnknownProfile as err:
                     raise ConfigError("line %d: %s" % (n, err)) from None
             else:
+                # One that only the chosen attack lacks fails at run time: --attack may change it.
+                variants = dict.fromkeys(v for table in SCENARIOS.values() for v in table)
+                if value not in variants:
+                    raise ConfigError("line %d: unknown variant %r (have: %s)" % (n, value, ", ".join(variants)))
                 cfg.variant = value
         else:
             try:

@@ -19,7 +19,9 @@ The baseband entry is cleared when (1) the card is removed while the
 phone is powered on, (2) the phone enters powered-on with an empty slot,
 or (3) the inserted card's identity differs from the entry.  Airplane
 mode and powered-off swaps leave it alone unless ICCID binding or
-offline-swap detection is switched on.
+offline-swap detection is switched on.  Those two vendor toggles, like
+SUPI concealment, are read from the environment's operator profile: a
+handset keeps no copy of them.
 """
 
 from __future__ import annotations
@@ -201,8 +203,6 @@ class MobileEquipment:
         "env",
         "bs",
         "user_pin",
-        "iccid_binding",
-        "offline_swap_detection",
         "power",
         "slot",
         "baseband",
@@ -216,22 +216,11 @@ class MobileEquipment:
         "_flow_n",
     )
 
-    def __init__(
-        self,
-        name: str,
-        env,
-        bs: str = "BS-A",
-        *,
-        user_pin: str | None = None,
-        iccid_binding: bool = False,
-        offline_swap_detection: bool = False,
-    ) -> None:
+    def __init__(self, name: str, env, bs: str = "BS-A", *, user_pin: str | None = None) -> None:
         self.name = name
         self.env = proxy(env)  # the environment owns its handsets
         self.bs = bs
         self.user_pin = user_pin
-        self.iccid_binding = iccid_binding
-        self.offline_swap_detection = offline_swap_detection
 
         self.power = PowerState.POWERED_OFF
         self.slot: CardImage | None = None
@@ -333,9 +322,9 @@ class MobileEquipment:
                 self._drop_entry("powered-on-empty-slot")
             elif entry.supi != self.slot.supi:
                 self._drop_entry("different-card-identity")
-            elif self.iccid_binding and entry.iccid != self.slot.iccid:
+            elif self.env.profile.iccid_binding and entry.iccid != self.slot.iccid:
                 self._drop_entry("iccid-mismatch")
-            elif self.offline_swap_detection and self.slot_event_pending:
+            elif self.env.profile.offline_swap_detection and self.slot_event_pending:
                 self._drop_entry("offline-slot-event")
         self.slot_event_pending = False
         if self.slot is not None:
@@ -391,7 +380,7 @@ class MobileEquipment:
             entry is not None
             and entry.generation == generation
             and entry.supi == card.supi
-            and (not self.iccid_binding or entry.iccid == card.iccid)
+            and (not self.env.profile.iccid_binding or entry.iccid == card.iccid)
         ):
             return entry.context, entry.guti
         return None, None

@@ -58,10 +58,10 @@ class SubscriberRecord:
 
     __slots__ = ("supi", "k_permanent", "seq", "context", "next_ngksi", "last_aka_step")
 
-    def __init__(self, supi: str, k_permanent: Key, seq: int = 0) -> None:
+    def __init__(self, supi: str, k_permanent: Key) -> None:
         self.supi = supi
         self.k_permanent = k_permanent
-        self.seq = seq
+        self.seq = 0
         self.context: SecurityContext | None = None
         self.next_ngksi = 0
         self.last_aka_step = 0

@@ -51,13 +51,15 @@ class SimEnv:
         self.custody: dict[str, str | None] = {}
 
     def add_me(
-        self,
-        name: str,
-        bs: str = "BS-A",
-        custody: str | None = None,
-        **kwargs,
+        self, name: str, bs: str = "BS-A", custody: str | None = None, user_pin: str | None = None
     ) -> MobileEquipment:
-        me = MobileEquipment(name, env=self, bs=bs, **kwargs)
+        """Add the handset `name` at base station `bs`, held by `custody`.
+
+        `user_pin` is the PIN its owner enters when a card asks for one.
+        The handset reads its vendor toggles (ICCID binding, offline-swap
+        detection) from this environment's profile.
+        """
+        me = MobileEquipment(name, env=self, bs=bs, user_pin=user_pin)
         self.mes[name] = me
         self.custody[name] = custody
         self.channel.register(name, me.handle)

@@ -9,6 +9,10 @@ touches:
     4F01  5GS3GPPLOCI     5G location info (only on 5G-capable cards)
     4F03  5GS3GPPNSC      5G NAS security context (only on 5G-capable cards)
 
+A card's identity is its 6F07 body: a card is built only around an IMSI
+there, and `CardImage.supi` is that body.  A PIN is blocked exactly when
+no tries are left.
+
 A card holds a generation's context iff it carries that generation's NSC
 file (TS 31.102); the handset then keeps the context there and nowhere
 else.  Whether 4F01/4F03 exist is decided once, when the card is issued.
@@ -66,44 +70,41 @@ class AccessRule:
 
 
 class PinState:
-    __slots__ = ("value", "enabled", "retries_left", "retry_limit", "locked")
+    __slots__ = ("value", "enabled", "retries_left", "retry_limit")
 
-    def __init__(
-        self,
-        value: str,
-        enabled: bool,
-        retries_left: int,
-        retry_limit: int = DEFAULT_RETRY_LIMIT,
-        locked: bool = False,
-    ) -> None:
+    def __init__(self, value: str, enabled: bool, retries_left: int, retry_limit: int = DEFAULT_RETRY_LIMIT) -> None:
         if not (value.isdigit() and 4 <= len(value) <= 8):
             raise ValueError("PIN must be 4..8 digits")
         if not 0 <= retries_left <= retry_limit or retry_limit < 1:
             raise ValueError("need 0 <= retries_left <= retry_limit and retry_limit >= 1")
-        if locked != (retries_left == 0):
-            raise ValueError("locked iff retries_left == 0")
         self.value = value
         self.enabled = enabled
         self.retries_left = retries_left
         self.retry_limit = retry_limit
-        self.locked = locked
 
     __eq__ = fields_equal
+
+    @property
+    def locked(self) -> bool:
+        """A PIN is blocked once no tries are left."""
+        return self.retries_left == 0
 
 
 class CardSession:
     __slots__ = ("pin_verified", "adm_card")
 
-    def __init__(self, pin_verified: bool = False, adm_card: CardImage | None = None) -> None:
-        self.pin_verified = pin_verified
+    def __init__(self, adm_card: CardImage | None = None) -> None:
+        self.pin_verified = False
         self.adm_card = adm_card  # ADM holds on this card only
 
 
 class CardImage:
     """One smart card: identity, permanent key, files, PIN state.
 
-    A programmable card differs only in how it was built; once
-    instantiated it enforces its access conditions like any other card.
+    The card's identity is its 6F07 (EF_IMSI) body, which must be an IMSI;
+    `supi` is that body, read once when the card is built.  A programmable
+    card differs only in how it was built; once instantiated it enforces
+    its access conditions like any other card.
     """
 
     __slots__ = ("iccid", "supi", "k_permanent", "files", "pin", "seq", "programmable")
@@ -111,7 +112,6 @@ class CardImage:
     def __init__(
         self,
         iccid: str,
-        supi: str,
         k_permanent: Key,
         files: dict[int, tuple[AccessRule, bytes]],
         pin: PinState,
@@ -120,6 +120,9 @@ class CardImage:
     ) -> None:
         if k_permanent.kind is not KeyKind.K_PERMANENT:
             raise ValueError("card key must be K_permanent kind")
+        supi = files[EF_IMSI][1].decode("latin-1") if EF_IMSI in files else ""
+        if not is_imsi(supi):
+            raise ValueError("6F07 must hold an IMSI, 1-15 ASCII digits")
         self.iccid = iccid
         self.supi = supi
         self.k_permanent = k_permanent
@@ -194,15 +197,17 @@ def standard_card(
         files[EF_5GNSC] = (AccessRule(nsc_read, AccessLevel.PIN), b"")
     return CardImage(
         iccid=iccid,
-        supi=supi,
         k_permanent=k_permanent,
         files=files,
         pin=PinState(pin_value, pin_enabled, DEFAULT_RETRY_LIMIT, DEFAULT_RETRY_LIMIT),
     )
 
 
-def programmable_card(rng: Random, supi: str, files: dict[int, bytes]) -> CardImage:
-    """Writable blank card: the given files are installed with ALW conditions."""
+def programmable_card(rng: Random, files: dict[int, bytes]) -> CardImage:
+    """Writable blank card: the given files are installed with ALW conditions.
+
+    `files` must hold an IMSI in 6F07, which becomes the card's identity.
+    """
     iccid = "8999" + _digits(rng, 15)
     k = Key(rng.randbytes(crypto.KEY_LEN), KeyKind.K_PERMANENT)
     table = {
@@ -211,7 +216,6 @@ def programmable_card(rng: Random, supi: str, files: dict[int, bytes]) -> CardIm
     }
     return CardImage(
         iccid=iccid,
-        supi=supi,
         k_permanent=k,
         files=table,
         pin=PinState("0000", False, DEFAULT_RETRY_LIMIT, DEFAULT_RETRY_LIMIT),
@@ -222,15 +226,6 @@ def programmable_card(rng: Random, supi: str, files: dict[int, bytes]) -> CardIm
 class ApduCommand(Enum):
     READ = "READ"
     UPDATE = "UPDATE"
-
-
-class Apdu:
-    __slots__ = ("cmd", "file_id", "payload")
-
-    def __init__(self, cmd: ApduCommand, file_id: int, payload: bytes = b"") -> None:
-        self.cmd = cmd
-        self.file_id = file_id
-        self.payload = payload
 
 
 class ApduStatus(Enum):
@@ -266,8 +261,7 @@ def verify_pin(card: CardImage, session: CardSession, candidate: str) -> ApduRes
         pin.retries_left = pin.retry_limit
         return ApduResponse(ApduStatus.OK)
     pin.retries_left -= 1
-    if pin.retries_left == 0:
-        pin.locked = True
+    if pin.locked:
         return ApduResponse(ApduStatus.PIN_BLOCKED)
     return ApduResponse(ApduStatus.SECURITY_NOT_SATISFIED)
 
@@ -295,15 +289,17 @@ def _refusal(
     return ApduStatus.SECURITY_NOT_SATISFIED  # NEV, or ADM from another session
 
 
-def apdu_execute(card: CardImage, session: CardSession, apdu: Apdu) -> ApduResponse:
+def apdu_execute(
+    card: CardImage, session: CardSession, cmd: ApduCommand, file_id: int, payload: bytes = b""
+) -> ApduResponse:
     """The command interface for readers and tests; `_refusal` decides the access."""
-    entry = card.files.get(apdu.file_id)
-    refused = _refusal(card, session, entry, apdu.cmd)
+    entry = card.files.get(file_id)
+    refused = _refusal(card, session, entry, cmd)
     if refused is not None:
         return ApduResponse(refused)
-    if apdu.cmd is _READ:
+    if cmd is _READ:
         return ApduResponse(ApduStatus.OK, entry[1])
-    card.files[apdu.file_id] = (entry[0], bytes(apdu.payload))
+    card.files[file_id] = (entry[0], bytes(payload))
     return ApduResponse(ApduStatus.OK)
 
 
@@ -387,7 +383,11 @@ def _parse_flag(token: str, want: str) -> bool:
 
 
 def card_from_text(text: str) -> CardImage:
-    """Parse the text format; strict, errors carry the line number."""
+    """Parse the text format; strict, errors carry the line number.
+
+    The `supi` line must equal the 6F07 body, and `locked=` must agree with
+    `retries=`: both are written out for the reader, and checked on load.
+    """
     header: dict[str, tuple[int, list[str]]] = {}
     files: dict[int, tuple[AccessRule, bytes]] = {}
     for n, raw in enumerate(text.splitlines(), start=1):
@@ -433,13 +433,15 @@ def card_from_text(text: str) -> CardImage:
             raise CardFormatError("line %d: bad %s line: %s" % (n, name, err)) from None
 
     def pin_state(value, enabled, retries, limit, locked) -> PinState:
-        return PinState(
+        pin = PinState(
             value=value,
             enabled=_parse_flag(enabled, "enabled"),
             retries_left=int(_parse_kv(retries, "retries")),
             retry_limit=int(_parse_kv(limit, "limit")),
-            locked=_parse_flag(locked, "locked"),
         )
+        if _parse_flag(locked, "locked") != pin.locked:
+            raise ValueError("locked iff retries_left == 0")
+        return pin
 
     def flags(supports_5g, programmable) -> tuple[bool, bool]:
         return _parse_flag(supports_5g, "supports_5g"), _parse_flag(programmable, "programmable")
@@ -449,10 +451,13 @@ def card_from_text(text: str) -> CardImage:
             raise ValueError("wants ASCII digits, got %r" % value)
         return value
 
-    def supi_value(value: str) -> str:
+    def supi_value(value: str) -> None:
         if not is_imsi(value):
             raise ValueError("wants 1-15 ASCII digits, got %r" % value)
-        return value
+        if EF_IMSI not in files:
+            raise ValueError("the card has no 6F07 file")
+        if files[EF_IMSI][1] != value.encode("ascii"):
+            raise ValueError("differs from the 6F07 body %r" % files[EF_IMSI][1])
 
     def seq_value(value: str) -> int:
         seq = int(value)
@@ -461,12 +466,12 @@ def card_from_text(text: str) -> CardImage:
         return seq
 
     iccid = parsed("iccid", iccid_value)
-    supi = parsed("supi", supi_value)
+    parsed("supi", supi_value)  # the identity is 6F07's; the line must agree
     key = parsed("k", lambda k: Key(bytes.fromhex(k), KeyKind.K_PERMANENT))
     seq = parsed("seq", seq_value)
     pin = parsed("pin", pin_state, 5)
     supports_5g, programmable = parsed("flags", flags, 2)
-    card = CardImage(iccid=iccid, supi=supi, k_permanent=key, files=files, pin=pin, seq=seq, programmable=programmable)
+    card = CardImage(iccid=iccid, k_permanent=key, files=files, pin=pin, seq=seq, programmable=programmable)
     if supports_5g != card.holds_context("5G"):
         raise CardFormatError(
             "line %d: bad flags line: supports_5g=%d, but 4F03 is %s"

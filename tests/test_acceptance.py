@@ -30,7 +30,6 @@ from fastreg.sim import SimEnv
 from fastreg.usim import (
     AccessLevel,
     AccessRule,
-    Apdu,
     ApduCommand,
     ApduStatus,
     PinState,
@@ -235,10 +234,11 @@ def test_criterion_5_slot_power_shadow():
     }
     ctx = SecurityContext(Key(b"\x5a" * KEY_LEN, KeyKind.K_AMF), 1, ("EA2",), 3, 4)
     checked = 0
-    env = SimEnv(get_profile("OP-I"), 50)
     for binding, detect in ((False, False), (True, False), (False, True)):
+        cm = Countermeasures(iccid_binding=binding, offline_swap_detection=detect)
+        env = SimEnv(cm.apply(get_profile("OP-I")), 50)
         for _ in range(334):
-            me = env.add_me("walk", iccid_binding=binding, offline_swap_detection=detect)
+            me = env.add_me("walk")
             state = ("OFF", None, False, False)
             for _ in range(rng.randrange(6, 15)):
                 power, slot, pending, entry = state
@@ -296,25 +296,25 @@ def _expected_status(level, pin, verified):
 
 def test_criterion_6_card_access_rules():
     pin_states = [
-        dict(enabled=False, retries=3, locked=False),
-        dict(enabled=True, retries=3, locked=False),
-        dict(enabled=True, retries=0, locked=True),
+        dict(enabled=False, retries=3),
+        dict(enabled=True, retries=3),
+        dict(enabled=True, retries=0),
     ]
     cases = 0
     for level in AccessLevel:
         for ps in pin_states:
             for pin_verified in (False, True):
-                if ps["locked"] and pin_verified:
+                if ps["retries"] == 0 and pin_verified:
                     continue
                 card = standard_card(
                     random.Random(6), VICTIM_SUPI, Key(b"\x07" * 16, KeyKind.K_PERMANENT)
                 )
-                card.pin = PinState("1234", ps["enabled"], ps["retries"], 3, ps["locked"])
+                card.pin = PinState("1234", ps["enabled"], ps["retries"], 3)
                 card.files[0x2F00] = (AccessRule(level, level), b"\x5a")
                 session = card.open_session()
                 session.pin_verified = pin_verified
                 for cmd in (ApduCommand.READ, ApduCommand.UPDATE):
-                    resp = apdu_execute(card, session, Apdu(cmd, 0x2F00, b"\x5b"))
+                    resp = apdu_execute(card, session, cmd, 0x2F00, b"\x5b")
                     assert resp.status == _expected_status(level, card.pin, pin_verified)
                     cases += 1
     assert cases == 40  # 4 levels x 5 pin/verified combinations x 2 commands

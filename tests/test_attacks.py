@@ -352,7 +352,7 @@ def test_a_step_run_before_its_input_is_rejected(monkeypatch, step, lacks):
 @pytest.mark.parametrize("step", [("online", "nobody"), ("hand-over", "nobody"), ("register", "nobody", "5G")])
 def test_a_step_naming_no_handset_is_rejected_before_it_runs(step):
     env = build_environment("OP-I", 3)
-    report = AttackReport("S1", "OP-I", 3, env=env)
+    report = AttackReport("S1", "OP-I", 3, "default", env)
     before = (env.event_lines(), dict(env.custody), env.channel.step)
     with pytest.raises(UnknownScenario, match="names no handset"):
         attacks._step(report, step)

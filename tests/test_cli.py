@@ -200,6 +200,15 @@ def test_unknown_variant_exits_two(capsys):
     assert code == 2 and "variant" in err
 
 
+def test_a_config_variant_its_attack_lacks_exits_two_when_the_run_starts(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("[scenario]\nattack = S2\nvariant = stale\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "run", str(cfg))
+    assert code == 2 and not out
+    assert err.startswith("error: unknown S2 variant 'stale'")
+    assert run_cli(capsys, "run", str(cfg), "--attack", "S1")[0] == 0
+
+
 def test_removed_downstream_attack_names_exit_two(tmp_path, capsys):
     # The effects are matrix columns read from a base report, not attacks.
     for name in ("one-tap-bypass", "location-spoofing"):
@@ -251,6 +260,9 @@ def test_a_closed_stdout_exits_one_with_nothing_on_stderr(unbuffered):
         ("card", lambda t: t.replace("supports_5g=0", "supports_5g=no"), "line 6: bad flags line: supports_5g wants 0 or 1, got 'no'"),
         ("card", lambda t: t.replace("programmable=0", "programmable=yes"), "line 6: bad flags line: programmable wants 0 or 1, got 'yes'"),
         ("run", lambda t: "[scenario]\n# caf\u00e9\n", "line 2: non-ASCII byte 0xc3"),
+        ("run", lambda t: "[scenario]\nseed = 1\nvariant = nope\n", "line 3: unknown variant 'nope'"),
+        ("card", lambda t: re.sub("(?m)^supi .*$", "supi 460110123456780", t), "line 2: bad supi line: differs from the 6F07 body"),
+        ("card", lambda t: re.sub("(?m)^6f07 .*\n", "", t), "line 2: bad supi line: the card has no 6F07 file"),
         ("card", None, "Is a directory"),
         ("run", None, "Is a directory"),
     ],
@@ -269,6 +281,9 @@ def test_a_closed_stdout_exits_one_with_nothing_on_stderr(unbuffered):
         "supports-5g-not-a-flag",
         "programmable-not-a-flag",
         "config-non-ascii",
+        "config-variant-unknown",
+        "supi-differs-from-6f07",
+        "no-6f07",
         "card-directory",
         "config-directory",
     ),

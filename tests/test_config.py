@@ -50,6 +50,10 @@ def test_comments_and_blank_lines_are_ignored():
         ("[scenario]\ncolour = red\n", "line 2: unknown key 'colour'"),
         ("[scenario]\nseed = many\n", "line 2: seed wants an integer"),
         ("[scenario]\nattack = S9\n", "line 2: unknown attack 'S9'"),
+        (
+            "[scenario]\nseed = 1\nvariant = nope\n",
+            "line 3: unknown variant 'nope' (have: default, stale, stale-recover, reconnect, swap-powered-on)",
+        ),
         ("[scenario]\nprofile = OP-X\n", "line 2: unknown profile 'OP-X'"),
         ("[countermeasures]\nwishes = on\n", "line 2: unknown countermeasure 'wishes'"),
         ("[countermeasures]\niccid_binding = maybe\n", "wants on|off, got 'maybe'"),

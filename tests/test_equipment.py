@@ -227,7 +227,7 @@ def test_5g_capable_card_keeps_its_own_context():
 
 def programmed_copy(env, card, fids):
     """A programmable card carrying `fids` of `card`, keyed with its key so that AKA passes."""
-    fake = programmable_card(env.rng, card.supi, {fid: card.files[fid][1] for fid in fids})
+    fake = programmable_card(env.rng, {fid: card.files[fid][1] for fid in fids})
     fake.k_permanent = card.k_permanent
     return fake
 
@@ -336,7 +336,7 @@ def test_same_identity_swap_survives_airplane_mode():
 
 
 def test_iccid_binding_rejects_the_same_identity_swap():
-    env, me, card, record = provisioned(me_kwargs={"iccid_binding": True})
+    env, me, card, record = provisioned(profile_override={"iccid_binding": True})
     clone = standard_card(env.rng, SUPI, record.k_permanent)
     bring_up(me, card, "5G")
     me.set_airplane(True)
@@ -352,7 +352,7 @@ def test_iccid_binding_rejects_the_same_identity_swap():
 def test_offline_swap_detection_flags_any_slot_event():
     # Strict variant: even pulling and reseating the original card while
     # off the air invalidates the stored context.
-    env, me, card, _ = provisioned(me_kwargs={"offline_swap_detection": True})
+    env, me, card, _ = provisioned(profile_override={"offline_swap_detection": True})
     bring_up(me, card, "5G")
     me.set_airplane(True)
     me.remove_card()
@@ -367,7 +367,7 @@ def test_with_both_extras_on_the_first_matching_rule_names_the_deletion(reason):
     # Identity first, then the ICCID, then any slot event: a different
     # subscriber's card also has another ICCID, and every card here was
     # inserted while powered off.
-    env, me, card, record = provisioned(me_kwargs={"iccid_binding": True, "offline_swap_detection": True})
+    env, me, card, record = provisioned(profile_override={"iccid_binding": True, "offline_swap_detection": True})
     swap_in = {
         "different-card-identity": lambda: standard_card(env.rng, "460119999999999", Key(b"\x09" * KEY_LEN, KeyKind.K_PERMANENT)),
         "iccid-mismatch": lambda: standard_card(env.rng, SUPI, record.k_permanent),
@@ -646,10 +646,11 @@ def test_random_slot_power_walk_matches_shadow_model():
     cards = {"A": card_a, "A2": card_a2, "B": card_b}
     seed_entry = lambda: BasebandEntry(SUPI, "guti-seed", make_ctx(), "5G", card_a.iccid)
 
-    env = SimEnv(get_profile("OP-I"), 1009)
     for binding, detect in ((False, False), (True, False), (False, True)):
+        cm = Countermeasures(iccid_binding=binding, offline_swap_detection=detect)
+        env = SimEnv(cm.apply(get_profile("OP-I")), 1009)
         for _ in range(300):
-            me = env.add_me("walk", iccid_binding=binding, offline_swap_detection=detect)
+            me = env.add_me("walk")
             state = ("OFF", None, False, False)
             for _ in range(rng.randrange(6, 15)):
                 op = rng.choice(legal_ops(state))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fastreg.config import ConfigError, parse_config
 from fastreg.crypto import Key, KeyKind
 from fastreg.equipment import SecurityContext
-from fastreg.usim import CardFormatError, card_from_text, card_to_text, standard_card
+from fastreg.usim import EF_IMSI, CardFormatError, card_from_text, card_to_text, standard_card
 
 CARD_TEXT = card_to_text(
     standard_card(random.Random(3), "460110123456789", Key(bytes(range(16)), KeyKind.K_PERMANENT), supports_5g_context=True)
@@ -59,6 +59,9 @@ def test_card_text_mutants_load_or_raise_card_format_error(text):
         return
     # A card that loads saves to a text that loads back to the same card.
     assert card_from_text(card_to_text(card)) == card
+    # Its identity is its 6F07 body, and its PIN is locked iff no tries are left.
+    assert card.supi.encode("ascii") == card.files[EF_IMSI][1]
+    assert card.pin.locked == (card.pin.retries_left == 0)
 
 
 @settings(derandomize=True, database=None, max_examples=120)

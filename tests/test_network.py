@@ -346,6 +346,35 @@ def test_periodic_aka_deadline_forces_reauthentication():
     assert fallback_reasons(env)[-1] == "periodic"
 
 
+# The periodic check runs right after the lookup, so an overdue subscriber
+# is sent to AKA as `periodic` whatever else is wrong with its request.
+# TS 33.501 leaves re-authentication to operator policy: this order is a
+# modelling choice, and these cases pin it.
+@pytest.mark.parametrize("fault", ["flipped-mac", "dl-count-at-limit", "replayed-stale-count"])
+def test_an_overdue_subscriber_falls_back_as_periodic_before_any_other_check(fault):
+    env, me, card, _ = fast_ready(profile_override={"periodic_aka": True})
+    out = me.register("5G")
+    assert out.accepted and not out.aka_ran
+    captured = [t for t in env.monitor.entries if isinstance(t.msg, RegistrationRequestFast)][-1]
+    (guti, ngksi) = table_key(env)
+    ctx = env.amf.table[guti].context
+    env.channel.step += PERIODIC_AKA_INTERVAL  # the subscriber is overdue
+    if fault == "flipped-mac":
+        k_enc, k_int = ctx.nas_keys
+        ies = encode_ies(guti, ngksi, ctx.ul_count + 1)
+        container = crypto.senc(ies, k_enc)
+        mac = bytearray(crypto.mac_compute(ies, container, k_int))
+        mac[0] ^= 1
+        Probe(env).send(RegistrationRequestFast(guti, ngksi, ctx.ul_count + 1, container, bytes(mac)))
+    elif fault == "dl-count-at-limit":
+        ctx.dl_count = COUNT_LIMIT - 1
+        me.register("5G")
+    else:
+        env.channel.send(captured.src, captured.dst, captured.bs, captured.flow, captured.msg)
+        env.channel.pump()
+    assert fallback_reasons(env) == ["periodic"]
+
+
 def test_replayed_capture_dies_on_the_count_check():
     env, me, card, _ = fast_ready()
     out = me.register("5G")

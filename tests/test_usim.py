@@ -19,7 +19,6 @@ from fastreg.usim import (
     NSC_FILES,
     AccessLevel,
     AccessRule,
-    Apdu,
     ApduCommand,
     ApduResponse,
     ApduStatus,
@@ -44,11 +43,11 @@ def make_card(**kw):
 
 
 def read(card, session, fid):
-    return apdu_execute(card, session, Apdu(ApduCommand.READ, fid))
+    return apdu_execute(card, session, ApduCommand.READ, fid)
 
 
 def update(card, session, fid, body):
-    return apdu_execute(card, session, Apdu(ApduCommand.UPDATE, fid, body))
+    return apdu_execute(card, session, ApduCommand.UPDATE, fid, body)
 
 
 def store(card, loci, nsc, generation="4G"):
@@ -80,22 +79,22 @@ def test_access_matrix_exhaustive():
     # Every condition x pin-state x session-verified combination, for both
     # READ and UPDATE, checked against the closed-form oracle above.
     pin_states = [
-        ("disabled", dict(enabled=False, retries=3, locked=False)),
-        ("enabled", dict(enabled=True, retries=3, locked=False)),
-        ("locked", dict(enabled=True, retries=0, locked=True)),
+        ("disabled", dict(enabled=False, retries=3)),
+        ("enabled", dict(enabled=True, retries=3)),
+        ("locked", dict(enabled=True, retries=0)),
     ]
     for level in AccessLevel:
         for _, ps in pin_states:
             for verified in (False, True):
-                if ps["locked"] and verified:
+                if ps["retries"] == 0 and verified:
                     continue  # unreachable: cannot verify a locked PIN
                 card = make_card()
-                card.pin = PinState("1234", ps["enabled"], ps["retries"], 3, ps["locked"])
+                card.pin = PinState("1234", ps["enabled"], ps["retries"], 3)
                 card.files[0x2F00] = (AccessRule(level, level), b"\x5a")
                 session = card.open_session()
                 session.pin_verified = verified
                 for cmd in (ApduCommand.READ, ApduCommand.UPDATE):
-                    resp = apdu_execute(card, session, Apdu(cmd, 0x2F00, b"\x5b"))
+                    resp = apdu_execute(card, session, cmd, 0x2F00, b"\x5b")
                     assert resp.status == expected_status(level, card.pin, verified), (
                         level,
                         ps,
@@ -255,9 +254,9 @@ def test_5g_context_requires_capable_card():
 # --- context I/O decides as apdu_execute decides -----------------------
 
 PIN_STATES = {
-    "disabled": ("1234", False, 3, 3, False),
-    "enabled": ("1234", True, 3, 3, False),
-    "locked": ("1234", True, 0, 3, True),  # a session may have verified before another locked it
+    "disabled": ("1234", False, 3, 3),
+    "enabled": ("1234", True, 3, 3),
+    "locked": ("1234", True, 0, 3),  # a session may have verified before another locked it
 }
 OTHER_CARD = standard_card(random.Random(12), "460001112223334", K)
 
@@ -362,7 +361,6 @@ def test_fake_card_equivalence_over_apdu():
     rng = random.Random(12)
     fake = programmable_card(
         rng,
-        victim.supi,
         {
             EF_IMSI: victim.files[EF_IMSI][1],
             EF_EPSLOCI: victim.files[EF_EPSLOCI][1],
@@ -378,7 +376,7 @@ def test_fake_card_equivalence_over_apdu():
 
 def test_fake_card_enforces_conditions_once_built():
     rng = random.Random(13)
-    fake = programmable_card(rng, "123", {EF_IMSI: b"123"})
+    fake = programmable_card(rng, {EF_IMSI: b"123"})
     fake.files[EF_IMSI] = (AccessRule(AccessLevel.NEV, AccessLevel.NEV), b"123")
     session = fake.open_session()
     assert read(fake, session, EF_IMSI).status is ApduStatus.SECURITY_NOT_SATISFIED
@@ -388,7 +386,7 @@ def test_iccid_digits_are_drawn_as_randrange_draws_them():
     for seed in range(1000):
         rng, oracle = random.Random(seed), random.Random(seed)
         standard = standard_card(rng, "460001112223333", K)
-        fake = programmable_card(rng, "1", {})
+        fake = programmable_card(rng, {EF_IMSI: b"1"})
         assert standard.iccid == "8986" + "".join(str(oracle.randrange(10)) for _ in range(15))
         assert fake.iccid == "8999" + "".join(str(oracle.randrange(10)) for _ in range(15))
         # The draws after the digits are the oracle's too.
@@ -438,25 +436,39 @@ def test_pin_state_invariants():
     with pytest.raises(ValueError):
         PinState("12", True, 3, 3)
     with pytest.raises(ValueError):
-        PinState("1234", True, 0, 3, locked=False)
-    with pytest.raises(ValueError):
-        PinState("1234", True, 1, 3, locked=True)
-    with pytest.raises(ValueError):
         PinState("1234", True, 4, 3)
     with pytest.raises(ValueError):
         PinState("1234", True, -1, 3)
     with pytest.raises(ValueError):
         PinState("1234", True, -1, -1)
     with pytest.raises(ValueError):
-        PinState("1234", True, 0, 0, locked=True)
+        PinState("1234", True, 0, 0)
+    # Locked is derived: exactly when no tries are left.
+    assert PinState("1234", True, 0, 3).locked and not PinState("1234", True, 1, 3).locked
+
+
+@pytest.mark.parametrize(
+    "retries, locked", [(0, 0), (1, 1)], ids=("no-tries-left-but-unlocked", "tries-left-but-locked")
+)
+def test_card_text_rejects_a_locked_flag_that_disagrees_with_the_retries(retries, locked):
+    card = make_card(pin_enabled=True)
+    text = card_to_text(card).replace("retries=3", "retries=%d" % retries).replace("locked=0", "locked=%d" % locked)
+    with pytest.raises(CardFormatError, match="line 5: bad pin line: locked iff retries_left == 0"):
+        card_from_text(text)
 
 
 def test_card_requires_permanent_key_kind():
     with pytest.raises(ValueError):
         CardImage(
             iccid="1",
-            supi="2",
             k_permanent=Key(b"\x00" * 16, KeyKind.K_AMF),
-            files={},
+            files={EF_IMSI: (AccessRule(AccessLevel.PIN, AccessLevel.ADM), b"2")},
             pin=PinState("1234", False, 3, 3),
         )
+
+
+@pytest.mark.parametrize("imsi", [None, b"", b"46011012345678x", b"4601101234567890"], ids=("no-6f07", "empty", "not-digits", "16-digits"))
+def test_a_card_is_built_only_around_an_imsi_in_6f07(imsi):
+    files = {} if imsi is None else {EF_IMSI: (AccessRule(AccessLevel.PIN, AccessLevel.ADM), imsi)}
+    with pytest.raises(ValueError, match="6F07 must hold an IMSI"):
+        CardImage(iccid="1", k_permanent=K, files=files, pin=PinState("1234", False, 3, 3))
