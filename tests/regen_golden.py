@@ -1,11 +1,12 @@
-"""Golden digest corpus: one SHA-256 per scenario case, pinned in a file.
+"""Golden digest corpus: three SHA-256s per scenario case, pinned in a file.
 
 Each case is (attack, variant, profile, countermeasure, seed).  The
 countermeasure column is `none` or one toggle switched on alone; for
 `fast_registration`, `on` is every built-in profile's own setting, so
-those cases repeat the `none` runs.  A case's digest covers the report
-lines, the monitor trace lines and the event lines, each followed by a
-newline.
+those cases repeat the `none` runs.  A case has one digest for each
+output layer, in `LAYERS` order: the report lines, the monitor trace
+lines and the event lines, each line followed by a newline.  So a
+failure names the layer that moved as well as the case.
 
 Regenerate after an intended behaviour change, from the repository root:
 
@@ -45,10 +46,13 @@ def run_case(attack: str, variant: str, profile: str, cm: str, seed: int):
     return run_scenario(attack, profile, seed, countermeasures_from_pairs(pairs), variant)
 
 
-def case_lines(attack: str, variant: str, profile: str, cm: str, seed: int) -> list[str]:
-    """Every output line of one case: report, trace and events."""
+LAYERS = ("report", "trace", "events")
+
+
+def case_layers(attack: str, variant: str, profile: str, cm: str, seed: int) -> tuple[list[str], ...]:
+    """One case's output lines, one list per entry of `LAYERS`."""
     report = run_case(attack, variant, profile, cm, seed)
-    return report.to_lines() + report.env.trace_lines() + report.env.event_lines()
+    return report.to_lines(), report.env.trace_lines(), report.env.event_lines()
 
 
 def digest(lines: list[str]) -> str:
@@ -60,13 +64,13 @@ def digest(lines: list[str]) -> str:
 
 def corpus_lines() -> list[str]:
     return [
-        "%s %s %s %s %d %s" % (*case, digest(case_lines(*case))) for case in cases()
+        "%s %s %s %s %d %s" % (*case, " ".join(map(digest, case_layers(*case)))) for case in cases()
     ]
 
 
 def main() -> int:
     lines = corpus_lines()
-    header = "# attack variant profile countermeasure seed sha256 (see tests/regen_golden.py)"
+    header = "# attack variant profile countermeasure seed sha256-%s (see tests/regen_golden.py)" % " sha256-".join(LAYERS)
     CORPUS.write_text("\n".join([header, *lines]) + "\n", encoding="ascii")
     print("wrote %d digests to %s" % (len(lines), CORPUS))
     return 0

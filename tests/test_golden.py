@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from fastreg.channel import EVENT_FIELDS
-from regen_golden import CORPUS, cases, corpus_lines, run_case
+from regen_golden import CORPUS, LAYERS, cases, corpus_lines, run_case
 
 
 def test_every_case_matches_the_golden_digest():
@@ -18,7 +18,14 @@ def test_every_case_matches_the_golden_digest():
     ]
     current = corpus_lines()
     assert len(current) == len(pinned) == 567
-    changed = [was.rpartition(" ")[0] for was, now in zip(pinned, current) if was != now]
+    changed = []
+    for was, now in zip(pinned, current):
+        was_case, was_digests = was.split()[:5], was.split()[5:]
+        now_case, now_digests = now.split()[:5], now.split()[5:]
+        assert was_case == now_case and len(was_digests) == len(now_digests) == len(LAYERS), (was, now)
+        moved = [layer for layer, a, b in zip(LAYERS, was_digests, now_digests) if a != b]
+        if moved:
+            changed.append("%s (%s)" % (" ".join(now_case), ", ".join(moved)))
     assert not changed, "%d case(s) changed, first: %s" % (len(changed), changed[0])
 
 
