@@ -7,13 +7,12 @@ card-level access conditions guarding it, and the impersonation attacks
 that follow when either store leaks. Runs are deterministic per seed.
 """
 
-from .profiles import BUILTIN_PROFILES, Countermeasures, OperatorProfile, get_profile
+from .profiles import BUILTIN_PROFILES, OperatorProfile, get_profile
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_PROFILES",
-    "Countermeasures",
     "OperatorProfile",
     "get_profile",
     "__version__",

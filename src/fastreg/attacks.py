@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from .channel import IdentityResponse, RegistrationRequestInitial
 from .equipment import PowerState, SecurityContext
-from .profiles import DEFAULT_PIN, Countermeasures, get_profile
+from .profiles import DEFAULT_PIN, get_profile
 from .sim import SimEnv
 from .usim import (
     EF_EPSLOCI,
@@ -66,11 +66,10 @@ class UnknownScenario(Exception):
 
 
 class AttackReport:
-    __slots__ = ("scenario", "profile", "seed", "variant", "succeeded", "evidence", "window", "env")
+    __slots__ = ("scenario", "seed", "variant", "succeeded", "evidence", "window", "env")
 
-    def __init__(self, scenario: str, profile: str, seed: int, variant: str, env: ScenarioEnv) -> None:
+    def __init__(self, scenario: str, seed: int, variant: str, env: ScenarioEnv) -> None:
         self.scenario = scenario
-        self.profile = profile
         self.seed = seed
         self.variant = variant
         self.succeeded = False
@@ -86,7 +85,7 @@ class AttackReport:
     def to_lines(self) -> list[str]:
         lines = [
             "scenario %s" % self.scenario,
-            "profile %s" % self.profile,
+            "profile %s" % self.env.profile.name,
             "seed %d" % self.seed,
             "variant %s" % self.variant,
             "succeeded %s" % ("true" if self.succeeded else "false"),
@@ -108,11 +107,9 @@ class ScenarioEnv(SimEnv):
     __slots__ = ("cards", "files", "supi", "outcome")
 
 
-def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: Countermeasures | None = None) -> ScenarioEnv:
-    """Victim subscriber and its two handsets at BS-A, attacker handset at BS-B."""
-    profile = get_profile(profile_name)
-    if cm is not None:
-        profile = cm.apply(profile)
+def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: dict[str, bool] | None = None) -> ScenarioEnv:
+    """Victim subscriber and its two handsets at BS-A, attacker handset at BS-B; `cm` is a toggle set."""
+    profile = get_profile(profile_name).with_toggles(cm or {})
     env = ScenarioEnv(profile, seed)
     env.cards = {"victim": env.provision_subscriber(VICTIM_SUPI)[1]}
     env.files, env.supi, env.outcome = {}, None, None
@@ -359,7 +356,7 @@ def run_scenario(
     attack: str,
     profile_name: str = "OP-I",
     seed: int = 0,
-    cm: Countermeasures | None = None,
+    cm: dict[str, bool] | None = None,
     variant: str = "default",
 ) -> AttackReport:
     """Run one scenario's row and judge the attacker's registration."""
@@ -368,7 +365,7 @@ def run_scenario(
     if (row := SCENARIOS[attack].get(variant)) is None:
         raise UnknownScenario("unknown %s variant %r (have: %s)" % (attack, variant, ", ".join(SCENARIOS[attack])))
     env = build_environment(profile_name, seed, cm)
-    report = AttackReport(attack, profile_name, seed, variant, env=env)
+    report = AttackReport(attack, seed, variant, env)
     steps, then = row
     _run_row(report, steps)
     if env.outcome is None:

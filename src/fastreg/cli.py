@@ -79,10 +79,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cfg.seed = args.seed
     if args.variant is not None:
         cfg.variant = args.variant
-    pairs = dict(cfg.countermeasures)
-    pairs.update(_parse_cm_flags(args.countermeasure))
-    cm = countermeasures_from_pairs(pairs)
-    report = run_scenario(cfg.attack, cfg.profile, cfg.seed, cm, cfg.variant)
+    flags = countermeasures_from_pairs(_parse_cm_flags(args.countermeasure))
+    report = run_scenario(cfg.attack, cfg.profile, cfg.seed, cfg.countermeasures | flags, cfg.variant)
     lines = report.to_lines()
     trace = report.env.trace_lines()
     if args.trace_out:

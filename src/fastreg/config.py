@@ -42,7 +42,7 @@ class ScenarioConfig:
         self.profile = "OP-I"
         self.seed = 0
         self.variant = "default"
-        self.countermeasures: dict[str, str] = {}
+        self.countermeasures: dict[str, bool] = {}
 
     __eq__ = fields_equal
 
@@ -99,8 +99,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 cfg.variant = value
         else:
             try:
-                countermeasures_from_pairs({key: value})
+                cfg.countermeasures |= countermeasures_from_pairs({key: value})
             except UnknownCountermeasure as err:
                 raise ConfigError("line %d: %s" % (n, err)) from None
-            cfg.countermeasures[key] = value
     return cfg

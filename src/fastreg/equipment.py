@@ -207,7 +207,6 @@ class MobileEquipment:
         "slot",
         "baseband",
         "slot_event_pending",
-        "registered",
         "current_guti",
         "generation",
         "_card_session",
@@ -226,7 +225,6 @@ class MobileEquipment:
         self.slot: CardImage | None = None
         self.baseband: BasebandEntry | None = None
         self.slot_event_pending = False
-        self.registered = False
         self.current_guti: str | None = None
         self.generation: str | None = None
 
@@ -234,6 +232,11 @@ class MobileEquipment:
         self._ctx: SecurityContext | None = None
         self._active: _InFlight | None = None
         self._flow_n = 0
+
+    @property
+    def registered(self) -> bool:
+        """Registered iff the handset holds a live context from an accept."""
+        return self._ctx is not None
 
     # --- plumbing ------------------------------------------------------
 
@@ -275,7 +278,6 @@ class MobileEquipment:
             # Rule: removal while powered on clears the chip-held context.
             self._drop_entry("removed-while-powered-on")
             if self.registered:
-                self.registered = False
                 self._emit("service_lost", ("card-removed",))
             self._ctx, self._active = None, None
         else:
@@ -336,8 +338,6 @@ class MobileEquipment:
 
     def _persist_context(self) -> None:
         """Write the live context back to its home for the generation."""
-        if self._ctx is None or self.current_guti is None or self.generation is None:
-            return
         card = self.slot
         if card is None:
             return
@@ -435,7 +435,7 @@ class MobileEquipment:
             raise NotRegistered("not registered")
         self._send(self._next_flow(), Deregistration(self.current_guti))
         self._persist_context()
-        self.registered = False
+        self._ctx = None
         self._emit("ue_deregistered", (self.current_guti,))
         self.env.channel.pump()
 
@@ -508,7 +508,6 @@ class MobileEquipment:
         state.ctx.dl_count = dl_count
         self.current_guti = new_guti
         self.generation = state.outcome.generation
-        self.registered = True
         self._ctx = state.ctx
         outcome = state.outcome
         outcome.accepted = True

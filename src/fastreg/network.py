@@ -46,7 +46,7 @@ from .channel import (
 )
 from .crypto import Key
 from .equipment import COUNT_LIMIT, NGKSI_MAX, SecurityContext
-from .profiles import PERIODIC_AKA_INTERVAL, OperatorProfile
+from .profiles import PERIODIC_AKA_INTERVAL
 
 
 class UnknownSubscriber(Exception):
@@ -82,7 +82,6 @@ class Amf:
 
     name = "amf"
     __slots__ = (
-        "profile",
         "env",
         "subscribers",
         "table",
@@ -94,7 +93,6 @@ class Amf:
 
     def __init__(self, env) -> None:
         self.env = proxy(env)  # the environment owns its AMF
-        self.profile: OperatorProfile = env.profile
         self.subscribers: dict[str, SubscriberRecord] = {}
         self.table: dict[str, SubscriberRecord] = {}
         self.pending: dict[tuple[str, str], _PendingAka] = {}
@@ -146,11 +144,12 @@ class Amf:
         entry = self.table.get(msg.guti)
         if entry is not None and entry.context.ngksi != msg.ngksi:
             entry = None  # a known GUTI under another ngKSI is a lookup miss
-        if not self.profile.fast_registration:
+        profile = self.env.profile
+        if not profile.fast_registration:
             return "disabled", entry, b""
         if entry is None:
             return "lookup", None, b""
-        if self.profile.periodic_aka and self._step() - entry.last_aka_step >= PERIODIC_AKA_INTERVAL:
+        if profile.periodic_aka and self._step() - entry.last_aka_step >= PERIODIC_AKA_INTERVAL:
             return "periodic", entry, b""
         ctx = entry.context
         if not 0 <= msg.ul_count < COUNT_LIMIT or ctx.dl_count + 1 >= COUNT_LIMIT:

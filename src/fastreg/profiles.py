@@ -1,8 +1,9 @@
 """Operator presets and countermeasure toggles, in one vocabulary.
 
-A profile is a name plus the eight toggles; a toggle set (`Countermeasures`)
-is the same eight fields, where None keeps the profile's value, and
-`Countermeasures.apply` layers one over a profile.
+A profile is a name plus the eight toggles.  A toggle set is a plain
+`dict[str, bool]` naming only the toggles it sets, and
+`OperatorProfile.with_toggles` layers one over a profile: an operator's
+practice and a countermeasure are the same kind of setting.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ DEFAULT_PIN = "1234"
 NONDEFAULT_PIN = "864209"
 PERIODIC_AKA_INTERVAL = 25  # channel steps between forced AKAs under periodic_aka
 
-# The eight toggles, in one order: the fields of both classes below, the
-# names `--countermeasure` and config files take, and `profiles list`.
+# The eight toggles, in one order: the fields of OperatorProfile, the keys
+# of a toggle set, the names `--countermeasure` and config files take, and
+# `profiles list`.
 TOGGLES = (
     "usim_hardening",
     "nondefault_pin",
@@ -75,6 +77,12 @@ class OperatorProfile(Frozen):
         """The PIN cards are issued with; it is enabled iff nondefault_pin."""
         return NONDEFAULT_PIN if self.nondefault_pin else DEFAULT_PIN
 
+    def with_toggles(self, toggles: dict[str, bool]) -> OperatorProfile:
+        """This profile with the toggle set layered over it; an unknown name raises TypeError."""
+        if not toggles:
+            return self
+        return OperatorProfile(self.name, **({t: getattr(self, t) for t in TOGGLES} | toggles))
+
 
 # The three observed operator configurations.  They differ only in whether
 # the issued cards keep their context files readable behind the (disabled
@@ -93,42 +101,10 @@ def get_profile(name: str) -> OperatorProfile:
         raise UnknownProfile("unknown profile %r (have: %s)" % (name, ", ".join(BUILTIN_PROFILES))) from None
 
 
-class Countermeasures(Frozen):
-    """Toggle set layered over a profile; None keeps the profile's value."""
-
-    __slots__ = TOGGLES
-
-    def __init__(
-        self,
-        usim_hardening: bool | None = None,
-        nondefault_pin: bool | None = None,
-        iccid_binding: bool | None = None,
-        fast_registration: bool | None = None,
-        periodic_aka: bool | None = None,
-        supi_concealment: bool | None = None,
-        usim_5g_context: bool | None = None,
-        offline_swap_detection: bool | None = None,
-    ) -> None:
-        set_field(self, "usim_hardening", usim_hardening)
-        set_field(self, "nondefault_pin", nondefault_pin)
-        set_field(self, "iccid_binding", iccid_binding)
-        set_field(self, "fast_registration", fast_registration)
-        set_field(self, "periodic_aka", periodic_aka)
-        set_field(self, "supi_concealment", supi_concealment)
-        set_field(self, "usim_5g_context", usim_5g_context)
-        set_field(self, "offline_swap_detection", offline_swap_detection)
-
-    def apply(self, profile: OperatorProfile) -> OperatorProfile:
-        changes = {t: value for t in TOGGLES if (value := getattr(self, t)) is not None}
-        if not changes:
-            return profile
-        return OperatorProfile(profile.name, **{t: changes.get(t, getattr(profile, t)) for t in TOGGLES})
-
-
-def countermeasures_from_pairs(pairs: dict[str, str]) -> Countermeasures:
-    """Build a toggle set from name=on|off pairs (CLI or config syntax)."""
+def countermeasures_from_pairs(pairs: dict[str, str]) -> dict[str, bool]:
+    """The toggle set of name=on|off pairs (CLI or config syntax)."""
     names = sorted(TOGGLES)
-    kwargs: dict[str, bool] = {}
+    toggles: dict[str, bool] = {}
     for name, value in pairs.items():
         if name not in names:
             raise UnknownCountermeasure(
@@ -136,13 +112,8 @@ def countermeasures_from_pairs(pairs: dict[str, str]) -> Countermeasures:
             )
         if value not in ("on", "off"):
             raise UnknownCountermeasure("countermeasure %s wants on|off, got %r" % (name, value))
-        kwargs[name] = value == "on"
-    return Countermeasures(**kwargs)
+        toggles[name] = value == "on"
+    return toggles
 
 
-ALL_PROTECTIVE = Countermeasures(
-    usim_hardening=True,
-    nondefault_pin=True,
-    iccid_binding=True,
-    periodic_aka=True,
-)
+ALL_PROTECTIVE = {"usim_hardening": True, "nondefault_pin": True, "iccid_binding": True, "periodic_aka": True}

@@ -10,8 +10,9 @@ touches:
     4F03  5GS3GPPNSC      5G NAS security context (only on 5G-capable cards)
 
 A card's identity is its 6F07 body: a card is built only around an IMSI
-there, and `CardImage.supi` is that body.  A PIN is blocked exactly when
-no tries are left.
+there, an UPDATE that would write anything else is refused, and
+`CardImage.supi` reads that body.  A PIN is blocked exactly when no tries
+are left.
 
 A card holds a generation's context iff it carries that generation's NSC
 file (TS 31.102); the handset then keeps the context there and nowhere
@@ -102,12 +103,12 @@ class CardImage:
     """One smart card: identity, permanent key, files, PIN state.
 
     The card's identity is its 6F07 (EF_IMSI) body, which must be an IMSI;
-    `supi` is that body, read once when the card is built.  A programmable
+    `supi` reads that body, so it follows an UPDATE of 6F07.  A programmable
     card differs only in how it was built; once instantiated it enforces
     its access conditions like any other card.
     """
 
-    __slots__ = ("iccid", "supi", "k_permanent", "files", "pin", "seq", "programmable")
+    __slots__ = ("iccid", "k_permanent", "files", "pin", "seq", "programmable")
 
     def __init__(
         self,
@@ -120,11 +121,9 @@ class CardImage:
     ) -> None:
         if k_permanent.kind is not KeyKind.K_PERMANENT:
             raise ValueError("card key must be K_permanent kind")
-        supi = files[EF_IMSI][1].decode("latin-1") if EF_IMSI in files else ""
-        if not is_imsi(supi):
+        if EF_IMSI not in files or not is_imsi(files[EF_IMSI][1]):
             raise ValueError("6F07 must hold an IMSI, 1-15 ASCII digits")
         self.iccid = iccid
-        self.supi = supi
         self.k_permanent = k_permanent
         self.files = files
         self.pin = pin
@@ -132,6 +131,10 @@ class CardImage:
         self.programmable = programmable
 
     __eq__ = fields_equal
+
+    @property
+    def supi(self) -> str:
+        return self.files[EF_IMSI][1].decode("ascii")
 
     def holds_context(self, generation: str) -> bool:
         """True iff the card carries the generation's NSC file, so the context lives here."""
@@ -233,6 +236,7 @@ class ApduStatus(Enum):
     SECURITY_NOT_SATISFIED = "SECURITY_NOT_SATISFIED"
     FILE_NOT_FOUND = "FILE_NOT_FOUND"
     PIN_BLOCKED = "PIN_BLOCKED"
+    WRONG_DATA = "WRONG_DATA"  # ISO 7816-4 SW 6A80: an UPDATE of 6F07 to a body that is not an IMSI
 
 
 class ApduResponse:
@@ -299,6 +303,8 @@ def apdu_execute(
         return ApduResponse(refused)
     if cmd is _READ:
         return ApduResponse(ApduStatus.OK, entry[1])
+    if file_id == EF_IMSI and not is_imsi(payload):
+        return ApduResponse(ApduStatus.WRONG_DATA)
     card.files[file_id] = (entry[0], bytes(payload))
     return ApduResponse(ApduStatus.OK)
 
@@ -363,8 +369,8 @@ def card_to_text(card: CardImage) -> str:
     return "\n".join(lines) + "\n"
 
 
-def is_imsi(value: str) -> bool:
-    """An IMSI as a card stores it: 1 to 15 ASCII digits."""
+def is_imsi(value: str | bytes) -> bool:
+    """An IMSI as a card stores it: 1 to 15 ASCII digits, as text or as a file body."""
     return 1 <= len(value) <= 15 and value.isascii() and value.isdigit()
 
 

@@ -25,7 +25,7 @@ from fastreg.attacks import (
 from fastreg.channel import RegistrationRequestFast
 from fastreg.crypto import KEY_LEN, Key, KeyKind
 from fastreg.equipment import BasebandEntry, SecurityContext
-from fastreg.profiles import ALL_PROTECTIVE, Countermeasures, get_profile
+from fastreg.profiles import ALL_PROTECTIVE, get_profile
 from fastreg.sim import SimEnv
 from fastreg.usim import (
     AccessLevel,
@@ -235,8 +235,8 @@ def test_criterion_5_slot_power_shadow():
     ctx = SecurityContext(Key(b"\x5a" * KEY_LEN, KeyKind.K_AMF), 1, ("EA2",), 3, 4)
     checked = 0
     for binding, detect in ((False, False), (True, False), (False, True)):
-        cm = Countermeasures(iccid_binding=binding, offline_swap_detection=detect)
-        env = SimEnv(cm.apply(get_profile("OP-I")), 50)
+        cm = {"iccid_binding": binding, "offline_swap_detection": detect}
+        env = SimEnv(get_profile("OP-I").with_toggles(cm), 50)
         for _ in range(334):
             me = env.add_me("walk")
             state = ("OFF", None, False, False)
@@ -346,21 +346,21 @@ def test_criterion_7_countermeasure_coverage():
     assert run_scenario("S2", "OP-I", seed=21).succeeded
 
     singles = [
-        (Countermeasures(usim_hardening=True), "S1"),
-        (Countermeasures(nondefault_pin=True), "S1"),
-        (Countermeasures(iccid_binding=True), "S2"),
-        (Countermeasures(usim_5g_context=True), "S2"),
-        (Countermeasures(offline_swap_detection=True), "S2"),
-        (Countermeasures(supi_concealment=True), "S2"),
-        (Countermeasures(fast_registration=False), "S1"),
-        (Countermeasures(fast_registration=False), "S2"),
+        ({"usim_hardening": True}, "S1"),
+        ({"nondefault_pin": True}, "S1"),
+        ({"iccid_binding": True}, "S2"),
+        ({"usim_5g_context": True}, "S2"),
+        ({"offline_swap_detection": True}, "S2"),
+        ({"supi_concealment": True}, "S2"),
+        ({"fast_registration": False}, "S1"),
+        ({"fast_registration": False}, "S2"),
     ]
     for cm, attack in singles:
         report = run_scenario(attack, "OP-I", seed=21, cm=cm)
         assert not report.succeeded, (cm, report.evidence)
 
     # Periodic reauthentication bounds the stolen context's lifetime.
-    cm = Countermeasures(periodic_aka=True)
+    cm = {"periodic_aka": True}
     report = run_scenario("S2", "OP-I", seed=22, cm=cm)
     assert report.succeeded  # theft inside the window still lands
     env = report.env

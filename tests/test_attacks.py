@@ -28,7 +28,6 @@ from fastreg.attacks import (
 from fastreg.profiles import (
     ALL_PROTECTIVE,
     TOGGLES,
-    Countermeasures,
     countermeasures_from_pairs,
 )
 
@@ -129,13 +128,13 @@ def test_honest_traffic_pairs_every_verify_with_the_victim():
 
 
 def test_card_hardening_alone_stops_s1():
-    report = run_scenario("S1", "OP-I", seed=7, cm=Countermeasures(usim_hardening=True))
+    report = run_scenario("S1", "OP-I", seed=7, cm={"usim_hardening": True})
     assert not report.succeeded
     assert report.evidence["extraction"].startswith("denied:")
 
 
 def test_nondefault_pin_alone_stops_s1():
-    report = run_scenario("S1", "OP-I", seed=7, cm=Countermeasures(nondefault_pin=True))
+    report = run_scenario("S1", "OP-I", seed=7, cm={"nondefault_pin": True})
     assert not report.succeeded
     assert report.evidence["extraction"].startswith("denied: PIN gate")
     card = report.env.cards["victim"]
@@ -144,7 +143,7 @@ def test_nondefault_pin_alone_stops_s1():
 
 
 def test_card_reader_tries_only_the_public_default_pin_once():
-    env = build_environment("OP-I", seed=7, cm=Countermeasures(nondefault_pin=True))
+    env = build_environment("OP-I", seed=7, cm={"nondefault_pin": True})
     pin = env.cards["victim"].pin
     with pytest.raises(AccessDenied, match="^PIN gate: SECURITY_NOT_SATISFIED$"):
         card_reader_extract(env.cards["victim"])
@@ -152,7 +151,7 @@ def test_card_reader_tries_only_the_public_default_pin_once():
 
 
 def test_disabling_fast_registration_stops_both():
-    cm = Countermeasures(fast_registration=False)
+    cm = {"fast_registration": False}
     s1 = run_scenario("S1", "OP-I", seed=8, cm=cm)
     s2 = run_scenario("S2", "OP-I", seed=8, cm=cm)
     for report in (s1, s2):
@@ -164,7 +163,7 @@ def test_disabling_fast_registration_stops_both():
 
 
 def test_iccid_binding_stops_the_card_swap():
-    report = run_scenario("S2", "OP-I", seed=9, cm=Countermeasures(iccid_binding=True))
+    report = run_scenario("S2", "OP-I", seed=9, cm={"iccid_binding": True})
     assert not report.succeeded
     assert report.evidence["baseband_entry_after_swap"] == "false"
     assert report.evidence["attacker_registration"].startswith(
@@ -173,26 +172,26 @@ def test_iccid_binding_stops_the_card_swap():
 
 
 def test_card_resident_5g_context_stops_the_swap():
-    report = run_scenario("S2", "OP-I", seed=9, cm=Countermeasures(usim_5g_context=True))
+    report = run_scenario("S2", "OP-I", seed=9, cm={"usim_5g_context": True})
     assert not report.succeeded
     # Context rode along on the removed card, so the handset holds nothing.
     assert report.evidence["baseband_entry_after_swap"] == "false"
 
 
 def test_offline_swap_detection_stops_the_swap():
-    report = run_scenario("S2", "OP-I", seed=9, cm=Countermeasures(offline_swap_detection=True))
+    report = run_scenario("S2", "OP-I", seed=9, cm={"offline_swap_detection": True})
     assert not report.succeeded
     assert report.evidence["baseband_entry_after_swap"] == "false"
 
 
 def test_identity_concealment_starves_the_fake_card_builder():
-    report = run_scenario("S2", "OP-I", seed=9, cm=Countermeasures(supi_concealment=True))
+    report = run_scenario("S2", "OP-I", seed=9, cm={"supi_concealment": True})
     assert not report.succeeded
     assert report.evidence["identity"].startswith("never seen in clear")
 
 
 def test_periodic_aka_bounds_the_stolen_context_lifetime():
-    cm = Countermeasures(periodic_aka=True)
+    cm = {"periodic_aka": True}
     report = run_scenario("S2", "OP-I", seed=10, cm=cm)
     assert report.succeeded  # inside the window the theft still works
     env = report.env
@@ -246,7 +245,7 @@ def _attacker_handset_in(monkeypatch, cell: str) -> None:
     def build(profile_name, seed, cm=None):
         # ICCID binding stops S2, whose hand-over moves the shared handset
         # to the attacker's cell, so the matrix reads the S1 report.
-        env = build_environment(profile_name, seed, Countermeasures(iccid_binding=True))
+        env = build_environment(profile_name, seed, {"iccid_binding": True})
         env.mes["attacker-me"].bs = cell
         return env
 
@@ -352,7 +351,7 @@ def test_a_step_run_before_its_input_is_rejected(monkeypatch, step, lacks):
 @pytest.mark.parametrize("step", [("online", "nobody"), ("hand-over", "nobody"), ("register", "nobody", "5G")])
 def test_a_step_naming_no_handset_is_rejected_before_it_runs(step):
     env = build_environment("OP-I", 3)
-    report = AttackReport("S1", "OP-I", 3, "default", env)
+    report = AttackReport("S1", 3, "default", env)
     before = (env.event_lines(), dict(env.custody), env.channel.step)
     with pytest.raises(UnknownScenario, match="names no handset"):
         attacks._step(report, step)
@@ -381,7 +380,7 @@ def test_network_pages_the_wrong_base_station():
 
 def test_downstream_scenarios_refuse_a_failed_base():
     # A blocked attack opens no session, so there is no effect to read.
-    base = run_scenario("S2", "OP-I", seed=17, cm=Countermeasures(iccid_binding=True))
+    base = run_scenario("S2", "OP-I", seed=17, cm={"iccid_binding": True})
     assert not base.succeeded
     assert "token_supi" not in base.evidence
     assert "network_location" not in base.evidence

@@ -13,7 +13,7 @@ import pytest
 import fastreg
 from fastreg import cli
 from fastreg.cli import main
-from fastreg.profiles import BUILTIN_PROFILES, TOGGLES, Countermeasures, OperatorProfile, countermeasures_from_pairs
+from fastreg.profiles import BUILTIN_PROFILES, TOGGLES, OperatorProfile, countermeasures_from_pairs
 
 
 def run_cli(capsys, *argv):
@@ -31,7 +31,7 @@ def test_profiles_list(capsys):
 
 
 def test_profiles_and_countermeasures_share_one_vocabulary(capsys):
-    assert OperatorProfile.__slots__[1:] == Countermeasures.__slots__ == TOGGLES
+    assert OperatorProfile.__slots__[1:] == TOGGLES
     _, out, _ = run_cli(capsys, "profiles", "list")
     for line in out.splitlines():
         name, *pairs = line.split()
@@ -39,7 +39,17 @@ def test_profiles_and_countermeasures_share_one_vocabulary(capsys):
         # Every listed toggle and value is one --countermeasure accepts, and
         # applying the whole line as a toggle set reproduces the profile.
         cm = countermeasures_from_pairs(settings)
-        assert cm.apply(OperatorProfile(name)) == BUILTIN_PROFILES[name]
+        assert OperatorProfile(name).with_toggles(cm) == BUILTIN_PROFILES[name]
+
+
+def test_a_toggle_set_sets_only_the_toggles_it_names():
+    base = BUILTIN_PROFILES["OP-II"]
+    assert base.with_toggles({}) is base
+    layered = base.with_toggles({"nondefault_pin": True, "usim_hardening": False})
+    assert layered.name == "OP-II" and layered.nondefault_pin and not layered.usim_hardening
+    assert [getattr(layered, t) for t in TOGGLES[2:]] == [getattr(base, t) for t in TOGGLES[2:]]
+    with pytest.raises(TypeError, match="wishes"):
+        OperatorProfile("OP-I").with_toggles({"wishes": True})
 
 
 def test_run_prints_report_then_trace(capsys):
@@ -87,6 +97,12 @@ def test_run_merges_config_file_and_flag_overrides(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "run", str(cfg), "--profile", "OP-II")
     assert code == 0 and "succeeded false" in out
     assert "denied" in out
+    # A toggle from the flag side overrides the file's of the same name.
+    cfg.write_text(cfg.read_text(encoding="ascii") + "[countermeasures]\nnondefault_pin = on\n", encoding="ascii")
+    code, out, _ = run_cli(capsys, "run", str(cfg))
+    assert code == 0 and "succeeded false" in out
+    code, out, _ = run_cli(capsys, "run", str(cfg), "--countermeasure", "nondefault_pin=off")
+    assert code == 0 and "succeeded true" in out
 
 
 def test_run_countermeasure_flag_blocks_the_attack(capsys):

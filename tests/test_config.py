@@ -26,7 +26,7 @@ def test_full_config_parses():
     assert cfg.profile == "OP-II"
     assert cfg.seed == 42
     assert cfg.variant == "stale-recover"
-    assert cfg.countermeasures == {"nondefault_pin": "on", "periodic_aka": "off"}
+    assert cfg.countermeasures == {"nondefault_pin": True, "periodic_aka": False}
 
 
 def test_empty_config_gives_defaults():

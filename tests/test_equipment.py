@@ -26,7 +26,7 @@ from fastreg.equipment import (
     SlotOccupied,
     UnknownGeneration,
 )
-from fastreg.profiles import NONDEFAULT_PIN, Countermeasures, get_profile
+from fastreg.profiles import NONDEFAULT_PIN, get_profile
 from fastreg.sim import SimEnv
 from fastreg.usim import EF_5GLOCI, EF_5GNSC, EF_EPSLOCI, EF_EPSNSC, EF_IMSI, AccessLevel, programmable_card, standard_card
 
@@ -45,10 +45,7 @@ def held_back(channel, name, handler, kind):
 
 
 def provisioned(seed=11, me_kwargs=None, profile_override=None):
-    prof = get_profile("OP-I")
-    if profile_override:
-        prof = Countermeasures(**profile_override).apply(prof)
-    env = SimEnv(prof, seed)
+    env = SimEnv(get_profile("OP-I").with_toggles(profile_override or {}), seed)
     record, card = env.provision_subscriber(SUPI)
     me = env.add_me("ue", **(me_kwargs or {}))
     return env, me, card, record
@@ -647,8 +644,8 @@ def test_random_slot_power_walk_matches_shadow_model():
     seed_entry = lambda: BasebandEntry(SUPI, "guti-seed", make_ctx(), "5G", card_a.iccid)
 
     for binding, detect in ((False, False), (True, False), (False, True)):
-        cm = Countermeasures(iccid_binding=binding, offline_swap_detection=detect)
-        env = SimEnv(cm.apply(get_profile("OP-I")), 1009)
+        cm = {"iccid_binding": binding, "offline_swap_detection": detect}
+        env = SimEnv(get_profile("OP-I").with_toggles(cm), 1009)
         for _ in range(300):
             me = env.add_me("walk")
             state = ("OFF", None, False, False)

@@ -1,13 +1,15 @@
-"""Golden corpus: every scenario case still produces the pinned bytes."""
+"""Golden corpus: every scenario case still produces the pinned bytes,
+and a seed only chooses fresh values."""
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 from fastreg.channel import EVENT_FIELDS
-from regen_golden import CORPUS, LAYERS, cases, corpus_lines, run_case
+from regen_golden import CORPUS, LAYERS, cases, case_layers, corpus_lines, run_case
 
 
 def test_every_case_matches_the_golden_digest():
@@ -20,12 +22,11 @@ def test_every_case_matches_the_golden_digest():
     assert len(current) == len(pinned) == 567
     changed = []
     for was, now in zip(pinned, current):
-        was_case, was_digests = was.split()[:5], was.split()[5:]
-        now_case, now_digests = now.split()[:5], now.split()[5:]
-        assert was_case == now_case and len(was_digests) == len(now_digests) == len(LAYERS), (was, now)
-        moved = [layer for layer, a, b in zip(LAYERS, was_digests, now_digests) if a != b]
+        was, now = was.split(), now.split()
+        assert was[:5] == now[:5] and len(was) == len(now) == 5 + len(LAYERS), (was, now)
+        moved = [layer for layer, a, b in zip(LAYERS, was[5:], now[5:]) if a != b]
         if moved:
-            changed.append("%s (%s)" % (" ".join(now_case), ", ".join(moved)))
+            changed.append("%s (%s)" % (" ".join(now[:5]), ", ".join(moved)))
     assert not changed, "%d case(s) changed, first: %s" % (len(changed), changed[0])
 
 
@@ -40,6 +41,36 @@ def test_every_event_field_is_a_str_across_the_corpus():
             assert not odd, "%s: %s %r" % (" ".join(map(str, case)), event.name, odd)
             checked += 1
     assert checked > 10_000
+
+
+# What a seed draws: a GUTI salt, a SUCI, and hex or digit runs of 12 or
+# more characters (keys, RAND/AUTN/RES, ICCIDs, NAS containers and MACs).
+FRESH = re.compile(r"(?<=guti-)[0-9a-f]{6}(?=-)|suci-[0-9a-f]+|[0-9a-f]{12,}")
+
+
+def canonical_lines(lines: list[str]) -> list[str]:
+    """The lines with each fresh value renamed <n>, n counting first appearances."""
+    names: dict[str, str] = {}
+    return [FRESH.sub(lambda m: names.setdefault(m.group(), "<%d>" % len(names)), line) for line in lines]
+
+
+def test_a_seed_only_chooses_fresh_values():
+    # Every row x profile x {none, each toggle alone}: the same run, up to
+    # renaming, at every seed.  No branch reads a fresh value's content.
+    compared = 0
+    for case in cases():
+        if case[-1] != 0:
+            continue
+        runs = []
+        for seed in (0, 3, 4):
+            report, trace, events = case_layers(*case[:-1], seed)
+            assert report[2] == "seed %d" % seed
+            runs.append(report[:2] + report[3:] + trace + events)
+        for other in runs[1:]:
+            assert other != runs[0], case
+            assert canonical_lines(other) == canonical_lines(runs[0]), " ".join(map(str, case[:-1]))
+            compared += 1
+    assert compared == 378
 
 
 # The output digests perfbench prints for seed 0 (`perfbench/run.py --all`):

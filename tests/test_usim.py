@@ -393,6 +393,21 @@ def test_iccid_digits_are_drawn_as_randrange_draws_them():
         assert fake.k_permanent.octets == oracle.randbytes(crypto.KEY_LEN)
 
 
+def test_an_update_of_6f07_is_the_cards_new_identity():
+    fake = programmable_card(random.Random(14), {EF_IMSI: b"460110123456789"})
+    assert update(fake, fake.open_session(), EF_IMSI, b"460119999999999").status is ApduStatus.OK
+    assert fake.supi == "460119999999999"
+    assert card_from_text(card_to_text(fake)) == fake
+
+
+@pytest.mark.parametrize("body", [b"", b"46011012345678x", b"4601101234567890"], ids=("empty", "not-digits", "16-digits"))
+def test_an_update_of_6f07_to_a_non_imsi_is_wrong_data_and_writes_nothing(body):
+    fake = programmable_card(random.Random(14), {EF_IMSI: b"460110123456789"})
+    before = card_to_text(fake)
+    assert update(fake, fake.open_session(), EF_IMSI, body).status is ApduStatus.WRONG_DATA
+    assert card_to_text(fake) == before and fake.supi == "460110123456789"
+
+
 # --- card image text format --------------------------------------------
 
 
