@@ -100,11 +100,15 @@ class ScenarioEnv(SimEnv):
 
     `cards` holds "victim" (and "fake" once programmed), `files` what a
     reader extracted, `supi` what the air leaked, `outcome` the last
-    `attack`.  The attacker holds the "attacker-me" handset, a card
-    reader, public defaults (DEFAULT_PIN) and the monitor tap's view.
+    `attack`, `custody` each handset's holder, "victim" or "attacker" (no
+    protocol code reads it).  The attacker holds the "attacker-me" handset,
+    a card reader, public defaults (DEFAULT_PIN) and the monitor tap's view.
     """
 
-    __slots__ = ("cards", "files", "supi", "outcome")
+    __slots__ = ("cards", "files", "supi", "outcome", "custody")
+
+    def custody_of(self, who: str) -> list[str]:
+        return [name for name, holder in self.custody.items() if holder == who]
 
 
 def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: dict[str, bool] | None = None) -> ScenarioEnv:
@@ -113,9 +117,10 @@ def build_environment(profile_name: str = "OP-I", seed: int = 0, cm: dict[str, b
     env = ScenarioEnv(profile, seed)
     env.cards = {"victim": env.provision_subscriber(VICTIM_SUPI)[1]}
     env.files, env.supi, env.outcome = {}, None, None
+    env.custody = {"victim-me": "victim", "shared-me": "victim", "attacker-me": "attacker"}
     for name in ("victim-me", "shared-me"):
-        env.add_me(name, bs=VICTIM_BS, custody="victim", user_pin=profile.pin)
-    env.add_me("attacker-me", bs=ATTACKER_BS, custody="attacker")
+        env.add_me(name, bs=VICTIM_BS, user_pin=profile.pin)
+    env.add_me("attacker-me", bs=ATTACKER_BS)
     return env
 
 
@@ -353,18 +358,18 @@ SCENARIOS = {
 
 
 def run_scenario(
-    attack: str,
-    profile_name: str = "OP-I",
+    attack: str = "S2",
+    profile: str = "OP-I",
     seed: int = 0,
     cm: dict[str, bool] | None = None,
     variant: str = "default",
 ) -> AttackReport:
-    """Run one scenario's row and judge the attacker's registration."""
+    """Run one scenario's row and judge the attacker's registration (the one record of a run's defaults)."""
     if attack not in SCENARIOS:
         raise UnknownScenario("unknown attack %r (have: %s)" % (attack, ", ".join(SCENARIOS)))
     if (row := SCENARIOS[attack].get(variant)) is None:
         raise UnknownScenario("unknown %s variant %r (have: %s)" % (attack, variant, ", ".join(SCENARIOS[attack])))
-    env = build_environment(profile_name, seed, cm)
+    env = build_environment(profile, seed, cm)
     report = AttackReport(attack, seed, variant, env)
     steps, then = row
     _run_row(report, steps)

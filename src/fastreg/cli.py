@@ -24,8 +24,8 @@ import argparse
 import os
 import sys
 
-from .attacks import SCENARIOS, UnknownScenario, matrix_lines, run_scenario, run_table_matrix
-from .config import ConfigError, ScenarioConfig, parse_config
+from .attacks import SCENARIOS, VICTIM_SUPI, UnknownScenario, matrix_lines, run_scenario, run_table_matrix
+from .config import SCENARIO_KEYS, ConfigError, parse_config
 from .profiles import (
     BUILTIN_PROFILES,
     TOGGLES,
@@ -68,19 +68,10 @@ def _parse_cm_flags(pairs: list[str]) -> dict[str, str]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = ScenarioConfig()
-    if args.config is not None:
-        cfg = parse_config(_read_ascii(args.config, ConfigError))
-    if args.attack is not None:
-        cfg.attack = args.attack
-    if args.profile is not None:
-        cfg.profile = args.profile
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.variant is not None:
-        cfg.variant = args.variant
-    flags = countermeasures_from_pairs(_parse_cm_flags(args.countermeasure))
-    report = run_scenario(cfg.attack, cfg.profile, cfg.seed, cfg.countermeasures | flags, cfg.variant)
+    run = parse_config(_read_ascii(args.config, ConfigError)) if args.config is not None else {}
+    run |= {k: v for k in SCENARIO_KEYS if (v := getattr(args, k)) is not None}
+    run["cm"] = run.get("cm", {}) | countermeasures_from_pairs(_parse_cm_flags(args.countermeasure))
+    report = run_scenario(**run)
     lines = report.to_lines()
     trace = report.env.trace_lines()
     if args.trace_out:
@@ -181,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     save_p.add_argument("path")
     save_p.add_argument("--profile", choices=tuple(BUILTIN_PROFILES), default="OP-I")
     save_p.add_argument("--seed", type=int, default=0)
-    save_p.add_argument("--supi", type=_imsi, default="460110123456789")
+    save_p.add_argument("--supi", type=_imsi, default=VICTIM_SUPI)
     save_p.set_defaults(fn=_cmd_card_save)
     load_p = card_sub.add_parser("load", help="parse a card image and print a summary")
     load_p.add_argument("path")

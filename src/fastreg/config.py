@@ -11,8 +11,12 @@ Format: INI-like sections with key = value lines.
     [countermeasures]
     iccid_binding = on
 
-Unknown sections, unknown keys, duplicate keys and malformed values are
-all hard errors carrying the offending line number.
+A parsed file is the `run_scenario` keyword arguments it sets: `attack`,
+`profile`, `seed`, `variant`, and `cm` (the toggle set of
+[countermeasures]).  A key the file leaves out is absent, and so takes
+`run_scenario`'s default.  Unknown sections, unknown keys, duplicate
+keys and malformed values are all hard errors carrying the offending
+line number.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .profiles import (
     countermeasures_from_pairs,
     get_profile,
 )
-from .record import fields_equal
 
 
 class ConfigError(ValueError):
@@ -34,21 +37,8 @@ class ConfigError(ValueError):
 SCENARIO_KEYS = ("attack", "profile", "seed", "variant")
 
 
-class ScenarioConfig:
-    __slots__ = ("attack", "profile", "seed", "variant", "countermeasures")
-
-    def __init__(self) -> None:
-        self.attack = "S2"
-        self.profile = "OP-I"
-        self.seed = 0
-        self.variant = "default"
-        self.countermeasures: dict[str, bool] = {}
-
-    __eq__ = fields_equal
-
-
-def parse_config(text: str) -> ScenarioConfig:
-    cfg = ScenarioConfig()
+def parse_config(text: str) -> dict:
+    cfg: dict = {}
     section = None
     seen: set[tuple[str, str]] = set()
     for n, raw in enumerate(text.splitlines(), start=1):
@@ -76,7 +66,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 )
             if key == "seed":
                 try:
-                    cfg.seed = int(value)
+                    cfg["seed"] = int(value)
                 except ValueError:
                     raise ConfigError("line %d: seed wants an integer, got %r" % (n, value)) from None
             elif key == "attack":
@@ -85,10 +75,10 @@ def parse_config(text: str) -> ScenarioConfig:
                         "line %d: unknown attack %r (have: %s)"
                         % (n, value, ", ".join(SCENARIOS))
                     )
-                cfg.attack = value
+                cfg["attack"] = value
             elif key == "profile":
                 try:
-                    cfg.profile = get_profile(value).name
+                    cfg["profile"] = get_profile(value).name
                 except UnknownProfile as err:
                     raise ConfigError("line %d: %s" % (n, err)) from None
             else:
@@ -96,10 +86,10 @@ def parse_config(text: str) -> ScenarioConfig:
                 variants = dict.fromkeys(v for table in SCENARIOS.values() for v in table)
                 if value not in variants:
                     raise ConfigError("line %d: unknown variant %r (have: %s)" % (n, value, ", ".join(variants)))
-                cfg.variant = value
+                cfg["variant"] = value
         else:
             try:
-                cfg.countermeasures |= countermeasures_from_pairs({key: value})
+                cfg.setdefault("cm", {}).update(countermeasures_from_pairs({key: value}))
             except UnknownCountermeasure as err:
                 raise ConfigError("line %d: %s" % (n, err)) from None
     return cfg

@@ -156,7 +156,9 @@ class BasebandEntry:
 
 
 class RegistrationOutcome:
-    """What one register() call did, as seen from the handset."""
+    """One register() call as the handset sees it: in flight, with its flow's
+    context and AKA result; once accepted, the handset's live registration.
+    """
 
     __slots__ = (
         "path",
@@ -168,6 +170,8 @@ class RegistrationOutcome:
         "guti",
         "reject_cause",
         "end_step",
+        "ctx",
+        "aka",
     )
 
     def __init__(self, path: str, generation: str, flow: str, start_step: int) -> None:
@@ -180,13 +184,6 @@ class RegistrationOutcome:
         self.guti: str | None = None
         self.reject_cause: str | None = None
         self.end_step = 0
-
-
-class _InFlight:
-    __slots__ = ("outcome", "ctx", "aka")
-
-    def __init__(self, outcome: RegistrationOutcome) -> None:
-        self.outcome = outcome
         self.ctx: SecurityContext | None = None
         self.aka: crypto.AkaResult | None = None
 
@@ -207,11 +204,9 @@ class MobileEquipment:
         "slot",
         "baseband",
         "slot_event_pending",
-        "current_guti",
-        "generation",
         "_card_session",
-        "_ctx",
         "_active",
+        "_live",
         "_flow_n",
     )
 
@@ -225,18 +220,16 @@ class MobileEquipment:
         self.slot: CardImage | None = None
         self.baseband: BasebandEntry | None = None
         self.slot_event_pending = False
-        self.current_guti: str | None = None
-        self.generation: str | None = None
 
         self._card_session = None
-        self._ctx: SecurityContext | None = None
-        self._active: _InFlight | None = None
+        self._active: RegistrationOutcome | None = None  # the register() in flight
+        self._live: RegistrationOutcome | None = None  # the accepted one in force
         self._flow_n = 0
 
     @property
     def registered(self) -> bool:
-        """Registered iff the handset holds a live context from an accept."""
-        return self._ctx is not None
+        """Registered iff the handset holds a live registration from an accept."""
+        return self._live is not None
 
     # --- plumbing ------------------------------------------------------
 
@@ -279,7 +272,7 @@ class MobileEquipment:
             self._drop_entry("removed-while-powered-on")
             if self.registered:
                 self._emit("service_lost", ("card-removed",))
-            self._ctx, self._active = None, None
+            self._live, self._active = None, None
         else:
             self.slot_event_pending = True
         return card
@@ -298,7 +291,7 @@ class MobileEquipment:
             self.deregister()
         self.power = PowerState.POWERED_OFF
         self._card_session = None
-        self._ctx, self._active = None, None
+        self._live, self._active = None, None
         self._emit("power_off", ())
 
     def set_airplane(self, enabled: bool) -> None:
@@ -338,25 +331,25 @@ class MobileEquipment:
 
     def _persist_context(self) -> None:
         """Write the live context back to its home for the generation."""
-        card = self.slot
+        card, live = self.slot, self._live
         if card is None:
             return
-        if card.holds_context(self.generation):
-            loci = self.current_guti.encode("ascii")
-            status = store_context_files(card, self._card_session, loci, self._ctx.to_bytes(), self.generation)
+        if card.holds_context(live.generation):
+            loci = live.guti.encode("ascii")
+            status = store_context_files(card, self._card_session, loci, live.ctx.to_bytes(), live.generation)
             if status is ApduStatus.OK:
-                self._emit("context_stored", ("card", self.generation))
+                self._emit("context_stored", ("card", live.generation))
             else:
                 self._emit("context_store_refused", (status.name,))
         else:
             self.baseband = BasebandEntry(
                 supi=card.supi,
-                guti=self.current_guti,
-                context=self._ctx,
-                generation=self.generation,
+                guti=live.guti,
+                context=live.ctx,
+                generation=live.generation,
                 iccid=card.iccid,
             )
-            self._emit("context_stored", ("baseband", self.generation))
+            self._emit("context_stored", ("baseband", live.generation))
 
     # --- registration -------------------------------------------------
 
@@ -414,10 +407,9 @@ class MobileEquipment:
             flow=flow,
             start_step=self.env.channel.step + 1,
         )
-        state = _InFlight(outcome)
-        self._active = state
+        self._active = outcome
         if ctx is not None:
-            state.ctx = ctx
+            outcome.ctx = ctx
             ctx.ul_count += 1
             k_enc, k_int = ctx.nas_keys
             ies = encode_ies(guti, ctx.ngksi, ctx.ul_count)
@@ -433,10 +425,11 @@ class MobileEquipment:
     def deregister(self) -> None:
         if not self.registered:
             raise NotRegistered("not registered")
-        self._send(self._next_flow(), Deregistration(self.current_guti))
+        guti = self._live.guti
+        self._send(self._next_flow(), Deregistration(guti))
         self._persist_context()
-        self._ctx = None
-        self._emit("ue_deregistered", (self.current_guti,))
+        self._live = None
+        self._emit("ue_deregistered", (guti,))
         self.env.channel.pump()
 
     # --- NAS downlink handlers ----------------------------------------
@@ -451,34 +444,34 @@ class MobileEquipment:
     }
 
     def handle(self, envelope) -> None:
-        state = self._active
+        outcome = self._active
         handler = self._HANDLERS.get(type(envelope.msg))
-        if state is None or envelope.flow != state.outcome.flow or handler is None:
+        if outcome is None or envelope.flow != outcome.flow or handler is None:
             self._emit("stray_message", (envelope.msg.mtype,))
             return
-        getattr(self, handler)(state, envelope)
+        getattr(self, handler)(outcome, envelope)
 
-    def _on_auth_request(self, state: _InFlight, envelope) -> None:
+    def _on_auth_request(self, outcome: RegistrationOutcome, envelope) -> None:
         msg: AuthRequest = envelope.msg
-        state.outcome.aka_ran = True
+        outcome.aka_ran = True
         card = self.slot
         try:
-            state.aka = card.run_aka(msg.rand, msg.autn)
-            res = state.aka.res
+            outcome.aka = card.run_aka(msg.rand, msg.autn)
+            res = outcome.aka.res
         except crypto.MacFailure:
             self._emit("card_rejected_autn", ())
             res = b""
-        self._send(state.outcome.flow, AuthResponse(res))
+        self._send(outcome.flow, AuthResponse(res))
 
-    def _on_identity_request(self, state: _InFlight, envelope) -> None:
-        self._send(state.outcome.flow, IdentityResponse(self._identity(self.slot), SEC_CAPS))
+    def _on_identity_request(self, outcome: RegistrationOutcome, envelope) -> None:
+        self._send(outcome.flow, IdentityResponse(self._identity(self.slot), SEC_CAPS))
 
-    def _on_security_mode(self, state: _InFlight, envelope) -> None:
+    def _on_security_mode(self, outcome: RegistrationOutcome, envelope) -> None:
         msg: SecurityModeCommand = envelope.msg
-        if state.aka is None:
+        if outcome.aka is None:
             self._emit("stray_message", (msg.mtype,))
             return
-        _, _, k_amf = crypto.derive_k_amf(state.aka.ck, state.aka.ik)
+        _, _, k_amf = crypto.derive_k_amf(outcome.aka.ck, outcome.aka.ik)
         ctx = SecurityContext(
             k_amf=k_amf,
             ngksi=msg.ngksi,
@@ -486,42 +479,39 @@ class MobileEquipment:
             ul_count=0,
             dl_count=0,
         )
-        state.ctx = ctx
+        outcome.ctx = ctx
         mac = crypto.mac_compute(b"security-mode-complete", b"", ctx.nas_keys[1])
-        self._send(state.outcome.flow, SecurityModeComplete(mac))
+        self._send(outcome.flow, SecurityModeComplete(mac))
 
-    def _on_accept(self, state: _InFlight, envelope) -> None:
+    def _on_accept(self, outcome: RegistrationOutcome, envelope) -> None:
         msg: RegistrationAccept = envelope.msg
-        if state.ctx is None:
+        if outcome.ctx is None:
             self._emit("stray_message", (msg.mtype,))
             return
         try:
-            plain = crypto.sdec(msg.ciphered, state.ctx.nas_keys[0])
+            plain = crypto.sdec(msg.ciphered, outcome.ctx.nas_keys[0])
         except crypto.DecryptFailure:
             self._emit("accept_undecryptable", ())
             return
         new_guti, dl_count = decode_accept_payload(plain)
-        if dl_count <= state.ctx.dl_count:
+        if dl_count <= outcome.ctx.dl_count:
             # Downlink replay guard mirrors the uplink count rule.
             self._emit("dl_replay_discarded", (str(dl_count),))
             return
-        state.ctx.dl_count = dl_count
-        self.current_guti = new_guti
-        self.generation = state.outcome.generation
-        self._ctx = state.ctx
-        outcome = state.outcome
+        outcome.ctx.dl_count = dl_count
         outcome.accepted = True
         outcome.guti = new_guti
         outcome.end_step = envelope.step
+        self._live = outcome
         self._emit("ue_registered", (new_guti, outcome.path))
         if not outcome.aka_ran:
             # No AKA, so the context came from its home: refresh it in place.
             self._persist_context()
         self._active = None
 
-    def _on_reject(self, state: _InFlight, envelope) -> None:
+    def _on_reject(self, outcome: RegistrationOutcome, envelope) -> None:
         msg: RegistrationReject = envelope.msg
-        state.outcome.reject_cause = msg.cause
-        state.outcome.end_step = envelope.step
+        outcome.reject_cause = msg.cause
+        outcome.end_step = envelope.step
         self._emit("ue_rejected", (msg.cause,))
         self._active = None

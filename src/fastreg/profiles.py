@@ -78,9 +78,12 @@ class OperatorProfile(Frozen):
         return NONDEFAULT_PIN if self.nondefault_pin else DEFAULT_PIN
 
     def with_toggles(self, toggles: dict[str, bool]) -> OperatorProfile:
-        """This profile with the toggle set layered over it; an unknown name raises TypeError."""
+        """This profile with the toggle set layered over it; an unknown name or a non-bool raises TypeError."""
         if not toggles:
             return self
+        for name, value in toggles.items():
+            if type(value) is not bool:
+                raise TypeError("toggle %s wants a bool, got %r" % (name, value))
         return OperatorProfile(self.name, **({t: getattr(self, t) for t in TOGGLES} | toggles))
 
 

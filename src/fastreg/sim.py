@@ -35,7 +35,7 @@ from .usim import CardImage, standard_card
 class SimEnv:
     """Container wiring the channel, the network and any handsets."""
 
-    __slots__ = ("profile", "rng", "channel", "events", "monitor", "amf", "mes", "custody", "__weakref__")
+    __slots__ = ("profile", "rng", "channel", "events", "monitor", "amf", "mes", "__weakref__")
 
     def __init__(self, profile: OperatorProfile, seed: int) -> None:
         crypto.clear_memos()
@@ -48,25 +48,19 @@ class SimEnv:
         self.amf = Amf(self)
         self.channel.register(self.amf.name, self.amf.handle)
         self.mes: dict[str, MobileEquipment] = {}
-        self.custody: dict[str, str | None] = {}
 
-    def add_me(
-        self, name: str, bs: str = "BS-A", custody: str | None = None, user_pin: str | None = None
-    ) -> MobileEquipment:
-        """Add the handset `name` at base station `bs`, held by `custody`.
+    def add_me(self, name: str, bs: str = "BS-A", user_pin: str | None = None) -> MobileEquipment:
+        """Add the handset `name` at base station `bs`.
 
         `user_pin` is the PIN its owner enters when a card asks for one.
         The handset reads its vendor toggles (ICCID binding, offline-swap
-        detection) from this environment's profile.
+        detection) from this environment's profile.  Who holds it is a
+        scenario's record (`attacks.ScenarioEnv.custody`), not the protocol's.
         """
         me = MobileEquipment(name, env=self, bs=bs, user_pin=user_pin)
         self.mes[name] = me
-        self.custody[name] = custody
         self.channel.register(name, me.handle)
         return me
-
-    def custody_of(self, who: str) -> list[str]:
-        return [name for name, holder in self.custody.items() if holder == who]
 
     def provision_subscriber(self, supi: str) -> tuple[SubscriberRecord, CardImage]:
         """Create the network record and issue a card per the profile."""

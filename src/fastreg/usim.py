@@ -394,6 +394,7 @@ def card_from_text(text: str) -> CardImage:
     The `supi` line must equal the 6F07 body, and `locked=` must agree with
     `retries=`: both are written out for the reader, and checked on load.
     """
+    keys = ("iccid", "supi", "k", "seq", "pin", "flags")
     header: dict[str, tuple[int, list[str]]] = {}
     files: dict[int, tuple[AccessRule, bytes]] = {}
     for n, raw in enumerate(text.splitlines(), start=1):
@@ -421,10 +422,12 @@ def card_from_text(text: str) -> CardImage:
                 raise CardFormatError("line %d: duplicate file %04x" % (n, fid))
             files[fid] = (AccessRule(read, update), body)
         else:
+            if first not in keys:
+                raise CardFormatError("line %d: unknown header line %r" % (n, first))
             if first in header:
                 raise CardFormatError("line %d: duplicate header key %r" % (n, first))
             header[first] = (n, tokens[1:])
-    for want in ("iccid", "supi", "k", "seq", "pin", "flags"):
+    for want in keys:
         if want not in header:
             raise CardFormatError("missing header line %r" % want)
 

@@ -12,6 +12,7 @@ import pytest
 
 import fastreg
 from fastreg import cli
+from fastreg.attacks import run_scenario
 from fastreg.cli import main
 from fastreg.profiles import BUILTIN_PROFILES, TOGGLES, OperatorProfile, countermeasures_from_pairs
 
@@ -50,6 +51,22 @@ def test_a_toggle_set_sets_only_the_toggles_it_names():
     assert [getattr(layered, t) for t in TOGGLES[2:]] == [getattr(base, t) for t in TOGGLES[2:]]
     with pytest.raises(TypeError, match="wishes"):
         OperatorProfile("OP-I").with_toggles({"wishes": True})
+
+
+@pytest.mark.parametrize("value", ["off", 1, None])
+def test_a_toggle_set_holds_only_bools(value):
+    with pytest.raises(TypeError, match="toggle iccid_binding wants a bool, got %r" % (value,)):
+        OperatorProfile("OP-I").with_toggles({"iccid_binding": value})
+    with pytest.raises(TypeError, match="iccid_binding"):
+        run_scenario("S2", "OP-I", 9, {"iccid_binding": value})
+
+
+def test_run_with_no_config_and_no_flags_takes_run_scenarios_defaults(capsys):
+    code, out, _ = run_cli(capsys, "run")
+    assert code == 0
+    assert out.splitlines()[:4] == ["scenario S2", "profile OP-I", "seed 0", "variant default"]
+    flags = ("--attack", "S2", "--profile", "OP-I", "--seed", "0", "--variant", "default")
+    assert run_cli(capsys, "run", *flags)[1] == out
 
 
 def test_run_prints_report_then_trace(capsys):
@@ -279,6 +296,7 @@ def test_a_closed_stdout_exits_one_with_nothing_on_stderr(unbuffered):
         ("run", lambda t: "[scenario]\nseed = 1\nvariant = nope\n", "line 3: unknown variant 'nope'"),
         ("card", lambda t: re.sub("(?m)^supi .*$", "supi 460110123456780", t), "line 2: bad supi line: differs from the 6F07 body"),
         ("card", lambda t: re.sub("(?m)^6f07 .*\n", "", t), "line 2: bad supi line: the card has no 6F07 file"),
+        ("card", lambda t: t.replace("seq 0\n", "seq 0\nbogus line here\n"), "line 5: unknown header line 'bogus'"),
         ("card", None, "Is a directory"),
         ("run", None, "Is a directory"),
     ],
@@ -300,6 +318,7 @@ def test_a_closed_stdout_exits_one_with_nothing_on_stderr(unbuffered):
         "config-variant-unknown",
         "supi-differs-from-6f07",
         "no-6f07",
+        "unknown-header-line",
         "card-directory",
         "config-directory",
     ),

@@ -175,8 +175,9 @@ def test_a_new_aka_leaves_other_subscribers_aliases_alone():
     assert {k: e for k, e in env.amf.table.items() if e is record} == rows
     # Its own next AKA purges all 21 of them.
     me.insert_card(me.remove_card())
-    assert me.register("5G").aka_ran
-    assert [k for k, e in env.amf.table.items() if e is record] == [me.current_guti]
+    out = me.register("5G")
+    assert out.aka_ran
+    assert [k for k, e in env.amf.table.items() if e is record] == [out.guti]
     assert len(env.amf.table) == 2
 
 
@@ -580,6 +581,7 @@ def fast_round(me, generation="5G"):
     me.set_airplane(False)
     out = me.register(generation)
     assert out.accepted and out.path == "fast" and not out.aka_ran
+    return out
 
 
 # OP-I cards hold no 5G context, so it stays in baseband memory; a 4G
@@ -660,8 +662,7 @@ def test_older_alias_guti_deregisters_the_right_subscriber():
     me.insert_card(me.remove_card())
     gutis = [me.register("5G").guti]
     for _ in range(3):
-        fast_round(me)
-        gutis.append(me.current_guti)
+        gutis.append(fast_round(me).guti)
     assert {e.context.ngksi for k, e in env.amf.table.items() if e.supi == SUPI} == {1}
     probe = Probe(env)
     probe.send(Deregistration(gutis[1]))

@@ -434,8 +434,10 @@ def test_card_text_single_line_per_file_change():
 def test_card_text_rejects_malformed():
     card = make_card()
     text = card_to_text(card)
-    with pytest.raises(CardFormatError):
+    with pytest.raises(CardFormatError, match="line 1: unknown header line 'icicd'"):
         card_from_text(text.replace("iccid", "icicd", 1))
+    with pytest.raises(CardFormatError, match="line 5: unknown header line 'bogus'"):
+        card_from_text(text.replace("seq 0\n", "seq 0\nbogus line here\n"))
     with pytest.raises(CardFormatError):
         card_from_text(text + "6fe3 PIN PIN 00\n")  # duplicate file
     with pytest.raises(CardFormatError):
