@@ -305,9 +305,6 @@ class Event(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, step: int, entity: str, name: str, values: tuple[str, ...]) -> "Event":
-        return tuple.__new__(cls, (step, entity, name) + values)
-
     step = property(itemgetter(0))
     entity = property(itemgetter(1))
     name = property(itemgetter(2))

@@ -100,11 +100,6 @@ class Key(Frozen):
         set_field(self, "octets", octets)
         set_field(self, "kind", kind)
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not Key:
-            return NotImplemented
-        return self.octets == other.octets and self.kind is other.kind
-
 
 class AuthVector(Frozen):
     """Network-side authentication vector for one AKA round."""

@@ -8,8 +8,9 @@ generation, as in TS 24.301, TS 24.501 and TS 31.102:
      issued with 4F01/4F03 for 5G); its context files are read and written
      with READ/UPDATE on the handset's baseband session, so the card's
      access conditions apply to the handset as to any reader,
-  2. otherwise the baseband chip's own entry, guarded by an identity
-     comparison against the inserted card.
+  2. otherwise the baseband chip's own entry.  Like the chip, the model
+     compares the entry's identity with the inserted card only when
+     entering powered-on and on a hot insert, never at registration.
 
 The two homes are exclusive: an empty or refused read, or a context that
 does not parse, finds no context, and register() then runs the initial
@@ -48,7 +49,6 @@ from .channel import (
     field_hex,
 )
 from .crypto import Key, KeyKind
-from .record import fields_equal
 from .usim import NSC_FILES, ApduStatus, CardImage, load_context_files, store_context_files, verify_pin
 
 
@@ -116,8 +116,6 @@ class SecurityContext:
         self.dl_count = dl_count
         # (K_NASenc, K_NASint): a function of k_amf, which never changes.
         self.nas_keys = crypto.nas_keys(k_amf)
-
-    __eq__ = fields_equal
 
     def to_bytes(self) -> bytes:
         caps = ",".join(self.ue_sec_caps).encode("ascii")
@@ -332,8 +330,6 @@ class MobileEquipment:
     def _persist_context(self) -> None:
         """Write the live context back to its home for the generation."""
         card, live = self.slot, self._live
-        if card is None:
-            return
         if card.holds_context(live.generation):
             loci = live.guti.encode("ascii")
             status = store_context_files(card, self._card_session, loci, live.ctx.to_bytes(), live.generation)
@@ -369,12 +365,7 @@ class MobileEquipment:
                     self._emit("context_unparsable", ("card", str(err).replace(" ", "-")))
             return None, None
         entry = self.baseband
-        if (
-            entry is not None
-            and entry.generation == generation
-            and entry.supi == card.supi
-            and (not self.env.profile.iccid_binding or entry.iccid == card.iccid)
-        ):
+        if entry is not None and entry.generation == generation:
             return entry.context, entry.guti
         return None, None
 

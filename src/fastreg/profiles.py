@@ -8,7 +8,7 @@ practice and a countermeasure are the same kind of setting.
 
 from __future__ import annotations
 
-from .record import Frozen, fields_equal, set_field
+from .record import Frozen, set_field
 
 DEFAULT_PIN = "1234"
 NONDEFAULT_PIN = "864209"
@@ -69,8 +69,6 @@ class OperatorProfile(Frozen):
         set_field(self, "supi_concealment", supi_concealment)
         set_field(self, "usim_5g_context", usim_5g_context)
         set_field(self, "offline_swap_detection", offline_swap_detection)
-
-    __eq__ = fields_equal
 
     @property
     def pin(self) -> str:

@@ -35,7 +35,6 @@ from random import Random
 
 from . import crypto
 from .crypto import Key, KeyKind
-from .record import fields_equal
 
 EF_IMSI = 0x6F07
 EF_EPSLOCI = 0x6FE3
@@ -67,8 +66,6 @@ class AccessRule:
         self.read = read
         self.update = update
 
-    __eq__ = fields_equal
-
 
 class PinState:
     __slots__ = ("value", "enabled", "retries_left", "retry_limit")
@@ -82,8 +79,6 @@ class PinState:
         self.enabled = enabled
         self.retries_left = retries_left
         self.retry_limit = retry_limit
-
-    __eq__ = fields_equal
 
     @property
     def locked(self) -> bool:
@@ -129,8 +124,6 @@ class CardImage:
         self.pin = pin
         self.seq = seq
         self.programmable = programmable
-
-    __eq__ = fields_equal
 
     @property
     def supi(self) -> str:

@@ -1,8 +1,9 @@
 """Acceptance gate: nine criteria, one test (and one verdict line) each.
 
 Every expected value here is either pinned directly or recomputed from a
-small self-contained oracle written into this file, so the gate does not
-lean on the implementation it is judging.
+small self-contained oracle written into this file or, for the slot/power
+walk, into `tests/test_equipment.py`, so the gate does not lean on the
+implementation it is judging.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import random
 import time
 
 import pytest
+from test_equipment import legal_ops, shadow_step
 
 from fastreg import crypto
 from fastreg.attacks import (
@@ -187,43 +189,6 @@ def test_criterion_4_replay_rejection():
 # --- 5: slot/power walk against a shadow model ------------------------------
 
 
-def _shadow_enter(slot, pending, entry, binding, detect):
-    if entry:
-        if slot is None or slot == "B":
-            entry = False
-        elif binding and slot != "A":
-            entry = False
-        elif detect and pending:
-            entry = False
-    return entry, False
-
-
-def _shadow(state, op, binding, detect):
-    power, slot, pending, entry = state
-    if op == "seed":
-        entry = True
-    elif op.startswith("insert_"):
-        slot = op.split("_", 1)[1]
-        if power == "ON":
-            entry, pending = _shadow_enter(slot, pending, entry, binding, detect)
-        else:
-            pending = True
-    elif op == "remove":
-        slot = None
-        if power == "ON":
-            entry = False
-        else:
-            pending = True
-    elif op in ("power_on", "air_off"):
-        power = "ON"
-        entry, pending = _shadow_enter(slot, pending, entry, binding, detect)
-    elif op == "power_off":
-        power = "OFF"
-    elif op == "air_on":
-        power = "AIR"
-    return power, slot, pending, entry
-
-
 def test_criterion_5_slot_power_shadow():
     rng = random.Random(50)
     k = Key(b"\x01" * KEY_LEN, KeyKind.K_PERMANENT)
@@ -241,16 +206,7 @@ def test_criterion_5_slot_power_shadow():
             me = env.add_me("walk")
             state = ("OFF", None, False, False)
             for _ in range(rng.randrange(6, 15)):
-                power, slot, pending, entry = state
-                ops = ["remove"] if slot else ["insert_A", "insert_A2", "insert_B"]
-                ops.append("power_on" if power == "OFF" else "power_off")
-                if power == "ON":
-                    ops.append("air_on")
-                if power == "AIR":
-                    ops.append("air_off")
-                if not entry:
-                    ops.append("seed")
-                op = rng.choice(ops)
+                op = rng.choice(legal_ops(state))
                 if op == "seed":
                     me.baseband = BasebandEntry(
                         VICTIM_SUPI, "guti-seed", ctx, "5G", cards["A"].iccid
@@ -267,7 +223,7 @@ def test_criterion_5_slot_power_shadow():
                     me.set_airplane(True)
                 else:
                     me.set_airplane(False)
-                state = _shadow(state, op, binding, detect)
+                state = shadow_step(state, op, binding=binding, detect=detect)
                 assert (me.baseband is not None) == state[3], (
                     binding,
                     detect,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 import random
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastreg import channel, equipment, network
+from fastreg.attacks import run_scenario
 from fastreg.channel import (
     EVENT_FIELDS,
     AuthRequest,
@@ -79,20 +81,26 @@ def test_emit_keeps_the_callers_fields_and_the_step():
     assert event.fields == {"reason": "lookup", "guti": "guti-1"}
     assert event[3:] == values
     assert event.line() == "   3 amf fast_fallback reason=lookup guti=guti-1"
-    assert Event(3, "amf", "fast_fallback", values) == event
+    assert Event((3, "amf", "fast_fallback", *values)) == event
     assert ch.events.emit("ue", "power_on", ()).line() == "   3 ue power_on"
 
 
+def test_an_event_log_deep_copies():
+    entries = run_scenario("S2").env.events.entries
+    copied = copy.deepcopy(entries)
+    assert copied == entries and {type(e) for e in copied} == {Event}
+
+
 def test_an_event_never_shows_its_values_under_the_wrong_names():
-    short = Event(1, "amf", "fast_fallback", ("lookup",))
-    long = Event(1, "ue", "power_on", ("extra",))
+    short = Event((1, "amf", "fast_fallback", "lookup"))
+    long = Event((1, "ue", "power_on", "extra"))
     for event in (short, long):
         with pytest.raises(ValueError):
             event.fields
         with pytest.raises(ValueError):
             event.line()
     with pytest.raises(KeyError):
-        Event(1, "ue", "undeclared", ()).line()
+        Event((1, "ue", "undeclared")).line()
 
 
 def test_every_emit_site_uses_a_declared_name_and_arity():

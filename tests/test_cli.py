@@ -40,7 +40,8 @@ def test_profiles_and_countermeasures_share_one_vocabulary(capsys):
         # Every listed toggle and value is one --countermeasure accepts, and
         # applying the whole line as a toggle set reproduces the profile.
         cm = countermeasures_from_pairs(settings)
-        assert OperatorProfile(name).with_toggles(cm) == BUILTIN_PROFILES[name]
+        layered = OperatorProfile(name).with_toggles(cm)
+        assert [getattr(layered, t) for t in TOGGLES] == [getattr(BUILTIN_PROFILES[name], t) for t in TOGGLES]
 
 
 def test_a_toggle_set_sets_only_the_toggles_it_names():
@@ -152,6 +153,17 @@ def test_card_save_and_load_round_trip(tmp_path, capsys):
     assert code == 0
     assert "supi 460110123456789" in out
     assert "file 6F07" in out
+    assert resaved.read_bytes() == image.read_bytes()
+
+
+def test_card_load_skips_comment_and_blank_lines(tmp_path, capsys):
+    image = tmp_path / "card.txt"
+    assert run_cli(capsys, "card", "save", str(image))[0] == 0
+    text = image.read_text(encoding="ascii")
+    noted = tmp_path / "noted.txt"
+    noted.write_text("# a saved card\n\n" + text.replace("\nseq ", "\n   \n  # key sequence\nseq "), encoding="ascii")
+    resaved = tmp_path / "resaved.txt"
+    assert run_cli(capsys, "card", "load", str(noted), "--out", str(resaved))[0] == 0
     assert resaved.read_bytes() == image.read_bytes()
 
 
@@ -297,6 +309,9 @@ def test_a_closed_stdout_exits_one_with_nothing_on_stderr(unbuffered):
         ("card", lambda t: re.sub("(?m)^supi .*$", "supi 460110123456780", t), "line 2: bad supi line: differs from the 6F07 body"),
         ("card", lambda t: re.sub("(?m)^6f07 .*\n", "", t), "line 2: bad supi line: the card has no 6F07 file"),
         ("card", lambda t: t.replace("seq 0\n", "seq 0\nbogus line here\n"), "line 5: unknown header line 'bogus'"),
+        ("card", lambda t: t.replace("seq 0\n", "seq 0\nseq 0\n"), "line 5: duplicate header key 'seq'"),
+        ("card", lambda t: t.replace("seq 0\n", ""), "error: missing header line 'seq'"),
+        ("card", lambda t: t.replace("retries=3", "retries="), "line 5: bad pin line: expected retries=<value>, got 'retries='"),
         ("card", None, "Is a directory"),
         ("run", None, "Is a directory"),
     ],
@@ -319,6 +334,9 @@ def test_a_closed_stdout_exits_one_with_nothing_on_stderr(unbuffered):
         "supi-differs-from-6f07",
         "no-6f07",
         "unknown-header-line",
+        "duplicate-header-key",
+        "missing-header-line",
+        "retries-empty",
         "card-directory",
         "config-directory",
     ),

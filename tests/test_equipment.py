@@ -10,11 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastreg.channel import RegistrationAccept
+from fastreg import crypto
+from fastreg.attacks import PROFILE_ORDER, SCENARIOS, run_scenario
+from fastreg.channel import RegistrationAccept, SecurityModeCommand, encode_accept_payload
 from fastreg.crypto import KEY_LEN, Key, KeyKind
 from fastreg.equipment import (
     COUNT_LIMIT,
+    SEC_CAPS,
     BasebandEntry,
+    MobileEquipment,
     NoCard,
     NotRegistered,
     PinRequired,
@@ -26,7 +30,7 @@ from fastreg.equipment import (
     SlotOccupied,
     UnknownGeneration,
 )
-from fastreg.profiles import NONDEFAULT_PIN, get_profile
+from fastreg.profiles import ALL_PROTECTIVE, NONDEFAULT_PIN, TOGGLES, get_profile
 from fastreg.sim import SimEnv
 from fastreg.usim import EF_5GLOCI, EF_5GNSC, EF_EPSLOCI, EF_EPSNSC, EF_IMSI, AccessLevel, programmable_card, standard_card
 
@@ -83,7 +87,7 @@ def test_security_context_round_trip():
             ul_count=rng.randrange(2**32),
             dl_count=rng.randrange(2**32),
         )
-        assert SecurityContext.from_bytes(ctx.to_bytes()) == ctx
+        assert SecurityContext.from_bytes(ctx.to_bytes()).to_bytes() == ctx.to_bytes()
 
 
 def test_security_context_decode_is_strict():
@@ -99,10 +103,14 @@ def test_security_context_decode_is_strict():
 def test_security_context_field_validation():
     with pytest.raises(ValueError):
         SecurityContext(k_amf_fixed(), 7, ("EA2",), 0, 0)  # ngksi range is 0..6
-    with pytest.raises(Exception):
+    # Refused by the record itself, before nas_keys sees the key.
+    with pytest.raises(ValueError, match="context key must be K_AMF kind"):
         SecurityContext(
             Key(b"\x01" * KEY_LEN, KeyKind.K_NASENC), 0, ("EA2",), 0, 0
         )
+    for counts in ((COUNT_LIMIT, 0), (0, COUNT_LIMIT)):
+        with pytest.raises(ValueError, match="NAS count out of 32-bit range"):
+            SecurityContext(k_amf_fixed(), 0, ("EA2",), *counts)
 
 
 def oracle_to_bytes(ctx):
@@ -151,7 +159,7 @@ def test_the_codec_writes_and_reads_the_reference_bytes_at_the_edges():
         ctx = SecurityContext(k_amf_fixed(), ngksi, caps, ul, dl)
         blob = ctx.to_bytes()
         assert blob == oracle_to_bytes(ctx), (ngksi, ul, dl, caps)
-        assert SecurityContext.from_bytes(blob) == oracle_from_bytes(blob) == ctx
+        assert SecurityContext.from_bytes(blob).to_bytes() == oracle_to_bytes(oracle_from_bytes(blob)) == blob
 
 
 def context_blob(key, ngksi, caps, skew, tail):
@@ -173,10 +181,11 @@ CONTEXT_BLOBS = st.builds(
 @settings(derandomize=True, database=None, max_examples=300)
 @given(blob=CONTEXT_BLOBS)
 def test_the_codec_decodes_any_blob_as_the_reference_does(blob):
-    ours = decoded(SecurityContext.from_bytes, blob)
-    assert ours == decoded(oracle_from_bytes, blob)
+    ours, theirs = decoded(SecurityContext.from_bytes, blob), decoded(oracle_from_bytes, blob)
     if isinstance(ours, SecurityContext):
-        assert ours.to_bytes() == oracle_to_bytes(ours) == blob
+        assert ours.to_bytes() == oracle_to_bytes(theirs) == oracle_to_bytes(ours) == blob
+    else:
+        assert ours == theirs
 
 
 # --- where the context lives -----------------------------------------------
@@ -428,6 +437,17 @@ def test_register_requires_verified_pin():
         me.register("5G")
 
 
+def test_a_handset_without_a_user_pin_never_tries_the_cards_pin():
+    env, me, card, _ = provisioned(profile_override={"nondefault_pin": True})
+    assert card.pin.enabled and me.user_pin is None
+    retries = card.pin.retries_left
+    me.insert_card(card)
+    me.power_on()
+    assert card.pin.retries_left == retries
+    with pytest.raises(PinRequired):
+        me.register("5G")
+
+
 def test_correct_user_pin_is_verified_on_power_on():
     env, me, card, _ = provisioned(
         profile_override={"nondefault_pin": True},
@@ -445,6 +465,9 @@ def test_slot_and_deregistration_guards():
     me.insert_card(card)
     with pytest.raises(SlotOccupied):
         me.insert_card(card)
+    with pytest.raises(PowerStateError):
+        me.set_airplane(True)  # airplane mode toggles from powered-on only
+    assert me.power is PowerState.POWERED_OFF
     me.power_on()
     with pytest.raises(NotRegistered):
         me.deregister()
@@ -479,6 +502,52 @@ def test_stale_accept_replay_is_discarded():
     env.channel.send(genuine.src, genuine.dst, genuine.bs, genuine.flow, genuine.msg)
     env.channel.pump()
     assert out.accepted
+
+
+@contextmanager
+def amf_answering(env, msg):
+    """Stand in for the AMF: answer each uplink frame on its flow with `msg`."""
+    channel, amf = env.channel, env.amf
+    channel.register(amf.name, lambda e: channel.send(amf.name, e.src, e.bs, e.flow, msg))
+    try:
+        yield
+    finally:
+        channel.register(amf.name, amf.handle)
+
+
+def strays(env):
+    return [e.fields["mtype"] for e in env.events.named("stray_message")]
+
+
+def test_a_security_mode_command_answering_a_fast_request_is_a_stray():
+    env, me, card, _ = provisioned()
+    bring_up(me, card, "5G")
+    with amf_answering(env, SecurityModeCommand(SEC_CAPS, 0)):
+        out = me.register("5G")
+    assert out.path == "fast" and not out.accepted and not me.registered
+    assert strays(env) == ["security-mode-command"]
+
+
+def test_an_accept_before_any_context_is_a_stray():
+    env, me, card, _ = provisioned()
+    me.insert_card(card)
+    me.power_on()
+    with amf_answering(env, RegistrationAccept(b"\x00" * 32)):
+        out = me.register("5G")
+    assert out.path == "initial" and not out.accepted and not me.registered
+    assert strays(env) == ["registration-accept"]
+
+
+def test_an_accept_ciphered_under_another_key_is_undecryptable():
+    env, me, card, _ = provisioned()
+    bring_up(me, card, "5G")
+    k_enc, _ = crypto.nas_keys(k_amf_fixed())
+    forged = crypto.senc(encode_accept_payload("guti-forged", 99), k_enc)
+    with amf_answering(env, RegistrationAccept(forged)):
+        out = me.register("5G")
+    assert out.path == "fast" and not out.accepted and not me.registered
+    assert env.events.entries[-1].name == "accept_undecryptable"
+    assert not strays(env)
 
 
 @pytest.mark.parametrize("generation", ["4G", "5G"])
@@ -527,6 +596,16 @@ def test_truncated_card_context_falls_back_to_aka():
     assert env.events.named("context_unparsable")[0].fields["where"] == "card"
 
 
+@pytest.mark.parametrize("emptied", [EF_EPSLOCI, EF_EPSNSC], ids=("no-loci", "no-nsc"))
+def test_a_card_context_missing_either_file_is_no_context(emptied):
+    env, me, card, _ = provisioned()
+    bring_up(me, card, "4G")
+    write_file(card, emptied, b"")
+    out = me.register("4G")
+    assert out.accepted and out.path == "initial" and out.aka_ran
+    assert unparsable_reasons(env) == []
+
+
 def test_non_ascii_card_guti_falls_back_to_aka():
     env, me, card, _ = provisioned()
     bring_up(me, card, "4G")
@@ -566,6 +645,39 @@ def test_any_card_context_bytes_end_in_an_outcome(loci, nsc):
     me.insert_card(card)
     me.power_on()
     assert isinstance(me.register("4G"), RegistrationOutcome)
+
+
+# --- the chip's identity rule runs once, on entering powered-on -------------
+
+# No toggle, each toggle alone at its non-default value, and ALL_PROTECTIVE.
+TOGGLE_SETS = [{}, *({t: t != "fast_registration"} for t in TOGGLES), ALL_PROTECTIVE]
+
+
+def test_every_scenario_registers_only_with_the_slot_cards_entry(monkeypatch):
+    # _select_context trusts the baseband entry, because every change of
+    # slot card passes _enter_powered_on before register() can run.  The
+    # scripted rows, not the walk below: its `seed` op writes the entry.
+    register, persist = MobileEquipment.register, MobileEquipment._persist_context
+    met = []
+
+    def checked_register(me, generation="5G"):
+        entry, card = me.baseband, me.slot
+        if me.power is PowerState.POWERED_ON and entry is not None and card is not None:
+            assert entry.supi == card.supi
+            assert entry.iccid == card.iccid or not me.env.profile.iccid_binding
+            met.append(entry)
+        return register(me, generation)
+
+    def checked_persist(me):
+        assert me.slot is not None
+        persist(me)
+
+    monkeypatch.setattr(MobileEquipment, "register", checked_register)
+    monkeypatch.setattr(MobileEquipment, "_persist_context", checked_persist)
+    for attack, rows in SCENARIOS.items():
+        for variant, profile, cm in itertools.product(rows, PROFILE_ORDER, TOGGLE_SETS):
+            run_scenario(attack, profile, 0, cm, variant)
+    assert met  # not vacuous: registrations met an entry in place
 
 
 # --- randomized slot/power walk against a shadow model ---------------------

@@ -285,6 +285,19 @@ def test_a_stale_and_forged_request_is_logged_as_a_mac_failure():
     assert env.events.named("fast_fallback")[-1].fields == {"reason": "mac", "guti": guti}
 
 
+def test_a_wrong_container_is_named_before_a_stale_count():
+    # A valid MAC over a container that disagrees with the IEs, at the
+    # stored (stale) COUNT: the container check comes first.
+    env, me, card, _ = fast_ready()
+    (guti, ngksi) = table_key(env)
+    ctx = env.amf.table[guti].context
+    k_enc, k_int = crypto.nas_keys(ctx.k_amf)
+    ies = encode_ies(guti, ngksi, ctx.ul_count)
+    other = crypto.senc(encode_ies(guti, ngksi, ctx.ul_count + 9), k_enc)
+    Probe(env).send(RegistrationRequestFast(guti, ngksi, ctx.ul_count, other, crypto.mac_compute(ies, other, k_int)))
+    assert env.events.named("fast_fallback")[-1].fields == {"reason": "container", "guti": guti}
+
+
 def test_stale_count_is_rejected():
     env, me, card, _ = fast_ready()
     out = me.register("5G")
@@ -462,6 +475,31 @@ def test_bad_security_mode_mac_gets_rejected():
     assert isinstance(probe.inbox[-1].msg, RegistrationReject)
     assert probe.inbox[-1].msg.cause == "security-mode-failure"
     assert env.events.named("smc_failure")
+
+
+def test_a_security_mode_complete_without_a_challenge_context_is_a_stray():
+    env = SimEnv(get_profile("OP-I"), 77)
+    _, card = env.provision_subscriber(SUPI)
+    me = env.add_me("ue")
+    me.insert_card(card)
+    me.power_on()
+    # The AKA is pending, but its RES is held back: no context to check a MAC with.
+    with held_back(env.channel, env.amf.name, env.amf.handle, AuthResponse) as held:
+        out = me.register("5G")
+    env.channel.send(me.name, "amf", me.bs, out.flow, SecurityModeComplete(b"\x00" * 8))
+    env.channel.pump()
+    assert env.events.named("stray_message")[-1].fields == {"mtype": "security-mode-complete"}
+    (answer,) = held
+    env.channel.send(answer.src, answer.dst, answer.bs, answer.flow, answer.msg)
+    env.channel.pump()
+    assert out.accepted
+    # After the accept no AKA is pending: a replay of the complete is a stray.
+    accepts = len(env.events.named("registration_accept"))
+    complete = [t for t in env.monitor.entries if isinstance(t.msg, SecurityModeComplete)][-1]
+    env.channel.send(complete.src, complete.dst, complete.bs, complete.flow, complete.msg)
+    env.channel.pump()
+    assert env.events.named("stray_message")[-1].fields == {"mtype": "security-mode-complete"}
+    assert len(env.events.named("registration_accept")) == accepts
 
 
 def test_pending_aka_is_bound_to_its_sender():

@@ -31,7 +31,7 @@ FROZEN = [
     (channel.RegistrationReject("cause"), "cause"),
     (channel.Deregistration("guti-1"), "guti"),
     (channel.Envelope(1, "a", "b", "BS-A", "a#0", channel.IdentityRequest()), "flow"),
-    (channel.Event(1, "ue", "power_on", ()), "fields"),
+    (channel.Event((1, "ue", "power_on")), "fields"),
     (KEY, "octets"),
     (crypto.AuthVector(b"r", b"a", b"x", KEY, KEY), "xres"),
     (crypto.AkaResult(b"r", KEY, KEY), "ck"),

@@ -270,7 +270,7 @@ def twin_cards(loci_rule, nsc_rule, pin_state):
         card.files[EF_EPSLOCI] = (loci_rule, b"guti-old")
         card.files[EF_EPSNSC] = (nsc_rule, b"ctx-old")
         cards.append(card)
-    assert cards[0] == cards[1]
+    assert card_to_text(cards[0]) == card_to_text(cards[1])
     return cards
 
 
@@ -308,7 +308,10 @@ def check_context_io_against_apdus(card, twin, session, twin_session, generation
     refused = [s for s in statuses if s is not ApduStatus.OK]
     # The first refusal in file order, and then nothing written; else both written.
     assert status is (refused[0] if refused else ApduStatus.OK)
-    assert card.files == (before if refused else twin.files)
+    if refused:
+        assert card.files == before
+    else:
+        assert card_to_text(card) == card_to_text(twin)
     for fid, (rule, _) in before.items():
         assert card.files[fid][0] is rule
     assert load_context_files(card, session, generation) == apdu_load(card, session, generation)
@@ -397,7 +400,7 @@ def test_an_update_of_6f07_is_the_cards_new_identity():
     fake = programmable_card(random.Random(14), {EF_IMSI: b"460110123456789"})
     assert update(fake, fake.open_session(), EF_IMSI, b"460119999999999").status is ApduStatus.OK
     assert fake.supi == "460119999999999"
-    assert card_from_text(card_to_text(fake)) == fake
+    assert card_to_text(card_from_text(card_to_text(fake))) == card_to_text(fake)
 
 
 @pytest.mark.parametrize("body", [b"", b"46011012345678x", b"4601101234567890"], ids=("empty", "not-digits", "16-digits"))
@@ -415,9 +418,7 @@ def test_card_text_round_trip():
     card = make_card(pin_enabled=True, supports_5g_context=True)
     store(card, b"guti-abc", b"\xde\xad\xbe\xef")
     text = card_to_text(card)
-    again = card_from_text(text)
-    assert again == card
-    assert card_to_text(again) == text
+    assert card_to_text(card_from_text(text)) == text
 
 
 def test_card_text_single_line_per_file_change():
