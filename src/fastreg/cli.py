@@ -5,7 +5,7 @@
                 [--countermeasure NAME=on|off ...]
                 [--trace-out FILE] [--report-out FILE]
     fastreg matrix [--seed N] [--report-out FILE]
-    fastreg card save PATH [--profile OP-I] [--seed N]
+    fastreg card save PATH [--profile OP-I] [--seed N] [--supi IMSI]
     fastreg card load PATH [--out FILE]
     fastreg profiles list
 

@@ -16,6 +16,10 @@ The two homes are exclusive: an empty or refused read, or a context that
 does not parse, finds no context, and register() then runs the initial
 registration with full AKA.
 
+The handset writes the context to its home once per registration, when
+an accept makes it live, whether AKA or the fast path produced it.  A
+deregistration writes nothing.
+
 The baseband entry is cleared when (1) the card is removed while the
 phone is powered on, (2) the phone enters powered-on with an empty slot,
 or (3) the inserted card's identity differs from the entry.  Airplane
@@ -328,7 +332,7 @@ class MobileEquipment:
     # --- context persistence ------------------------------------------
 
     def _persist_context(self) -> None:
-        """Write the live context back to its home for the generation."""
+        """Write the context an accept just made live to its home for the generation."""
         card, live = self.slot, self._live
         if card.holds_context(live.generation):
             loci = live.guti.encode("ascii")
@@ -353,8 +357,8 @@ class MobileEquipment:
         """The stored (context, GUTI), else (None, None).
 
         It comes from the card's files if the card holds the generation's,
-        else from the baseband entry.  Which home is not returned: a round
-        that runs no AKA used this context, and `_on_accept` reads that.
+        else from the baseband entry.  Which home is not returned: the
+        accept's `_persist_context` finds the same home from the card.
         """
         if card.holds_context(generation):
             loci, nsc = load_context_files(card, self._card_session, generation)
@@ -418,7 +422,6 @@ class MobileEquipment:
             raise NotRegistered("not registered")
         guti = self._live.guti
         self._send(self._next_flow(), Deregistration(guti))
-        self._persist_context()
         self._live = None
         self._emit("ue_deregistered", (guti,))
         self.env.channel.pump()
@@ -495,9 +498,7 @@ class MobileEquipment:
         outcome.end_step = envelope.step
         self._live = outcome
         self._emit("ue_registered", (new_guti, outcome.path))
-        if not outcome.aka_ran:
-            # No AKA, so the context came from its home: refresh it in place.
-            self._persist_context()
+        self._persist_context()
         self._active = None
 
     def _on_reject(self, outcome: RegistrationOutcome, envelope) -> None:

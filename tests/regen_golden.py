@@ -12,7 +12,8 @@ Regenerate after an intended behaviour change, from the repository root:
 
     PYTHONPATH=src python3 tests/regen_golden.py
 
-and name every changed case and its reason in CHANGES.md.
+and name every changed case and its reason in CHANGES.md.  It reads the
+old file first and prints how many cases moved in each layer.
 """
 
 from __future__ import annotations
@@ -68,11 +69,32 @@ def corpus_lines() -> list[str]:
     ]
 
 
+def pinned_lines() -> list[str]:
+    """The case lines the corpus file holds now (none if there is no file)."""
+    if not CORPUS.exists():
+        return []
+    return [line for line in CORPUS.read_text(encoding="ascii").splitlines() if line and not line.startswith("#")]
+
+
+def moved_layers(was: str, now: str) -> list[str]:
+    """The layers whose digest differs between two lines of one case."""
+    return [layer for layer, a, b in zip(LAYERS, was.split()[5:], now.split()[5:]) if a != b]
+
+
 def main() -> int:
+    pinned = {tuple(line.split()[:5]): line for line in pinned_lines()}
     lines = corpus_lines()
     header = "# attack variant profile countermeasure seed sha256-%s (see tests/regen_golden.py)" % " sha256-".join(LAYERS)
     CORPUS.write_text("\n".join([header, *lines]) + "\n", encoding="ascii")
     print("wrote %d digests to %s" % (len(lines), CORPUS))
+    # How many cases moved in each layer, against the cases the old file also had.
+    moved = dict.fromkeys(LAYERS, 0)
+    for line in lines:
+        was = pinned.get(tuple(line.split()[:5]))
+        if was:
+            for layer in moved_layers(was, line):
+                moved[layer] += 1
+    print("moved: %s" % " ".join("%s %d" % item for item in moved.items()))
     return 0
 
 

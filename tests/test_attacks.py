@@ -292,9 +292,18 @@ def test_stale_copy_recovers_by_sniffing_the_air():
 
 
 def test_powered_on_swap_trips_the_deletion_rule():
-    report = run_scenario("S2", "OP-I", seed=14, variant="swap-powered-on")
-    assert not report.succeeded
-    assert report.evidence["baseband_entry_after_swap"] == "false"
+    # The victim's accept stored its 5G context in the chip; pulling the
+    # card while powered on deletes it (rule 1) before the attack runs.
+    for profile in PROFILE_ORDER:
+        report = run_scenario("S2", profile, seed=14, variant="swap-powered-on")
+        assert not report.succeeded
+        assert report.evidence["baseband_entry_after_swap"] == "false"
+        deleted = [
+            (e.entity, e.fields["reason"])
+            for e in report.env.events.named("baseband_context_deleted")
+            if e.step < report.window[0]
+        ]
+        assert deleted == [("shared-me", "removed-while-powered-on")], profile
 
 
 def test_reconnect_views_after_s1():

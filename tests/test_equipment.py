@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastreg import crypto
+from fastreg import crypto, equipment
 from fastreg.attacks import PROFILE_ORDER, SCENARIOS, run_scenario
 from fastreg.channel import RegistrationAccept, SecurityModeCommand, encode_accept_payload
 from fastreg.crypto import KEY_LEN, Key, KeyKind
@@ -56,7 +56,7 @@ def provisioned(seed=11, me_kwargs=None, profile_override=None):
 
 
 def bring_up(me, card, generation):
-    """Initial registration, then a power cycle so the context is stored."""
+    """Initial registration, whose accept stores the context, then an airplane cycle."""
     me.insert_card(card)
     me.power_on()
     first = me.register(generation)
@@ -206,6 +206,24 @@ def test_4g_context_lands_on_the_card():
     again = me.register("4G")
     assert again.accepted and again.path == "fast" and stored_by(env, again) == ["card"]
     assert not again.aka_ran
+
+
+def test_a_card_home_handset_writes_its_context_once_per_accept(monkeypatch):
+    env, me, card, _ = provisioned()
+    writes = []
+    store = equipment.store_context_files
+    monkeypatch.setattr(equipment, "store_context_files", lambda *args: writes.append(args[2]) or store(*args))
+    me.insert_card(card)
+    me.power_on()
+    outcomes = [me.register("4G")]
+    for _ in range(3):
+        before = len(writes)
+        me.set_airplane(True)  # deregisters: writes nothing
+        assert len(writes) == before
+        me.set_airplane(False)
+        outcomes.append(me.register("4G"))
+    assert [(o.accepted, o.path) for o in outcomes] == [(True, "initial")] + [(True, "fast")] * 3
+    assert writes == [o.guti.encode("ascii") for o in outcomes]  # one LOCI write per accept
 
 
 def test_5g_context_lands_in_the_baseband_for_plain_cards():
@@ -674,9 +692,18 @@ def test_every_scenario_registers_only_with_the_slot_cards_entry(monkeypatch):
 
     monkeypatch.setattr(MobileEquipment, "register", checked_register)
     monkeypatch.setattr(MobileEquipment, "_persist_context", checked_persist)
+    stores = ("context_stored", "context_store_refused")
     for attack, rows in SCENARIOS.items():
         for variant, profile, cm in itertools.product(rows, PROFILE_ORDER, TOGGLE_SETS):
-            run_scenario(attack, profile, 0, cm, variant)
+            report = run_scenario(attack, profile, 0, cm, variant)
+            # One write point: a handset's next event after each accept is
+            # its store, and no other event (a deregistration's) is followed by one.
+            names: dict[str, list[str]] = {}
+            for e in report.env.events.entries:
+                names.setdefault(e.entity, []).append(e.name)
+            for entity, seq in names.items():
+                for before, after in zip(seq, [*seq[1:], None]):
+                    assert (before == "ue_registered") == (after in stores), (attack, variant, profile, cm, entity)
     assert met  # not vacuous: registrations met an entry in place
 
 

@@ -9,24 +9,20 @@ import sys
 from pathlib import Path
 
 from fastreg.channel import EVENT_FIELDS
-from regen_golden import CORPUS, LAYERS, cases, case_layers, corpus_lines, run_case
+from regen_golden import LAYERS, cases, case_layers, corpus_lines, moved_layers, pinned_lines, run_case
 
 
 def test_every_case_matches_the_golden_digest():
-    pinned = [
-        line
-        for line in CORPUS.read_text(encoding="ascii").splitlines()
-        if line and not line.startswith("#")
-    ]
+    pinned = pinned_lines()
     current = corpus_lines()
     assert len(current) == len(pinned) == 567
     changed = []
     for was, now in zip(pinned, current):
-        was, now = was.split(), now.split()
-        assert was[:5] == now[:5] and len(was) == len(now) == 5 + len(LAYERS), (was, now)
-        moved = [layer for layer, a, b in zip(LAYERS, was[5:], now[5:]) if a != b]
+        a, b = was.split(), now.split()
+        assert a[:5] == b[:5] and len(a) == len(b) == 5 + len(LAYERS), (was, now)
+        moved = moved_layers(was, now)
         if moved:
-            changed.append("%s (%s)" % (" ".join(now[:5]), ", ".join(moved)))
+            changed.append("%s (%s)" % (" ".join(b[:5]), ", ".join(moved)))
     assert not changed, "%d case(s) changed, first: %s" % (len(changed), changed[0])
 
 
@@ -77,8 +73,8 @@ def test_a_seed_only_chooses_fresh_values():
 # each workload's first unit, recorded.  long-session's 3,000 rounds mix
 # card-home (4G) and baseband-home (5G) contexts, which no case above does.
 PERFBENCH_DIGESTS = {
-    "cm-sweep": "a2c64291780c0926fec2f0b76bf09254321fb422ae256292355f95c75294c2fa",
-    "long-session": "4cff07322774096f6f4a7f1a5c67906b93add5788ebdd14501b991611a6f2df4",
+    "cm-sweep": "f03db61c9005efe79d3773555f55fee20f3bc2740d1c2ae1389e6f571af11948",
+    "long-session": "e24aab1626e794f7fcb824ab273767f3040b529a6345c6795d9e97f6b684558d",
     "cli-cold": "e04171f62ab6079699878185c8cf267b9c5e3cfdc8fd25cc7794e67083e9e5f7",
 }
 PERFBENCH_UNITS = """\
